@@ -32,8 +32,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import CutoffExceededError, FormalpiError, InvalidInputError
-from .graded_core import AlgebraPresentation, CharacterLattice, validate_algebra
+from .errors import CutoffExceededError, FormalpiError, InvalidInputError, NotCompleteError
+from .graded_core import (
+    AlgebraPresentation,
+    CharacterLattice,
+    is_simply_connected_type,
+    require_valid,
+    validate_algebra,
+)
 
 _COEFF_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
 
@@ -46,8 +52,13 @@ def _fail(msg: str):
     raise SchemaError(msg)
 
 
+def _is_int(x) -> bool:
+    """JSON integers only: true and false are not numbers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_coeff(s) -> Fraction:
-    if isinstance(s, int):
+    if _is_int(s):
         return Fraction(s)
     if not isinstance(s, str) or not _COEFF_RE.match(s):
         _fail(f"coefficient {s!r} is not of the form 'p/q' or 'n'")
@@ -69,9 +80,9 @@ def parse_presentation(doc: dict, name_hint: str = "input") -> AlgebraPresentati
         _fail("'characters' must be an object")
     free_rank = chars.get("free_rank", 0)
     torsion = chars.get("torsion", [])
-    if not isinstance(free_rank, int) or free_rank < 0:
+    if not _is_int(free_rank) or free_rank < 0:
         _fail("'free_rank' must be a non-negative integer")
-    if not isinstance(torsion, list) or any(not isinstance(t, int) or t < 2 for t in torsion):
+    if not isinstance(torsion, list) or any(not _is_int(t) or t < 2 for t in torsion):
         _fail("'torsion' must be a list of integers >= 2")
     lattice = CharacterLattice(free_rank, tuple(torsion))
 
@@ -83,11 +94,11 @@ def parse_presentation(doc: dict, name_hint: str = "input") -> AlgebraPresentati
         if not isinstance(entry, dict) or "id" not in entry or "degree" not in entry:
             _fail(f"basis entry {entry!r} needs 'id' and 'degree'")
         ident, degree = entry["id"], entry["degree"]
-        if not isinstance(ident, str) or not isinstance(degree, int) or degree < 0:
+        if not isinstance(ident, str) or not _is_int(degree) or degree < 0:
             _fail(f"basis entry {entry!r}: 'id' must be a string, 'degree' a natural number")
         char = entry.get("char", [0] * lattice.length)
         if not isinstance(char, list) or len(char) != lattice.length or any(
-            not isinstance(c, int) for c in char
+            not _is_int(c) for c in char
         ):
             _fail(f"basis entry {ident!r}: 'char' must be a list of {lattice.length} integers")
         basis.append((ident, degree, tuple(char)))
@@ -123,9 +134,11 @@ def parse_presentation(doc: dict, name_hint: str = "input") -> AlgebraPresentati
 def load_presentation(path) -> AlgebraPresentation:
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8")
     except OSError as exc:
         raise SchemaError(f"cannot read {p}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{p}: not UTF-8: {exc}") from exc
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -261,6 +274,10 @@ def _cmd_supports(pres, args, report: RunReport):
 def _cmd_hurewicz(pres, args, report: RunReport):
     from .quillen_weight import hurewicz_rank
 
+    # refuse before the model is built, which can take minutes
+    require_valid(pres)
+    if not is_simply_connected_type(pres):
+        raise NotCompleteError("input has degree-1 classes; table is a truncation")
     model = _build(pres, args.max_degree, args.max_weight)
     rows = []
     json_rows = []
@@ -408,6 +425,7 @@ def _cmd_lie_dims(pres, args, report: RunReport):
     from .quillen_weight import model_generators
     from .free_lie import basis as lie_basis
 
+    require_valid(pres)
     gens = model_generators(pres)
     b = lie_basis(gens, args.max_degree - 1, args.max_weight)
     rows = []

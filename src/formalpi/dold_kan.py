@@ -573,11 +573,9 @@ def structure_map_violations(ca: CosimplicialAlgebra) -> list[str]:
 
 def algebra_from_presentation(p) -> CochainAlgebra:
     """Zero-differential CDGA on the basis of a validated presentation."""
-    from .graded_core import validate_algebra
+    from .graded_core import require_valid
 
-    report = validate_algebra(p)
-    if not report.ok:
-        raise InvalidInputError(f"presentation invalid:\n{report}")
+    require_valid(p)
     top = max(e.degree for e in p.basis)
     by_degree: dict[int, list[str]] = {d: [] for d in range(top + 1)}
     for e in p.basis:

@@ -4,22 +4,28 @@ Everything downstream (Lie model differentials, spectral sequence pages,
 minimal model cohomology) reduces to ranks, kernels and quotient dimensions
 of matrices with Fraction entries.  Floating point is never used.
 
-Elimination runs fraction-free (Bareiss): rows are scaled to integers once,
-and the forward sweep keeps integer entries by dividing out the previous
-pivot at each step.  The pivot in a column is the candidate with the largest
-absolute value, ties broken by lowest row index, which makes every result
-deterministic and independent of entry insertion order.
+Every elimination runs through one sparse incremental echelon, _Echelon:
+primitive integer rows keyed by their leading (pivot) column.  A new vector
+is reduced left to right, only against the rows whose pivot column it
+touches, and either vanishes or becomes one more row.  Rank is the number of
+rows, and back-substitution gives the reduced row echelon form.  The RREF of
+a row space is unique, so every result is canonical: independent of row
+order and of the order in which entries were inserted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 
 from .errors import CompositionNonzeroError
 
 Entry = tuple[int, int]
+
+
+ZERO = Fraction(0)
 
 
 def _frac(x) -> Fraction:
@@ -114,79 +120,85 @@ class RationalMatrix:
         return out
 
 
-def _integerize(row: dict[int, Fraction]) -> dict[int, int]:
-    if not row:
-        return {}
-    mult = lcm(*(v.denominator for v in row.values()))
-    return {j: int(v * mult) for j, v in row.items()}
+def _sparse(vec) -> dict:
+    """Nonzero entries of a dense vector, as exact ints or Fractions."""
+    return {j: x if isinstance(x, (int, Fraction)) else Fraction(x) for j, x in enumerate(vec) if x}
 
 
-def _bareiss_echelon(rows: list[dict[int, int]], cols: int):
-    """Fraction-free forward elimination.
+def _primitive(vec: dict) -> dict[int, int]:
+    """A nonzero multiple of vec (ints or Fractions) with coprime integer entries."""
+    den = lcm(*(x.denominator for x in vec.values()))
+    return _divide_content({j: x.numerator * (den // x.denominator) for j, x in vec.items()})
 
-    Returns (pivot column list, echelon rows as integer dicts).  Pivot rule:
-    within the leftmost eligible column, maximal absolute value, then lowest
-    row index.
+
+def _divide_content(vec: dict[int, int]) -> dict[int, int]:
+    g = gcd(*vec.values())  # 0 for the empty vector
+    return {j: x // g for j, x in vec.items()} if g > 1 else vec
+
+
+def _eliminate(vec: dict[int, int], row: dict[int, int], col: int) -> dict[int, int]:
+    """The primitive combination a*vec - b*row (a > 0) that vanishes in column col.
+
+    The module's only elimination step.  vec belongs to the caller and may be
+    updated in place; row is never modified.
     """
-    rows = [dict(r) for r in rows if r]
-    pivots: list[int] = []
-    prev = 1
-    top = 0
-    for col in range(cols):
-        best = -1
-        best_val = 0
-        for i in range(top, len(rows)):
-            v = rows[i].get(col, 0)
-            if v and (best < 0 or abs(v) > abs(best_val)):
-                best, best_val = i, v
-        if best < 0:
-            continue
-        rows[top], rows[best] = rows[best], rows[top]
-        piv_row = rows[top]
-        piv = piv_row[col]
-        for i in range(top + 1, len(rows)):
-            r = rows[i]
-            f = r.get(col, 0)
-            new: dict[int, int] = {}
-            for j in set(r) | set(piv_row):
-                val = piv * r.get(j, 0) - f * piv_row.get(j, 0)
-                if val:
-                    new[j] = val // prev
-            rows[i] = new
-        pivots.append(col)
-        prev = piv
-        top += 1
-    return pivots, rows[: len(pivots)]
+    a, b = row[col], vec[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    if a < 0:
+        a, b = -a, -b
+    if a != 1:
+        vec = {j: a * x for j, x in vec.items()}
+    for j, x in row.items():
+        y = vec.get(j, 0) - b * x
+        if y:
+            vec[j] = y
+        else:
+            del vec[j]
+    return _divide_content(vec) if a != 1 else vec
 
 
-def _rref(m: RationalMatrix):
-    """Reduced row echelon form: (pivot columns, rows as Fraction dicts)."""
-    int_rows = [_integerize(r) for r in m.row_dicts()]
-    pivots, ech = _bareiss_echelon(int_rows, m.cols)
-    frac_rows = [{j: Fraction(v) for j, v in r.items()} for r in ech]
-    for i in reversed(range(len(pivots))):
-        col = pivots[i]
-        piv = frac_rows[i][col]
-        if piv != 1:
-            frac_rows[i] = {j: v / piv for j, v in frac_rows[i].items()}
-        for k in range(i):
-            f = frac_rows[k].get(col)
-            if f:
-                row = dict(frac_rows[k])
-                for j, v in frac_rows[i].items():
-                    nv = row.get(j, Fraction(0)) - f * v
-                    if nv:
-                        row[j] = nv
-                    else:
-                        row.pop(j, None)
-                frac_rows[k] = row
-    return pivots, frac_rows
+class _Echelon:
+    """Primitive integer rows keyed by pivot column, each row's leading column."""
+
+    __slots__ = ("rows",)
+
+    def __init__(self, vectors=(), rows: dict[int, dict[int, int]] | None = None):
+        self.rows = dict(rows) if rows else {}
+        for v in vectors:
+            self.insert(v)
+
+    def reduce(self, vec: dict[int, int]) -> dict[int, int]:
+        """Eliminates leading pivots from vec (its own); {} iff vec is in the span."""
+        while vec:
+            lead = min(vec)
+            row = self.rows.get(lead)
+            if row is None:
+                break
+            vec = _eliminate(vec, row, lead)
+        return vec
+
+    def insert(self, vec: dict) -> bool:
+        """Adds vec (ints or Fractions); False when it already lies in the span."""
+        vec = self.reduce(_primitive(vec))
+        if vec:
+            self.rows[min(vec)] = _divide_content(vec)
+        return bool(vec)
+
+    def rref(self) -> tuple[list[int], list[dict[int, Fraction]]]:
+        """Ascending pivot columns and the canonical RREF rows."""
+        pivots = sorted(self.rows)
+        done: dict[int, dict[int, int]] = {}
+        for p in reversed(pivots):
+            row = dict(self.rows[p])
+            for q in [c for c in row if c in done]:
+                row = _eliminate(row, done[q], q)
+            done[p] = row
+        return pivots, [{j: Fraction(x, done[p][p]) for j, x in done[p].items()} for p in pivots]
 
 
 def rank(m: RationalMatrix) -> int:
-    int_rows = [_integerize(r) for r in m.row_dicts()]
-    pivots, _ = _bareiss_echelon(int_rows, m.cols)
-    return len(pivots)
+    return len(_Echelon(m.row_dicts()).rows)
 
 
 @dataclass(frozen=True)
@@ -194,7 +206,8 @@ class SubspaceBasis:
     """A subspace of Q^n, stored as the reduced row echelon basis.
 
     The RREF form is a canonical representative: two constructions of the
-    same subspace yield equal objects.
+    same subspace yield equal objects.  An echelon of the same span rides
+    along, outside comparison, for membership tests and extensions.
     """
 
     ambient_dim: int
@@ -207,16 +220,25 @@ class SubspaceBasis:
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim: int) -> "SubspaceBasis":
-        m = RationalMatrix.from_rows([list(v) for v in vectors]) if vectors else None
-        if m is None:
-            return cls(ambient_dim, ())
-        if m.cols != ambient_dim:
+        if any(len(v) != ambient_dim for v in vectors):
             raise ValueError("vector length != ambient dimension")
-        _, rows = _rref(m)
-        vecs = []
-        for r in rows:
-            vecs.append(tuple(r.get(j, Fraction(0)) for j in range(ambient_dim)))
-        return cls(ambient_dim, tuple(vecs))
+        return cls._from_echelon(_Echelon(_sparse(v) for v in vectors), ambient_dim)
+
+    @classmethod
+    def _from_echelon(cls, ech: _Echelon, ambient_dim: int) -> "SubspaceBasis":
+        vectors = []
+        for r in ech.rref()[1]:
+            v = [ZERO] * ambient_dim
+            for j, x in r.items():
+                v[j] = x
+            vectors.append(tuple(v))
+        out = cls(ambient_dim, tuple(vectors))
+        out.__dict__["_echelon"] = ech
+        return out
+
+    @cached_property
+    def _echelon(self) -> _Echelon:
+        return _Echelon(_sparse(v) for v in self.vectors)
 
     @classmethod
     def full(cls, n: int) -> "SubspaceBasis":
@@ -234,9 +256,9 @@ class SubspaceBasis:
         return len(self.vectors)
 
     def contains(self, vec) -> bool:
-        vec = tuple(_frac(x) for x in vec)
-        stacked = SubspaceBasis.from_vectors(list(self.vectors) + [vec], self.ambient_dim)
-        return stacked.dim == self.dim
+        if len(vec) != self.ambient_dim:
+            raise ValueError("vector length != ambient dimension")
+        return not self._echelon.reduce(_primitive(_sparse(vec)))
 
     def contains_subspace(self, other: "SubspaceBasis") -> bool:
         return all(self.contains(v) for v in other.vectors)
@@ -244,19 +266,13 @@ class SubspaceBasis:
 
 def kernel_basis(m: RationalMatrix) -> SubspaceBasis:
     """Right null space {x : m x = 0}, canonical RREF basis."""
-    pivots, rows = _rref(m)
-    pivot_set = set(pivots)
-    free_cols = [j for j in range(m.cols) if j not in pivot_set]
-    vecs = []
-    for f in free_cols:
-        v = [Fraction(0)] * m.cols
-        v[f] = Fraction(1)
-        for i, p in enumerate(pivots):
-            c = rows[i].get(f)
-            if c:
-                v[p] = -c
-        vecs.append(tuple(v))
-    return SubspaceBasis.from_vectors(vecs, m.cols)
+    pivots, rows = _Echelon(m.row_dicts()).rref()
+    ech = _Echelon()
+    for f in sorted(set(range(m.cols)).difference(pivots)):
+        vec = {p: -r[f] for p, r in zip(pivots, rows) if f in r}
+        vec[f] = 1
+        ech.insert(vec)
+    return SubspaceBasis._from_echelon(ech, m.cols)
 
 
 def homology_dim(d_in: RationalMatrix, d_out: RationalMatrix) -> int:
@@ -280,36 +296,29 @@ def homology_dim(d_in: RationalMatrix, d_out: RationalMatrix) -> int:
 def subspace_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return SubspaceBasis.from_vectors(list(a.vectors) + list(b.vectors), a.ambient_dim)
+    ech = _Echelon(rows=a._echelon.rows)
+    for v in b.vectors:
+        ech.insert(_sparse(v))
+    return SubspaceBasis._from_echelon(ech, a.ambient_dim)
 
 
 def subspace_intersection(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
-    """Intersection of row spans, via the kernel of the stacked transpose."""
-    if a.ambient_dim != b.ambient_dim:
+    """Intersection of row spans (Zassenhaus).
+
+    Rows (u | u) for u in a and (v | 0) for v in b go into one echelon; the
+    rows whose pivot lies in the right half span (0 | a cap b).
+    """
+    n = a.ambient_dim
+    if n != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    ka, kb = a.dim, b.dim
-    if ka == 0 or kb == 0:
-        return SubspaceBasis.zero(a.ambient_dim)
-    entries = {}
-    for i, v in enumerate(a.vectors):
-        for r, x in enumerate(v):
-            if x:
-                entries[(r, i)] = x
-    for i, v in enumerate(b.vectors):
-        for r, x in enumerate(v):
-            if x:
-                entries[(r, ka + i)] = -x
-    stacked = RationalMatrix(a.ambient_dim, ka + kb, entries)
-    vecs = []
-    for k in kernel_basis(stacked).vectors:
-        vec = [Fraction(0)] * a.ambient_dim
-        for i, v in enumerate(a.vectors):
-            c = k[i]
-            if c:
-                for r, x in enumerate(v):
-                    vec[r] += c * x
-        vecs.append(tuple(vec))
-    return SubspaceBasis.from_vectors(vecs, a.ambient_dim)
+    ech = _Echelon()
+    for u in a.vectors:
+        left = _sparse(u)
+        ech.insert(left | {n + j: x for j, x in left.items()})
+    for v in b.vectors:
+        ech.insert(_sparse(v))
+    meet = {p - n: {j - n: x for j, x in row.items()} for p, row in ech.rows.items() if p >= n}
+    return SubspaceBasis._from_echelon(_Echelon(rows=meet), n)
 
 
 def image_subspace(m: RationalMatrix, s: SubspaceBasis) -> SubspaceBasis:
@@ -320,52 +329,42 @@ def image_subspace(m: RationalMatrix, s: SubspaceBasis) -> SubspaceBasis:
 
 
 def preimage_subspace(m: RationalMatrix, s: SubspaceBasis) -> SubspaceBasis:
-    """{x : m x in s} inside Q^cols."""
+    """{x : m x in s} inside Q^cols: every functional vanishing on s kills m x."""
     if m.rows != s.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    ann = kernel_basis(
-        RationalMatrix.from_rows([list(v) for v in s.vectors])
-        if s.dim
-        else RationalMatrix.zero(0, s.ambient_dim)
-    )
-    # m x lies in s  iff  every annihilator functional kills m x.
-    if ann.dim == 0:
-        return SubspaceBasis.full(m.cols)
-    cond = RationalMatrix.from_rows([list(v) for v in ann.vectors]).matmul(m)
-    return kernel_basis(cond)
+    ann = kernel_basis(_matrix(s.vectors, m.rows))
+    return kernel_basis(_matrix(ann.vectors, m.rows).matmul(m))
+
+
+def _matrix(rows, cols: int) -> RationalMatrix:
+    entries = {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row) if x}
+    return RationalMatrix(len(rows), cols, entries)
 
 
 def coordinates_in_span(rows: list[tuple], vec, ambient_dim: int) -> tuple[Fraction, ...]:
-    """Solve vec = sum c_i rows[i]; raises ValueError when vec is outside."""
-    vec = tuple(_frac(x) for x in vec)
+    """Solve vec = sum c_i rows[i]; raises ValueError when vec is outside.
+
+    The RREF of the augmented system [rows^T | vec] fixes the answer; with
+    dependent rows the coefficients of non-pivot rows are 0.
+    """
     k = len(rows)
-    entries = {}
-    for i, r in enumerate(rows):
-        for j, x in enumerate(r):
-            x = _frac(x)
-            if x:
-                entries[(j, i)] = x
-    for j, x in enumerate(vec):
-        if x:
-            entries[(j, k)] = x
-    aug = RationalMatrix(ambient_dim, k + 1, entries)
-    pivots, rref_rows = _rref(aug)
+    columns = list(rows) + [vec]
+    pivots, rref_rows = _Echelon(_sparse([c[j] for c in columns]) for j in range(ambient_dim)).rref()
     if k in pivots:
         raise ValueError("vector not in span")
-    coords = [Fraction(0)] * k
-    for i, p in enumerate(pivots):
-        coords[p] = rref_rows[i].get(k, Fraction(0))
+    coords = [ZERO] * k
+    for p, r in zip(pivots, rref_rows):
+        coords[p] = r.get(k, ZERO)
     return tuple(coords)
 
 
 def extend_to_complement(sub: SubspaceBasis, space: SubspaceBasis) -> list[tuple]:
-    """Vectors from space's basis extending sub to span space (greedy, stable)."""
+    """Vectors from space's basis extending sub to span space (greedy, stable).
+
+    Each basis vector of space is kept exactly when it is independent of sub
+    and of the vectors kept before it, in basis order.
+    """
     if sub.ambient_dim != space.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    current = sub
-    extra = []
-    for v in space.vectors:
-        if not current.contains(v):
-            extra.append(v)
-            current = subspace_sum(current, SubspaceBasis.from_vectors([v], sub.ambient_dim))
-    return extra
+    ech = _Echelon(rows=sub._echelon.rows)
+    return [v for v in space.vectors if ech.insert(_sparse(v))]

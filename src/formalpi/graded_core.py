@@ -290,11 +290,16 @@ class ReducedCoproduct:
         return self.terms.get(ident, ())
 
 
-def dualize(p: AlgebraPresentation) -> ReducedCoproduct:
-    """Dual reduced coproduct on positive-degree dual basis elements."""
+def require_valid(p: AlgebraPresentation) -> None:
+    """Raises InvalidInputError carrying the full report unless p validates."""
     report = validate_algebra(p)
     if not report.ok:
         raise InvalidInputError(f"presentation invalid:\n{report}")
+
+
+def dualize(p: AlgebraPresentation) -> ReducedCoproduct:
+    """Dual reduced coproduct on positive-degree dual basis elements."""
+    require_valid(p)
     pos = p.positive_ids()
     terms: dict[str, list[tuple[str, str, Fraction]]] = {}
     for a in pos:

@@ -47,11 +47,15 @@ class FilteredComplex:
     dims[n] is the dimension of C_n; differentials[n] is d_n : C_n -> C_(n-1);
     filtration[n] lists F^0 >= F^1 >= ... ending with the zero subspace.
     Missing filtration entries default to the two-step (full, zero).
+
+    A complex is immutable after construction: pages and the approximation
+    subspaces they are built from are memoized in _cache.
     """
 
     dims: dict[int, int]
     differentials: dict[int, RationalMatrix]
     filtration: dict[int, tuple[SubspaceBasis, ...]] = field(default_factory=dict)
+    _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         self.dims = {n: d for n, d in self.dims.items() if d}
@@ -168,10 +172,10 @@ class SpectralSequencePage:
         return all(m.is_zero() for m in self.differentials.values())
 
 
-def _approx(fc: FilteredComplex, cache: dict, s: int, t: int, n: int) -> SubspaceBasis:
+def _approx(fc: FilteredComplex, s: int, t: int, n: int) -> SubspaceBasis:
     """{x in F^s C_n : d x in F^t C_(n-1)}; A_r(s, n) is the case t = s + r."""
-    key = (s, t, n)
-    got = cache.get(key)
+    key = ("approx", s, t, n)
+    got = fc._cache.get(key)
     if got is not None:
         return got
     dim_n = fc.dim(n)
@@ -181,24 +185,30 @@ def _approx(fc: FilteredComplex, cache: dict, s: int, t: int, n: int) -> Subspac
         fs = fc.level(n, s)
         pre = preimage_subspace(fc.d(n), fc.level(n - 1, t))
         out = subspace_intersection(fs, pre)
-    cache[key] = out
+    fc._cache[key] = out
     return out
 
 
 def page(fc: FilteredComplex, r: int) -> SpectralSequencePage:
+    """E_r, computed once per complex."""
     if r < 1:
         raise OutOfRangeError("pages start at r = 1")
-    cache: dict = {}
-    numerators: dict[Slot, SubspaceBasis] = {}
+    got = fc._cache.get(("page", r))
+    if got is None:
+        got = fc._cache[("page", r)] = _compute_page(fc, r)
+    return got
+
+
+def _compute_page(fc: FilteredComplex, r: int) -> SpectralSequencePage:
     denominators: dict[Slot, SubspaceBasis] = {}
     reps: dict[Slot, list] = {}
     for n in fc.degrees():
         for s in range(0, len(fc.filtration[n]) - 1):
-            z = _approx(fc, cache, s, s + r, n)
-            d1 = _approx(fc, cache, s + 1, s + r, n)
+            z = _approx(fc, s, s + r, n)
+            d1 = _approx(fc, s + 1, s + r, n)
             # boundary sources sit r-1 stages up; below stage 0 the source
             # clamps to the whole space while the landing condition stays F^s
-            src = _approx(fc, cache, max(s - r + 1, 0), s, n + 1)
+            src = _approx(fc, max(s - r + 1, 0), s, n + 1)
             dmat = fc.d(n + 1)
             boundary = SubspaceBasis.from_vectors(
                 [dmat.apply(v) for v in src.vectors], fc.dim(n)
@@ -208,7 +218,6 @@ def page(fc: FilteredComplex, r: int) -> SpectralSequencePage:
             if not rep_vectors:
                 continue
             slot = (s, n)
-            numerators[slot] = z
             denominators[slot] = denom
             reps[slot] = rep_vectors
 

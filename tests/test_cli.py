@@ -169,3 +169,111 @@ def test_argparse_exits():
     assert status == 2
     status, _ = invoke(["--help"])
     assert status == 0
+
+
+def test_hurewicz_refuses_incomplete_input_before_building(monkeypatch, capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_model called on an incomplete input")
+
+    monkeypatch.setattr("formalpi.quillen_weight.build_model", no_build)
+    status, text = invoke(["hurewicz", str(corpus_path("torus")), "--max-degree", "5"])
+    assert status == 1 and text == ""
+    assert "error [NOT_COMPLETE]" in capsys.readouterr().err
+
+
+def test_hurewicz_reports_invalid_input_before_building(tmp_path, monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_model called on an invalid input")
+
+    monkeypatch.setattr("formalpi.quillen_weight.build_model", no_build)
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        json.dumps(
+            {
+                "basis": [{"id": "e", "degree": 0}, {"id": "a", "degree": 2}, {"id": "t", "degree": 3}],
+                "unit": "e",
+                "products": [{"left": "a", "right": "a", "result": [{"id": "t", "coeff": "1"}]}],
+            }
+        )
+    )
+    status, text = invoke(["hurewicz", str(bad)])
+    assert status == 1
+    assert "DEGREE_MISMATCH" in text
+
+
+def test_non_utf8_input_is_a_schema_error(tmp_path, capsys):
+    latin = tmp_path / "latin.json"
+    latin.write_bytes('{"name": "café", "basis": [], "unit": "e"}'.encode("latin-1"))
+    status, text = invoke(["validate", str(latin)])
+    assert status == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("schema error:") and "Traceback" not in err
+
+
+def _cp2_doc():
+    return {
+        "name": "cp2",
+        "characters": {"free_rank": 1, "torsion": [2]},
+        "basis": [
+            {"id": "e", "degree": 0, "char": [0, 0]},
+            {"id": "x", "degree": 2, "char": [0, 0]},
+            {"id": "y", "degree": 4, "char": [0, 0]},
+        ],
+        "unit": "e",
+        "products": [{"left": "x", "right": "x", "result": [{"id": "y", "coeff": 1}]}],
+    }
+
+
+def _set_degree(doc):
+    doc["basis"][1]["degree"] = True
+
+
+def _set_char(doc):
+    doc["basis"][1]["char"] = [True, 0]
+
+
+def _set_free_rank(doc):
+    doc["characters"]["free_rank"] = True
+
+
+def _set_torsion(doc):
+    doc["characters"]["torsion"] = [True]
+
+
+def _set_coeff(doc):
+    doc["products"][0]["result"][0]["coeff"] = True
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [_set_degree, _set_char, _set_free_rank, _set_torsion, _set_coeff],
+    ids=["degree", "char", "free_rank", "torsion", "coeff"],
+)
+def test_booleans_are_not_integers(tmp_path, capsys, edit):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(_cp2_doc()))
+    assert invoke(["validate", str(path)]) == (0, "OK\n")
+    doc = _cp2_doc()
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    status, text = invoke(["validate", str(path)])
+    assert status == 2 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("schema error:") and "Traceback" not in err
+
+
+def test_lie_dims_reports_duplicate_ids_like_pi(tmp_path):
+    dup = tmp_path / "dup.json"
+    dup.write_text(
+        json.dumps(
+            {
+                "basis": [{"id": "e", "degree": 0}, {"id": "a", "degree": 2}, {"id": "a", "degree": 2}],
+                "unit": "e",
+                "products": [],
+            }
+        )
+    )
+    status, text = invoke(["lie-dims", str(dup), "--max-degree", "4"])
+    assert status == 1
+    assert "DUPLICATE_ID" in text
+    assert (status, text) == invoke(["pi", str(dup), "--max-degree", "4"])

@@ -12,6 +12,7 @@ from formalpi.exactlin import (
     RationalMatrix,
     SubspaceBasis,
     coordinates_in_span,
+    extend_to_complement,
     homology_dim,
     image_subspace,
     kernel_basis,
@@ -23,8 +24,8 @@ from formalpi.exactlin import (
 
 
 # --- independent oracles -----------------------------------------------------
-# Plain dense Gaussian elimination with first-nonzero pivoting.  Shares no
-# code with the Bareiss path under test.
+# Plain dense Gaussian elimination over Fractions with first-nonzero
+# pivoting.  Shares no code with the sparse integer echelon under test.
 
 
 def gauss_rank(rows):
@@ -245,3 +246,78 @@ def test_coordinates_in_span_roundtrip():
     assert tuple(rebuilt) == tuple(Fraction(x) for x in v)
     with pytest.raises(ValueError):
         coordinates_in_span(rows, (0, 0, 1), 3)
+
+
+# --- echelon kernel properties (rational entries, large heights) --------------
+
+rationals = st.one_of(
+    st.just(0),
+    st.integers(min_value=-3, max_value=3),
+    st.builds(
+        Fraction,
+        st.integers(min_value=-(10**30), max_value=10**30),
+        st.integers(min_value=1, max_value=10**30),
+    ),
+)
+
+
+def _combination(coeffs, vecs):
+    return tuple(sum((c * x for c, x in zip(coeffs, col)), Fraction(0)) for col in zip(*vecs))
+
+
+@st.composite
+def vectors(draw, n, base=(), max_count=6):
+    """Vectors in Q^n, about half of them combinations of base and earlier ones."""
+    out = []
+    for _ in range(draw(st.integers(min_value=0, max_value=max_count))):
+        pool = list(base) + out
+        if pool and draw(st.booleans()):
+            coeffs = draw(st.lists(rationals, min_size=len(pool), max_size=len(pool)))
+            out.append(_combination(coeffs, pool))
+        else:
+            out.append(tuple(Fraction(x) for x in draw(st.lists(rationals, min_size=n, max_size=n))))
+    return out
+
+
+@st.composite
+def vector_families(draw, max_dim=6):
+    n = draw(st.integers(min_value=1, max_value=max_dim))
+    return n, draw(vectors(n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_families(), st.data())
+def test_contains_agrees_with_rank_of_stacked_vectors(family, data):
+    n, vecs = family
+    span = SubspaceBasis.from_vectors(vecs, n)
+    assert span.dim == gauss_rank(vecs)
+    for v in data.draw(vectors(n, base=vecs, max_count=4)) + vecs:
+        assert span.contains(v) == (gauss_rank(vecs + [v]) == gauss_rank(vecs))
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_families(), st.data())
+def test_extend_to_complement_is_the_greedy_first_in_order_choice(family, data):
+    n, vecs = family
+    sub_vecs = data.draw(st.lists(st.sampled_from(vecs), max_size=3)) if vecs else []
+    sub = SubspaceBasis.from_vectors(sub_vecs, n)
+    space = SubspaceBasis.from_vectors(vecs, n)
+    chosen = []
+    for v in space.vectors:
+        stacked = list(sub.vectors) + chosen
+        if gauss_rank(stacked + [v]) > gauss_rank(stacked):
+            chosen.append(v)
+    assert extend_to_complement(sub, space) == chosen
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_families())
+def test_kernel_is_annihilated_and_canonical(family):
+    n, rows = family
+    m = RationalMatrix.from_rows([list(r) for r in rows]) if rows else RationalMatrix.zero(0, n)
+    k = kernel_basis(m)
+    assert k.dim == n - gauss_rank(rows)
+    for v in k.vectors:
+        assert all(x == 0 for x in m.apply(v))
+    assert SubspaceBasis.from_vectors(k.vectors, n) == k
+    assert SubspaceBasis.from_vectors(list(reversed(k.vectors)), n) == k

@@ -307,3 +307,35 @@ def test_random_filtered_complexes_smoke():
             continue
         assert_ss_invariants(fc)
         built += 1
+
+
+def test_pages_out_of_order_match_fresh_complexes(corpus):
+    """Pages and degeneration reports do not depend on what was computed before.
+
+    Each page is memoized on its complex; here one complex is asked for pages
+    out of order and with repeats, and every answer is compared with the same
+    page of a freshly built, identical complex.
+    """
+    rng = random.Random(20261018)
+    makers = []
+    while len(makers) < 8:
+        state = rng.getstate()
+        if random_filtered_complex(rng).degrees():
+            makers.append(lambda state=state: random_filtered_complex(_rng_at(state)))
+    wedge = build_model(corpus["wedge_s2_s2"], 5, 5)
+    makers.append(lambda: filtered_from_model(wedge))
+    for make in makers:
+        shared = make()
+        for r in (3, 1, 5, 2, 1, 3, 7):
+            got, fresh = page(shared, r), page(make(), r)
+            assert got.dims == fresh.dims
+            assert got.differentials == fresh.differentials
+            assert page(shared, r) is got
+        for r0, r_max in ((2, 6), (1, 3), (2, 6)):
+            assert check_degeneration(shared, r0, r_max) == check_degeneration(make(), r0, r_max)
+
+
+def _rng_at(state):
+    rng = random.Random()
+    rng.setstate(state)
+    return rng
