@@ -27,7 +27,7 @@ unital, associative and commutative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -38,7 +38,7 @@ from .errors import (
     NotACdgaError,
     SimplicialIdentityError,
 )
-from .exactlin import RationalMatrix, SubspaceBasis, coordinates_in_span, kernel_basis
+from .exactlin import RationalMatrix, SubspaceBasis, combine, coordinates_in_span, kernel_basis
 
 
 @dataclass(frozen=True)
@@ -283,17 +283,7 @@ def normalize(v: CosimplicialVS) -> CochainComplex:
     diffs = []
     for n in range(m):
         cols = {}
-        total = RationalMatrix.zero(v.dim(n + 1), v.dim(n))
-        for i in range(n + 2):
-            sign = -1 if i % 2 else 1
-            entries = dict(total.entries)
-            for key, val in v.coface(n, i).entries.items():
-                acc = entries.get(key, Fraction(0)) + sign * val
-                if acc:
-                    entries[key] = acc
-                else:
-                    entries.pop(key, None)
-            total = RationalMatrix(v.dim(n + 1), v.dim(n), entries)
+        total = combine(v.dim(n + 1), v.dim(n), [((-1) ** i, v.coface(n, i)) for i in range(n + 2)])
         span = [list(vec) for vec in bases[n + 1].vectors]
         for j, vec in enumerate(bases[n].vectors):
             image = total.apply(vec)
@@ -319,6 +309,22 @@ def complexes_agree(a: CochainComplex, b: CochainComplex, up_to: int) -> bool:
 # algebras
 
 
+def _unit(i: int, n: int) -> tuple[Fraction, ...]:
+    """The i-th standard basis vector of Q^n."""
+    return tuple(Fraction(1 if t == i else 0) for t in range(n))
+
+
+def _tensor(x, y) -> list[Fraction]:
+    """x (x) y as one vector: entry i * len(y) + j is x[i] * y[j]."""
+    out = [Fraction(0)] * (len(x) * len(y))
+    for i, a in enumerate(x):
+        if a:
+            for j, b in enumerate(y):
+                if b:
+                    out[i * len(y) + j] = Fraction(a) * Fraction(b)
+    return out
+
+
 @dataclass(frozen=True)
 class CochainAlgebra:
     """CDGA data: a complex, products per degree pair, and a unit in degree 0.
@@ -339,14 +345,7 @@ class CochainAlgebra:
         return RationalMatrix.zero(c.dim(p + q), c.dim(p) * c.dim(q))
 
     def multiply(self, p: int, x, q: int, y):
-        cols = self.complex.dim(q)
-        vec = [Fraction(0)] * (self.complex.dim(p) * cols)
-        for i, a in enumerate(x):
-            if a:
-                for j, b in enumerate(y):
-                    if b:
-                        vec[i * cols + j] = Fraction(a) * Fraction(b)
-        return self.product(p, q).apply(vec)
+        return self.product(p, q).apply(_tensor(x, y))
 
 
 def kron(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
@@ -374,25 +373,20 @@ def validate_cdga(a: CochainAlgebra) -> None:
     # unit acts as identity
     for p in range(top + 1):
         for j in range(c.dim(p)):
-            basis = [Fraction(1 if t == j else 0) for t in range(c.dim(p))]
-            if a.multiply(0, a.unit, p, basis) != tuple(basis):
+            basis = _unit(j, c.dim(p))
+            if a.multiply(0, a.unit, p, basis) != basis:
                 raise NotACdgaError(f"unit fails on the left in degree {p}")
-            if a.multiply(p, basis, 0, a.unit) != tuple(basis):
+            if a.multiply(p, basis, 0, a.unit) != basis:
                 raise NotACdgaError(f"unit fails on the right in degree {p}")
     for p in range(top + 1):
         for q in range(top + 1 - p):
+            # d(xy) - (dx)y - (-1)^p x(dy)
             lhs = c.d(p + q).matmul(a.product(p, q))
             rhs = a.product(p + 1, q).matmul(kron(c.d(p), RationalMatrix.identity(c.dim(q))))
-            sgn = -1 if p % 2 else 1
             second = a.product(p, q + 1).matmul(kron(RationalMatrix.identity(c.dim(p)), c.d(q)))
-            for key in set(lhs.entries) | set(rhs.entries) | set(second.entries):
-                val = (
-                    lhs.entries.get(key, Fraction(0))
-                    - rhs.entries.get(key, Fraction(0))
-                    - sgn * second.entries.get(key, Fraction(0))
-                )
-                if val:
-                    raise NotACdgaError(f"Leibniz fails on degrees ({p},{q})")
+            terms = [(1, lhs), (-1, rhs), (-((-1) ** p), second)]
+            if not combine(lhs.rows, lhs.cols, terms).is_zero():
+                raise NotACdgaError(f"Leibniz fails on degrees ({p},{q})")
     for p in range(top + 1):
         for q in range(top + 1 - p):
             mpq, mqp = a.product(p, q), a.product(q, p)
@@ -407,12 +401,12 @@ def validate_cdga(a: CochainAlgebra) -> None:
         for q in range(top + 1 - p):
             for s in range(top + 1 - p - q):
                 for i in range(c.dim(p)):
-                    ei = [Fraction(1 if t == i else 0) for t in range(c.dim(p))]
+                    ei = _unit(i, c.dim(p))
                     for j in range(c.dim(q)):
-                        ej = [Fraction(1 if t == j else 0) for t in range(c.dim(q))]
+                        ej = _unit(j, c.dim(q))
                         ij = a.multiply(p, ei, q, ej)
                         for t in range(c.dim(s)):
-                            et = [Fraction(1 if u == t else 0) for u in range(c.dim(s))]
+                            et = _unit(t, c.dim(s))
                             left = a.multiply(p + q, ij, s, et)
                             right = a.multiply(p, ei, q + s, a.multiply(q, ej, s, et))
                             if left != right:
@@ -430,14 +424,7 @@ class CosimplicialAlgebra:
     level_units: tuple[tuple[Fraction, ...], ...]
 
     def multiply(self, n: int, x, y):
-        d = self.vs.dim(n)
-        vec = [Fraction(0)] * (d * d)
-        for i, a in enumerate(x):
-            if a:
-                for j, b in enumerate(y):
-                    if b:
-                        vec[i * d + j] = Fraction(a) * Fraction(b)
-        return self.level_products[n].apply(vec)
+        return self.level_products[n].apply(_tensor(x, y))
 
 
 def _shuffles(p: int, q: int):
@@ -473,7 +460,7 @@ def denormalize_algebra(a: CochainAlgebra, m: int) -> CosimplicialAlgebra:
     payload: list[RationalMatrix] = []
     for k in range(m + 1):
         dk = _layout(c.dims, k)[0]
-        total = {}
+        terms = []
         for p in range(k + 1):
             q = k - p
             if c.dim(p) == 0 or c.dim(q) == 0:
@@ -492,14 +479,8 @@ def denormalize_algebra(a: CochainAlgebra, m: int) -> CosimplicialAlgebra:
                 for j in mu:
                     rhs = degeneracy(lvl, j).matmul(rhs)
                     lvl += 1
-                term = kron(lhs, rhs).matmul(delta_pq)
-                for key, val in term.entries.items():
-                    acc = total.get(key, Fraction(0)) + sign * val
-                    if acc:
-                        total[key] = acc
-                    else:
-                        total.pop(key, None)
-        payload.append(RationalMatrix(dk * dk, c.dim(k), total))
+                terms.append((sign, kron(lhs, rhs).matmul(delta_pq)))
+        payload.append(combine(dk * dk, c.dim(k), terms))
 
     products = []
     units = []
@@ -528,7 +509,7 @@ def levelwise_algebra_violations(ca: CosimplicialAlgebra) -> list[str]:
     bad = []
     for n in range(ca.vs.level_count + 1):
         d = ca.vs.dim(n)
-        basis = [tuple(Fraction(1 if t == i else 0) for t in range(d)) for i in range(d)]
+        basis = [_unit(i, d) for i in range(d)]
         u = ca.level_units[n]
         for i, e in enumerate(basis):
             if ca.multiply(n, u, e) != e or ca.multiply(n, e, u) != e:
@@ -554,7 +535,7 @@ def structure_map_violations(ca: CosimplicialAlgebra) -> list[str]:
 
     def check(label, n_src, n_tgt, matrix):
         d = vs.dim(n_src)
-        basis = [tuple(Fraction(1 if t == i else 0) for t in range(d)) for i in range(d)]
+        basis = [_unit(i, d) for i in range(d)]
         if tuple(matrix.apply(ca.level_units[n_src])) != ca.level_units[n_tgt]:
             bad.append(f"{label} does not preserve the unit")
         for i, x in enumerate(basis):
@@ -603,10 +584,7 @@ def random_cochain_complex(rng, max_degree: int = 4, max_dim: int = 4) -> Cochai
     """A random valid complex: a matching differential conjugated generically."""
     n_deg = rng.randint(1, max_degree + 1)
     dims = [rng.randint(0, max_dim) for _ in range(n_deg)]
-    rows = {
-        i: [[Fraction(0)] * dims[i] for _ in range(dims[i + 1])]
-        for i in range(n_deg - 1)
-    }
+    matching: dict[int, dict] = {i: {} for i in range(n_deg - 1)}
     used_src: dict[int, set] = {i: set() for i in range(n_deg)}
     used_tgt: dict[int, set] = {i: set() for i in range(n_deg)}
     for i in range(n_deg - 1):
@@ -619,47 +597,22 @@ def random_cochain_complex(rng, max_degree: int = 4, max_dim: int = 4) -> Cochai
             t = rng.choice(free)
             used_src[i].add(s)
             used_tgt[i + 1].add(t)
-            rows[i][t][s] = Fraction(rng.choice([1, -1, 2, -2, 3]), rng.choice([1, 2]))
+            matching[i][(t, s)] = Fraction(rng.choice([1, -1, 2, -2, 3]), rng.choice([1, 2]))
 
     def unipotent(k):
-        m = [[Fraction(1 if a == b else 0) for b in range(k)] for a in range(k)]
+        m = [list(_unit(a, k)) for a in range(k)]
         for a in range(k):
             for b in range(a + 1, k):
                 if rng.random() < 0.4:
                     m[a][b] = Fraction(rng.choice([1, -1, 2]), rng.choice([1, 2]))
         return m
 
-    def inverse(m):
-        k = len(m)
-        aug = [list(row) + [Fraction(1 if i == j else 0) for j in range(k)] for i, row in enumerate(m)]
-        for col in range(k):
-            piv = next(i for i in range(col, k) if aug[i][col] != 0)
-            aug[col], aug[piv] = aug[piv], aug[col]
-            pv = aug[col][col]
-            aug[col] = [x / pv for x in aug[col]]
-            for i in range(k):
-                if i != col and aug[i][col]:
-                    f = aug[i][col]
-                    aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
-        return [row[k:] for row in aug]
-
-    basis_change = {i: unipotent(dims[i]) for i in range(n_deg)}
+    basis_change = [unipotent(k) for k in dims]
     diffs = []
     for i in range(n_deg - 1):
-        if dims[i] == 0 or dims[i + 1] == 0:
-            diffs.append(RationalMatrix.zero(dims[i + 1], dims[i]))
-            continue
-        p_next, p_inv = basis_change[i + 1], inverse(basis_change[i])
-        prod = [
-            [
-                sum(
-                    p_next[r][t] * rows[i][t][s2] * p_inv[s2][cidx]
-                    for t in range(dims[i + 1])
-                    for s2 in range(dims[i])
-                )
-                for cidx in range(dims[i])
-            ]
-            for r in range(dims[i + 1])
-        ]
-        diffs.append(RationalMatrix.from_rows(prod))
+        p, k = basis_change[i], dims[i]
+        # row j of P^-1 solves c P = e_j
+        p_inv = RationalMatrix.from_rows([coordinates_in_span(p, _unit(j, k), k) for j in range(k)])
+        d = RationalMatrix(dims[i + 1], k, matching[i])
+        diffs.append(RationalMatrix.from_rows(basis_change[i + 1]).matmul(d).matmul(p_inv))
     return CochainComplex(tuple(dims), tuple(diffs))

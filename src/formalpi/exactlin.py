@@ -120,6 +120,17 @@ class RationalMatrix:
         return out
 
 
+def combine(rows: int, cols: int, terms) -> RationalMatrix:
+    """The rows x cols matrix sum of c * m over (c, m) in terms; shapes must agree."""
+    acc: dict[Entry, Fraction] = {}
+    for c, m in terms:
+        if (m.rows, m.cols) != (rows, cols):
+            raise ValueError(f"shape mismatch: {m.rows}x{m.cols} term in a {rows}x{cols} sum")
+        for key, v in m.entries.items():
+            acc[key] = acc.get(key, ZERO) + c * v
+    return RationalMatrix(rows, cols, acc)
+
+
 def _sparse(vec) -> dict:
     """Nonzero entries of a dense vector, as exact ints or Fractions."""
     return {j: x if isinstance(x, (int, Fraction)) else Fraction(x) for j, x in enumerate(vec) if x}

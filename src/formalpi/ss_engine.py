@@ -135,18 +135,10 @@ class FilteredComplex:
                 sub = self.level(n, s)
                 tgt = self.level(n - 1, s)
                 for v in sub.vectors:
-                    if not _contains_or_zero(tgt, dmat.apply(v)):
+                    if not tgt.contains(dmat.apply(v)):
                         raise InvalidInputError(
                             f"differential does not preserve F^{s} at degree {n}"
                         )
-
-
-def _contains_or_zero(space: SubspaceBasis, vec) -> bool:
-    if all(x == 0 for x in vec):
-        return True
-    if space.ambient_dim == 0:
-        return False
-    return space.contains(vec)
 
 
 @dataclass
@@ -182,9 +174,10 @@ def _approx(fc: FilteredComplex, s: int, t: int, n: int) -> SubspaceBasis:
     if dim_n == 0:
         out = SubspaceBasis.zero(0)
     else:
-        fs = fc.level(n, s)
-        pre = preimage_subspace(fc.d(n), fc.level(n - 1, t))
-        out = subspace_intersection(fs, pre)
+        pre = fc._cache.get(("pre", t, n))
+        if pre is None:
+            pre = fc._cache[("pre", t, n)] = preimage_subspace(fc.d(n), fc.level(n - 1, t))
+        out = subspace_intersection(fc.level(n, s), pre)
     fc._cache[key] = out
     return out
 

@@ -175,13 +175,13 @@ class _Truncation:
                 entries[(pos[ident], j)] = c
         return RationalMatrix(len(ids), self.dim(n), entries)
 
-    def cohomology_reps(self, n: int):
+    def cohomology_reps(self, n: int) -> list[tuple]:
         """Echelon representatives of H^n, first-in-basis-order choices."""
         cocycles = kernel_basis(self.d_matrix(n))
         boundaries = SubspaceBasis.from_vectors(
             self.d_matrix(n - 1).transpose().to_rows() if n >= 1 else [], self.dim(n)
         )
-        return extend_to_complement(boundaries, cocycles), boundaries, cocycles
+        return extend_to_complement(boundaries, cocycles)
 
 
 def minimal_model(p: AlgebraPresentation, cutoff: int) -> MinimalModel:
@@ -198,18 +198,10 @@ def minimal_model(p: AlgebraPresentation, cutoff: int) -> MinimalModel:
     for n in range(2, cutoff + 1):
         # surject onto the target in degree n
         tr = _Truncation(p, tuple(gens), n + 2)
-        reps, _, _ = tr.cohomology_reps(n)
+        comparison = tr.comparison_matrix(n)
+        images = [comparison.apply(r) for r in tr.cohomology_reps(n)]
         ids = tr.target_ids(n)
-        pos = {ident: i for i, ident in enumerate(ids)}
-        image_vecs = []
-        for r in reps:
-            img = [Fraction(0)] * len(ids)
-            for j, c in enumerate(r):
-                if c:
-                    for ident, v in tr.image_of_monomial(tr.monomials[n][j]).items():
-                        img[pos[ident]] += c * v
-            image_vecs.append(tuple(img))
-        hit = SubspaceBasis.from_vectors(image_vecs, len(ids))
+        hit = SubspaceBasis.from_vectors(images, len(ids))
         for vec in extend_to_complement(hit, SubspaceBasis.full(len(ids))):
             gens.append(
                 ModelGenerator(
@@ -221,32 +213,16 @@ def minimal_model(p: AlgebraPresentation, cutoff: int) -> MinimalModel:
             )
         # kill the kernel of the comparison one degree up
         tr = _Truncation(p, tuple(gens), n + 2)
-        reps, _, _ = tr.cohomology_reps(n + 1)
+        reps = tr.cohomology_reps(n + 1)
         if reps:
-            cmp_matrix = tr.comparison_matrix(n + 1)
-            cols = {}
-            for j, r in enumerate(reps):
-                for i, c in enumerate(cmp_matrix.apply(r)):
-                    if c:
-                        cols[(i, j)] = c
-            induced = RationalMatrix(tr.target_dim(n + 1), len(reps), cols)
-            for lam in kernel_basis(induced).vectors:
-                cocycle: dict[Monomial, Fraction] = {}
-                for j, c in enumerate(lam):
-                    if c:
-                        for t, x in enumerate(reps[j]):
-                            if x:
-                                mono = tr.monomials[n + 1][t]
-                                acc = cocycle.get(mono, Fraction(0)) + c * x
-                                if acc:
-                                    cocycle[mono] = acc
-                                else:
-                                    cocycle.pop(mono, None)
+            r = RationalMatrix.from_rows(reps).transpose()  # representatives as columns
+            for lam in kernel_basis(tr.comparison_matrix(n + 1).matmul(r)).vectors:
+                cocycle = zip(tr.monomials[n + 1], r.apply(lam))  # in sorted monomial order
                 gens.append(
                     ModelGenerator(
                         name=f"v{n}_{sum(1 for g in gens if g.degree == n)}",
                         degree=n,
-                        differential=tuple(sorted(cocycle.items())),
+                        differential=tuple((mono, c) for mono, c in cocycle if c),
                         image=(),
                     )
                 )
@@ -276,7 +252,7 @@ def model_violations(mm: MinimalModel) -> list[str]:
         if not tr.comparison_matrix(n).matmul(tr.d_matrix(n - 1)).is_zero():
             bad.append(f"comparison map is not a chain map in degree {n}")
     for n in range(2, cutoff + 2):
-        reps, _, _ = tr.cohomology_reps(n)
+        reps = tr.cohomology_reps(n)
         comparison = tr.comparison_matrix(n)
         images = [comparison.apply(r) for r in reps]
         rank = SubspaceBasis.from_vectors(images, tr.target_dim(n)).dim

@@ -38,6 +38,25 @@ def gauss_rank(rows):
     return rank
 
 
+def dense_inverse(rows):
+    """Inverse of an invertible square matrix by Gauss-Jordan elimination."""
+    n = len(rows)
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if aug[i][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        pv = aug[col][col]
+        aug[col] = [x / pv for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col] != 0:
+                f = aug[i][col]
+                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
+    return [row[n:] for row in aug]
+
+
 def mobius(n):
     if n == 1:
         return 1

@@ -277,3 +277,22 @@ def test_lie_dims_reports_duplicate_ids_like_pi(tmp_path):
     assert status == 1
     assert "DUPLICATE_ID" in text
     assert (status, text) == invoke(["pi", str(dup), "--max-degree", "4"])
+
+
+def _broken_docs():
+    base = {"basis": [{"id": "e", "degree": 0}, {"id": "a", "degree": 2}], "unit": "e"}
+    yield "NO_UNIT", dict(base, unit="z")
+    yield "UNKNOWN_ID", dict(
+        base, products=[{"left": "a", "right": "a", "result": [{"id": "q", "coeff": "1"}]}]
+    )
+    yield "CONNECTEDNESS", dict(base, basis=base["basis"] + [{"id": "f", "degree": 0}])
+
+
+@pytest.mark.parametrize("code, doc", [pytest.param(c, d, id=c) for c, d in _broken_docs()])
+def test_doldkan_validates_its_input_like_lie_dims(tmp_path, code, doc):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    status, text = invoke(["doldkan", str(path), "--level", "2"])
+    assert status == 1
+    assert code in text and "round-trip" not in text
+    assert (status, text) == invoke(["lie-dims", str(path), "--max-degree", "4"])

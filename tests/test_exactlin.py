@@ -11,6 +11,7 @@ from formalpi.errors import CompositionNonzeroError
 from formalpi.exactlin import (
     RationalMatrix,
     SubspaceBasis,
+    combine,
     coordinates_in_span,
     extend_to_complement,
     homology_dim,
@@ -321,3 +322,13 @@ def test_kernel_is_annihilated_and_canonical(family):
         assert all(x == 0 for x in m.apply(v))
     assert SubspaceBasis.from_vectors(k.vectors, n) == k
     assert SubspaceBasis.from_vectors(list(reversed(k.vectors)), n) == k
+
+
+def test_combine_is_a_shape_checked_signed_sum():
+    a = RationalMatrix.from_rows([[1, 2], [0, Fraction(1, 3)]])
+    b = RationalMatrix.from_rows([[1, 0], [5, Fraction(2, 3)]])
+    got = combine(2, 2, [(2, a), (-1, b), (Fraction(1, 2), RationalMatrix.zero(2, 2))])
+    assert got == RationalMatrix.from_rows([[1, 4], [-5, 0]])
+    assert combine(3, 1, []) == RationalMatrix.zero(3, 1)
+    with pytest.raises(ValueError, match="shape"):
+        combine(2, 2, [(1, a), (1, RationalMatrix.zero(2, 3))])

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from formalpi import ss_engine
 from formalpi.errors import InvalidInputError, OutOfRangeError
 from formalpi.exactlin import RationalMatrix, SubspaceBasis, homology_dim
 from formalpi.free_lie import dim as lie_dim
@@ -16,7 +17,7 @@ from formalpi.ss_engine import (
     page,
 )
 
-from oracles import gauss_rank
+from oracles import dense_inverse, gauss_rank
 
 
 def two_step_example():
@@ -197,24 +198,6 @@ def test_invariants_on_worked_examples(cp2_setup):
 # -- random filtered complexes ------------------------------------------------
 
 
-def dense_inverse(rows):
-    n = len(rows)
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    for col in range(n):
-        piv = next(i for i in range(col, n) if aug[i][col] != 0)
-        aug[col], aug[piv] = aug[piv], aug[col]
-        pv = aug[col][col]
-        aug[col] = [x / pv for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
-    return [row[n:] for row in aug]
-
-
 def random_filtered_complex(rng, max_degree=3, max_dim=4, max_levels=3):
     """A valid random filtered complex with a non-coordinate filtration.
 
@@ -339,3 +322,23 @@ def _rng_at(state):
     rng = random.Random()
     rng.setstate(state)
     return rng
+
+
+def test_preimages_are_computed_once_per_stage_and_degree(corpus, monkeypatch):
+    """A_r(s, n) for every s shares one preimage of F^t C_(n-1) per (t, n)."""
+    calls = []
+    real = ss_engine.preimage_subspace
+
+    def counting(m, sub):
+        calls.append((m, sub))
+        return real(m, sub)
+
+    monkeypatch.setattr(ss_engine, "preimage_subspace", counting)
+    fc = filtered_from_model(build_model(corpus["wedge_s2_s2"], 5, 5))
+    for r in (1, 2, 3, 4):
+        page(fc, r)
+    check_degeneration(fc, 2, 6)
+    requests = [key[1:] for key in fc._cache if key[0] == "approx" and fc.dim(key[3])]
+    asked = {(t, n) for _, t, n in requests}
+    assert len(asked) < len(requests)
+    assert len(calls) <= len(asked)
