@@ -373,6 +373,8 @@ def _cmd_doldkan(pres, args, report: RunReport):
     from .errors import SimplicialIdentityError
     from .exactlin import RationalMatrix
 
+    if args.fuzz < 0:
+        raise InvalidInputError("fuzz count must be >= 0")
     require_valid(pres)
     lines = []
     payload: dict = {"command": "doldkan", "input": pres.name, "level": args.level}

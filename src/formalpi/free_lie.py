@@ -17,17 +17,25 @@ characteristic zero.  The expansion of a basis word is triangular: its
 lexicographically smallest associative word is the Lyndon word itself (the
 concatenation zz for squares), so coordinates are read off by peeling
 leading words.
+
+Expansions of bracket words have integer coefficients: the leading one is 1
+for a Lyndon word and 2 for a square.  A rational combination is expanded
+over one common denominator, and the peel runs on integer numerators,
+dividing each leading numerator exactly by its leading coefficient.  Only
+the input coefficients and the returned coordinates are Fractions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import CutoffTooSmallError, OutOfRangeError
 from .graded_core import CharacterLattice
 
 Word = tuple[int, ...]  # associative word in generator indices
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -81,9 +89,13 @@ class GeneratorSet:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BracketWord:
-    """A fully parenthesized bracket expression with cached gradings."""
+    """A fully parenthesized bracket expression with cached gradings.
+
+    The hash is computed once, from the subtrees' cached hashes, so dict
+    lookups cost O(1) instead of a walk of the whole tree.
+    """
 
     gen: str | None
     left: "BracketWord | None"
@@ -91,6 +103,14 @@ class BracketWord:
     reduced_degree: int
     weight: int
     character: tuple[int, ...]
+    _hash: int = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        key = (self.gen, self.left, self.right, self.reduced_degree, self.weight, self.character)
+        object.__setattr__(self, "_hash", hash(key))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_leaf(self) -> bool:
@@ -178,7 +198,7 @@ class FreeLieBasis:
         self.max_w = max_w
         self.slots: dict[tuple[int, int, tuple[int, ...]], tuple[BracketWord, ...]] = {}
         self._bracketing_cache: dict[Word, BracketWord] = {}
-        self._expansion_cache: dict[BracketWord, dict[Word, Fraction]] = {}
+        self._expansion_cache: dict[BracketWord, dict[Word, int]] = {}
         self._peel_cache: dict = {}
         self._build()
 
@@ -197,11 +217,10 @@ class FreeLieBasis:
         return bw
 
     def _word_profile(self, w: Word) -> tuple[int, tuple[int, ...]]:
-        r = sum(self.gens.gens[i].reduced_degree for i in w)
-        char = self.gens.lattice.zero()
-        for i in w:
-            char = self.gens.lattice.add(char, self.gens.gens[i].character)
-        return r, char
+        letters = [self.gens.gens[i] for i in w]
+        r = sum(g.reduced_degree for g in letters)
+        # torsion reduction is additive: sum the letters, reduce once
+        return r, self.gens.lattice.reduce(map(sum, zip(*[g.character for g in letters])))
 
     def _build(self):
         staging: dict[tuple[int, int, tuple[int, ...]], list[tuple[Word, BracketWord]]] = {}
@@ -241,12 +260,12 @@ class FreeLieBasis:
 
     # -- associative expansion ----------------------------------------------------
 
-    def expansion(self, bw: BracketWord) -> dict[Word, Fraction]:
+    def expansion(self, bw: BracketWord) -> dict[Word, int]:
         cached = self._expansion_cache.get(bw)
         if cached is not None:
             return cached
         if bw.is_leaf:
-            out = {(self.gens.index(bw.gen),): Fraction(1)}
+            out = {(self.gens.index(bw.gen),): 1}
         else:
             lhs = self.expansion(bw.left)
             rhs = self.expansion(bw.right)
@@ -255,9 +274,9 @@ class FreeLieBasis:
             for wa, ca in lhs.items():
                 for wb, cb in rhs.items():
                     k = wa + wb
-                    out[k] = out.get(k, Fraction(0)) + ca * cb
+                    out[k] = out.get(k, 0) + ca * cb
                     k = wb + wa
-                    out[k] = out.get(k, Fraction(0)) - sign * ca * cb
+                    out[k] = out.get(k, 0) - sign * ca * cb
             out = {k: v for k, v in out.items() if v}
         self._expansion_cache[bw] = out
         return out
@@ -271,9 +290,11 @@ class FreeLieBasis:
             exp = self.expansion(bw)
             lead = min(exp)
             data.append((lead, exp[lead], exp))
-        # leading words are the Lyndon words (or zz) themselves: strictly sorted
-        leads = [d[0] for d in data]
-        assert leads == sorted(leads) and len(set(leads)) == len(leads)
+        # leading words are the Lyndon words (or zz) themselves: strictly
+        # sorted, so each one locates the single basis word it is peeled by
+        for (prev, _, _), (lead, _, _) in zip(data, data[1:]):
+            if not prev < lead:
+                raise ValueError(f"leading words of slot {key} are not strictly sorted at {lead}")
         index = {lead: i for i, (lead, _, _) in enumerate(data)}
         self._peel_cache[key] = (data, index)
         return data, index
@@ -304,32 +325,39 @@ def expand(expr, b: FreeLieBasis) -> tuple[Fraction, ...]:
     if not b.in_range(r, w):
         raise OutOfRangeError(f"slot (r={r}, w={w}) beyond cutoffs ({b.max_r}, {b.max_w})")
 
-    assoc: dict[Word, Fraction] = {}
+    # one common denominator: the peel runs on integer numerators over den
+    den = lcm(*(Fraction(c).denominator for c in expr.values()))
+    assoc: dict[Word, int] = {}
     for bw, c in expr.items():
+        c = Fraction(c)
+        n = c.numerator * (den // c.denominator)
         for word, coeff in b.expansion(bw).items():
-            val = assoc.get(word, Fraction(0)) + Fraction(c) * coeff
-            if val:
-                assoc[word] = val
-            else:
-                assoc.pop(word, None)
+            assoc[word] = assoc.get(word, 0) + n * coeff
+    assoc = {word: v for word, v in assoc.items() if v}
 
     data, index = b._peel_data(key)
-    coords = [Fraction(0)] * len(data)
+    coords = [0] * len(data)
     while assoc:
         lead = min(assoc)
         pos = index.get(lead)
         if pos is None:
             raise ValueError(f"expression is not in the free Lie algebra span at {lead}")
         _, lead_coeff, exp = data[pos]
-        c = assoc[lead] / lead_coeff
+        c, rem = divmod(assoc[lead], lead_coeff)
+        if rem:
+            # scale every numerator and the denominator so the division is exact
+            assoc = {word: v * lead_coeff for word, v in assoc.items()}
+            coords = [x * lead_coeff for x in coords]
+            den *= lead_coeff
+            c = assoc[lead] // lead_coeff
         coords[pos] += c
         for word, coeff in exp.items():
-            val = assoc.get(word, Fraction(0)) - c * coeff
+            val = assoc.get(word, 0) - c * coeff
             if val:
                 assoc[word] = val
             else:
                 assoc.pop(word, None)
-    return tuple(coords)
+    return tuple(Fraction(x, den) if x else _ZERO for x in coords)
 
 
 def dim(p: int, q: int, b: FreeLieBasis) -> int:

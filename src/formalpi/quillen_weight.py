@@ -60,6 +60,7 @@ class FormalLieModel:
     differential: dict[SlotKey, RationalMatrix]
     _leaf_d: dict[str, dict[BracketWord, Fraction]]
     _table_cache: dict = field(default_factory=dict, repr=False)
+    _d_cache: dict[BracketWord, dict[BracketWord, Fraction]] = field(default_factory=dict, repr=False)
 
     @property
     def complete(self) -> bool:
@@ -76,16 +77,23 @@ class FormalLieModel:
         return RationalMatrix.zero(tgt, src)
 
     def d_word(self, bw: BracketWord) -> dict[BracketWord, Fraction]:
-        """Value of the differential on one bracket word, as a combination."""
-        if bw.is_leaf:
-            return dict(self._leaf_d.get(bw.gen, {}))
-        out: dict[BracketWord, Fraction] = {}
-        for lw, c in self.d_word(bw.left).items():
-            _accumulate(out, self.generators.bracket(lw, bw.right), c)
-        sign = -1 if bw.left.parity else 1
-        for rw, c in self.d_word(bw.right).items():
-            _accumulate(out, self.generators.bracket(bw.left, rw), sign * c)
-        return out
+        """Value of the differential on one bracket word, as a combination.
+
+        Values are memoized per word; each call returns a fresh copy.
+        """
+        out = self._d_cache.get(bw)
+        if out is None:
+            if bw.is_leaf:
+                out = self._leaf_d.get(bw.gen, {})
+            else:
+                out = {}
+                for lw, c in self.d_word(bw.left).items():
+                    _accumulate(out, self.generators.bracket(lw, bw.right), c)
+                sign = -1 if bw.left.parity else 1
+                for rw, c in self.d_word(bw.right).items():
+                    _accumulate(out, self.generators.bracket(bw.left, rw), sign * c)
+            self._d_cache[bw] = out
+        return dict(out)
 
 
 def _accumulate(acc: dict, key, val):

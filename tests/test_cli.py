@@ -296,3 +296,15 @@ def test_doldkan_validates_its_input_like_lie_dims(tmp_path, code, doc):
     assert status == 1
     assert code in text and "round-trip" not in text
     assert (status, text) == invoke(["lie-dims", str(path), "--max-degree", "4"])
+
+
+def test_doldkan_refuses_a_negative_fuzz_count_before_any_work(monkeypatch):
+    import formalpi.dold_kan as dold_kan
+
+    def fail(*args, **kwargs):
+        raise AssertionError("denormalize ran")
+
+    monkeypatch.setattr(dold_kan, "denormalize", fail)
+    argv = ["doldkan", str(corpus_path("s2")), "--fuzz", "-2"]
+    assert invoke(argv) == (1, "fuzz count must be >= 0\n")
+    assert invoke(argv + ["--json"]) == (1, "fuzz count must be >= 0\n")

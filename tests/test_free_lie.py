@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,7 @@ from formalpi.free_lie import (
 )
 from formalpi.graded_core import CharacterLattice
 
-from oracles import brute_lie_slot_rank, super_witt_slot_dims
+from oracles import brute_lie_slot_rank, embed_bracketing, super_witt_slot_dims
 
 
 def gens_of(*degrees):
@@ -267,3 +268,91 @@ def test_expand_out_of_range():
     too_big = g.bracket(g.bracket(x, x), g.bracket(x, x))
     with pytest.raises(OutOfRangeError):
         expand(too_big, b)
+
+
+def _draw_tree(data, letters):
+    if len(letters) == 1:
+        return letters[0]
+    cut = data.draw(st.integers(1, len(letters) - 1))
+    return (_draw_tree(data, letters[:cut]), _draw_tree(data, letters[cut:]))
+
+
+def _word_of_tree(g, tree):
+    if isinstance(tree, int):
+        return g.leaf(g.gens[tree].ident)
+    return g.bracket(_word_of_tree(g, tree[0]), _word_of_tree(g, tree[1]))
+
+
+def _tree_of_word(g, bw):
+    if bw.is_leaf:
+        return g.index(bw.gen)
+    return (_tree_of_word(g, bw.left), _tree_of_word(g, bw.right))
+
+
+def _add_scaled(acc, vec, c):
+    for word, coeff in vec.items():
+        acc[word] = acc.get(word, 0) + c * coeff
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_expand_reconstructs_rational_combinations(data):
+    # g0 is odd and g1 even, so (r, w) fixes how many of each letter a word has
+    degrees = [1, 2]
+    g = gens_of(*degrees)
+    b = basis(g, max_r=10, max_w=5)
+    n_odd = data.draw(st.integers(0, 5))
+    n_even = data.draw(st.integers(0 if n_odd else 1, 5 - n_odd))
+    letters = [0] * n_odd + [1] * n_even
+    expr, target = {}, {}
+    for _ in range(data.draw(st.integers(1, 4))):
+        tree = _draw_tree(data, data.draw(st.permutations(letters)))
+        c = data.draw(st.fractions(min_value=-5, max_value=5, max_denominator=6))
+        bw = _word_of_tree(g, tree)
+        expr[bw] = expr.get(bw, Fraction(0)) + c
+        _add_scaled(target, embed_bracketing(tree, degrees)[0], c)
+    coords = expand(expr, b)
+    words = b.slot(n_odd + 2 * n_even, n_odd + n_even)
+    assert len(coords) == len(words)
+    rebuilt = {}
+    for c, bw in zip(coords, words):
+        _add_scaled(rebuilt, embed_bracketing(_tree_of_word(g, bw), degrees)[0], c)
+    assert {k: v for k, v in rebuilt.items() if v} == {k: v for k, v in target.items() if v}
+
+
+def test_peel_scales_when_the_leading_coefficient_does_not_divide():
+    # integral expansions never reach this path: triple one basis word's
+    # cached expansion, so its leading coefficient 3 does not divide
+    g = gens_of(2, 2)
+    b = basis(g, max_r=4, max_w=2)
+    x, y = g.leaf("g0"), g.leaf("g1")
+    (word,) = b.slot(4, 2)
+    assert word == g.bracket(x, y)
+    b._expansion_cache[word] = {k: 3 * v for k, v in b.expansion(word).items()}
+    assert expand({g.bracket(y, x): Fraction(1, 2)}, b) == (Fraction(-1, 6),)
+
+
+def test_peel_refuses_a_slot_whose_leading_words_are_out_of_order():
+    g = gens_of(1, 1)
+    b = basis(g, max_r=6, max_w=4)
+    key = next(k for k, words in b.slots.items() if len(words) >= 2)
+    b.slots[key] = tuple(reversed(b.slots[key]))
+    with pytest.raises(ValueError, match=re.escape(f"slot {key}")):
+        expand(b.slots[key][0], b)
+
+
+def test_bracket_words_built_apart_are_interchangeable_keys():
+    g = gens_of(1, 2)
+
+    def build():
+        x, y = g.leaf("g0"), g.leaf("g1")
+        return g.bracket(x, g.bracket(x, y))
+
+    u, v = build(), build()
+    assert u is not v and u == v and hash(u) == hash(v)
+    table = {u: "first"}
+    assert table[v] == "first"
+    table[v] = "second"
+    assert table == {u: "second"}
+    assert repr(u) == repr(v) == "[g0,[g0,g1]]"
+    assert u != g.bracket(g.bracket(g.leaf("g0"), g.leaf("g1")), g.leaf("g0"))
