@@ -32,7 +32,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import CutoffExceededError, FormalpiError, InvalidInputError, NotCompleteError
+from .errors import (
+    CutoffExceededError,
+    CutoffTooSmallError,
+    FormalpiError,
+    InvalidInputError,
+    NotCompleteError,
+)
 from .graded_core import (
     AlgebraPresentation,
     CharacterLattice,
@@ -268,11 +274,17 @@ def _cmd_supports(pres, args, report: RunReport):
 def _cmd_hurewicz(pres, args, report: RunReport):
     from .quillen_weight import build_model, hurewicz_rank
 
-    # refuse before the model is built, which can take minutes
-    require_valid(pres)
+    # refuse before the model is built, which can take minutes; build_model
+    # validates before it builds, and an invalid input is reported ahead of
+    # the degree-1 and the cutoff refusals
     if not is_simply_connected_type(pres):
+        require_valid(pres)
         raise NotCompleteError("input has degree-1 classes; table is a truncation")
-    model = build_model(pres, args.max_degree, args.max_weight)
+    try:
+        model = build_model(pres, args.max_degree, args.max_weight)
+    except CutoffTooSmallError:
+        require_valid(pres)
+        raise
     rows = []
     json_rows = []
     for m in range(2, args.max_degree + 1):

@@ -55,6 +55,20 @@ class RationalMatrix:
         object.__setattr__(self, "entries", clean)
 
     @classmethod
+    def _canonical(cls, rows: int, cols: int, entries: dict[Entry, Fraction]) -> "RationalMatrix":
+        """A matrix whose entries are already in range, Fractions and nonzero.
+
+        Skips the bounds check and normalization of ``__post_init__``; only
+        for entries canonical by construction: results of ``matmul``,
+        ``transpose`` and ``combine``, and the Lie-model slot matrices.
+        """
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "entries", entries)
+        return m
+
+    @classmethod
     def from_rows(cls, rows: list[list]) -> "RationalMatrix":
         n = len(rows)
         m = len(rows[0]) if rows else 0
@@ -83,7 +97,7 @@ class RationalMatrix:
         return out
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
+        return RationalMatrix._canonical(
             self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
         )
 
@@ -97,8 +111,8 @@ class RationalMatrix:
         for (i, k), a in self.entries.items():
             for j, b in by_row.get(k, ()):
                 key = (i, j)
-                acc[key] = acc.get(key, Fraction(0)) + a * b
-        return RationalMatrix(self.rows, other.cols, acc)
+                acc[key] = acc.get(key, ZERO) + a * b
+        return RationalMatrix._canonical(self.rows, other.cols, {k: v for k, v in acc.items() if v})
 
     def apply(self, vec: tuple) -> tuple[Fraction, ...]:
         """Matrix times column vector."""
@@ -126,9 +140,10 @@ def combine(rows: int, cols: int, terms) -> RationalMatrix:
     for c, m in terms:
         if (m.rows, m.cols) != (rows, cols):
             raise ValueError(f"shape mismatch: {m.rows}x{m.cols} term in a {rows}x{cols} sum")
+        c = _frac(c)
         for key, v in m.entries.items():
             acc[key] = acc.get(key, ZERO) + c * v
-    return RationalMatrix(rows, cols, acc)
+    return RationalMatrix._canonical(rows, cols, {k: v for k, v in acc.items() if v})
 
 
 def _sparse(vec) -> dict:

@@ -305,6 +305,12 @@ def basis(gens: GeneratorSet, max_r: int, max_w: int) -> FreeLieBasis:
     return FreeLieBasis(gens, max_r, max_w)
 
 
+class _Coordinates(tuple):
+    """``expand``'s dense coordinate tuple, carrying its nonzero (index, value)
+    pairs in index order as ``nonzero``, so that a caller can skip the zeros
+    without walking them."""
+
+
 def expand(expr, b: FreeLieBasis) -> tuple[Fraction, ...]:
     """Coordinates of a bracket expression in its slot's basis.
 
@@ -336,7 +342,7 @@ def expand(expr, b: FreeLieBasis) -> tuple[Fraction, ...]:
     assoc = {word: v for word, v in assoc.items() if v}
 
     data, index = b._peel_data(key)
-    coords = [0] * len(data)
+    coords: dict[int, int] = {}
     while assoc:
         lead = min(assoc)
         pos = index.get(lead)
@@ -347,17 +353,23 @@ def expand(expr, b: FreeLieBasis) -> tuple[Fraction, ...]:
         if rem:
             # scale every numerator and the denominator so the division is exact
             assoc = {word: v * lead_coeff for word, v in assoc.items()}
-            coords = [x * lead_coeff for x in coords]
+            coords = {i: x * lead_coeff for i, x in coords.items()}
             den *= lead_coeff
             c = assoc[lead] // lead_coeff
-        coords[pos] += c
+        coords[pos] = coords.get(pos, 0) + c
         for word, coeff in exp.items():
             val = assoc.get(word, 0) - c * coeff
             if val:
                 assoc[word] = val
             else:
                 assoc.pop(word, None)
-    return tuple(Fraction(x, den) if x else _ZERO for x in coords)
+    nonzero = [(i, Fraction(x, den)) for i, x in sorted(coords.items()) if x]
+    dense = [_ZERO] * len(data)
+    for i, c in nonzero:
+        dense[i] = c
+    out = _Coordinates(dense)
+    out.nonzero = nonzero
+    return out
 
 
 def dim(p: int, q: int, b: FreeLieBasis) -> int:

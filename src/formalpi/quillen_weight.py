@@ -144,11 +144,9 @@ def build_model(p: AlgebraPresentation, max_m: int, max_w: int) -> FormalLieMode
             combo = model.d_word(bw)
             if not combo:
                 continue
-            coords = expand(combo, b)
-            for i, c in enumerate(coords):
-                if c:
-                    cols[(i, j)] = c
-        model.differential[key] = RationalMatrix(tgt_dim, len(words), cols)
+            for i, c in expand(combo, b).nonzero:
+                cols[(i, j)] = c
+        model.differential[key] = RationalMatrix._canonical(tgt_dim, len(words), cols)
 
     _check_d_squared(model)
     return model

@@ -232,3 +232,29 @@ def brute_lie_slot_rank(reduced_degrees, r, w, char=None, characters=None, latti
                     else:
                         vec.pop(word, None)
     return len(echelon)
+
+
+def naive_associativity(p):
+    """Every ordered triple (a, b, c) of basis ids, repeats included, with (ab)c != a(bc).
+
+    Visits all n^3 triples in basis order and multiplies through
+    ``p.product`` term by term, so it shares nothing with the package's
+    own associativity check but the product itself.
+    """
+
+    def times(u, v):
+        out = {}
+        for a, ca in u.items():
+            for b, cb in v.items():
+                for t, c in p.product(a, b).items():
+                    out[t] = out.get(t, 0) + ca * cb * c
+        return {t: c for t, c in out.items() if c}
+
+    ids = [e.ident for e in p.basis]
+    return [
+        (a, b, c)
+        for a in ids
+        for b in ids
+        for c in ids
+        if times(p.product(a, b), {c: 1}) != times({a: 1}, p.product(b, c))
+    ]

@@ -183,22 +183,53 @@ def test_hurewicz_refuses_incomplete_input_before_building(monkeypatch, capsys):
 
 def test_hurewicz_reports_invalid_input_before_building(tmp_path, monkeypatch):
     def no_build(*args, **kwargs):
-        raise AssertionError("build_model called on an invalid input")
+        raise AssertionError("Lie basis built for an invalid input")
 
-    monkeypatch.setattr("formalpi.quillen_weight.build_model", no_build)
+    monkeypatch.setattr("formalpi.quillen_weight.FreeLieBasis", no_build)
     bad = tmp_path / "bad.json"
-    bad.write_text(
-        json.dumps(
-            {
-                "basis": [{"id": "e", "degree": 0}, {"id": "a", "degree": 2}, {"id": "t", "degree": 3}],
-                "unit": "e",
-                "products": [{"left": "a", "right": "a", "result": [{"id": "t", "coeff": "1"}]}],
-            }
-        )
-    )
+    bad.write_text(json.dumps(INVALID_DEGREE_TWO))
     status, text = invoke(["hurewicz", str(bad)])
     assert status == 1
     assert "DEGREE_MISMATCH" in text
+
+
+# a*a lands in degree 3, not 4
+INVALID_DEGREE_TWO = {
+    "basis": [{"id": "e", "degree": 0}, {"id": "a", "degree": 2}, {"id": "t", "degree": 3}],
+    "unit": "e",
+    "products": [{"left": "a", "right": "a", "result": [{"id": "t", "coeff": "1"}]}],
+}
+# a*b lands in degree 3, not 2, and a is a degree-1 class
+INVALID_DEGREE_ONE = {
+    "basis": [{"id": "e", "degree": 0}, {"id": "a", "degree": 1}, {"id": "b", "degree": 1},
+              {"id": "t", "degree": 3}],
+    "unit": "e",
+    "products": [{"left": "a", "right": "b", "result": [{"id": "t", "coeff": "1"}]}],
+}
+
+
+@pytest.mark.parametrize(
+    "doc,extra",
+    [
+        (INVALID_DEGREE_ONE, []),
+        (INVALID_DEGREE_ONE, ["--max-degree", "1"]),
+        (INVALID_DEGREE_TWO, ["--max-degree", "1"]),
+        (INVALID_DEGREE_TWO, ["--max-weight", "0"]),
+    ],
+)
+def test_hurewicz_reports_invalid_input_ahead_of_every_refusal(tmp_path, capsys, doc, extra):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    status, text = invoke(["hurewicz", str(bad)] + extra)
+    assert status == 1
+    assert text.startswith("presentation invalid:\nDEGREE_MISMATCH: ")
+    assert capsys.readouterr().err == ""
+
+
+def test_hurewicz_refuses_a_small_cutoff_on_valid_input(capsys):
+    status, text = invoke(["hurewicz", str(corpus_path("s2")), "--max-degree", "1"])
+    assert status == 1 and text == ""
+    assert "error [CUTOFF_TOO_SMALL]" in capsys.readouterr().err
 
 
 def test_non_utf8_input_is_a_schema_error(tmp_path, capsys):

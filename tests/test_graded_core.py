@@ -1,8 +1,11 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formalpi.errors import InvalidInputError
 from formalpi.graded_core import (
@@ -12,6 +15,8 @@ from formalpi.graded_core import (
     is_simply_connected_type,
     validate_algebra,
 )
+
+from oracles import naive_associativity
 
 
 def make(name, basis, products, unit="e0", lattice=None):
@@ -189,3 +194,109 @@ def test_coproduct_is_coassociative_and_cocommutative(corpus):
 def test_corpus_files_validate(corpus):
     for name, p in corpus.items():
         assert validate_algebra(p).ok, name
+
+
+# --- associativity against the naive triple loop -------------------------------
+
+
+def monomial_algebra(gens):
+    """Graded-commutative algebra on (id, degree, top exponent) generators.
+
+    The basis is every monomial within the exponent bounds, the unit first;
+    a product past a bound is zero, and odd generators anticommute.
+    """
+    exps = sorted(product(*(range(top + 1) for _, _, top in gens)),
+                  key=lambda m: (sum(k * d for k, (_, d, _) in zip(m, gens)), m))
+    label = {m: "".join(f"{g}{k}" for k, (g, _, _) in zip(m, gens) if k) or "e0" for m in exps}
+    degree = {m: sum(k * d for k, (_, d, _) in zip(m, gens)) for m in exps}
+    odd = [d % 2 == 1 for _, d, _ in gens]
+    prods = {}
+    for i, m in enumerate(exps):
+        for n in exps[i:]:
+            s = tuple(x + y for x, y in zip(m, n))
+            if s not in label or not any(m) or not any(n):
+                continue
+            swaps = sum(m[i] * n[j] for i in range(len(gens)) for j in range(i) if odd[i] and odd[j])
+            prods[(label[m], label[n])] = {label[s]: Fraction((-1) ** swaps)}
+    return [(label[m], degree[m]) for m in exps], prods
+
+
+def genus_two():
+    basis = [("e0", 0), ("a1", 1), ("b1", 1), ("a2", 1), ("b2", 1), ("w", 2)]
+    return basis, {("a1", "b1"): {"w": Fraction(1)}, ("a2", "b2"): {"w": Fraction(1)}}
+
+
+SMALL_ALGEBRAS = {
+    "s2xs2": lambda: monomial_algebra([("a", 2, 1), ("b", 2, 1)]),
+    "t3": lambda: monomial_algebra([("x", 1, 1), ("y", 1, 1), ("z", 1, 1)]),
+    "cp2xcp2": lambda: monomial_algebra([("x", 2, 2), ("y", 2, 2)]),
+    "sigma2": genus_two,
+}
+
+COEFFS = [Fraction(1), Fraction(-1), Fraction(1, 2)]
+
+
+def rescale(basis, prods, scale):
+    """Structure constants of the basis x -> scale[x] * x: still associative."""
+    return {
+        (a, b): {t: c * scale[a] * scale[b] / scale[t] for t, c in terms.items()}
+        for (a, b), terms in prods.items()
+    }
+
+
+def associativity_subjects(p):
+    return [v.subjects for v in validate_algebra(p).violations if v.code == "ASSOCIATIVITY"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_associativity_matches_naive_triple_loop(data):
+    basis, prods = SMALL_ALGEBRAS[data.draw(st.sampled_from(sorted(SMALL_ALGEBRAS)))]()
+    ids = [ident for ident, _ in basis]
+    if data.draw(st.booleans()):
+        scales = st.sampled_from([Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3), Fraction(-3, 2)])
+        scale = {x: Fraction(1) if x == "e0" else data.draw(scales) for x in ids}
+        prods = rescale(basis, prods, scale)
+    prods = {k: dict(v) for k, v in prods.items()}
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(ids) - 1))
+        j = data.draw(st.integers(i, len(ids) - 1))
+        t = data.draw(st.sampled_from(ids))
+        terms = prods.setdefault((ids[i], ids[j]), {})
+        terms[t] = terms.get(t, 0) + data.draw(st.sampled_from(COEFFS))
+    p = make("corrupt", basis, prods)
+    assert associativity_subjects(p) == naive_associativity(p)
+
+
+def test_associativity_repeats_triples_of_a_duplicate_id():
+    p = make(
+        "dup",
+        [("e0", 0), ("a", 2), ("b", 4), ("d", 8), ("a", 2)],
+        {("a", "a"): {"b": Fraction(1)}, ("b", "b"): {"d": Fraction(1)}},
+    )
+    codes = [v.code for v in validate_algebra(p).violations]
+    assert "DUPLICATE_ID" in codes
+    expected = naive_associativity(p)
+    assert expected.count(("a", "a", "b")) == 4
+    assert associativity_subjects(p) == expected
+
+
+def test_associativity_is_checked_past_a_degree_mismatch():
+    # a*a = a is off by a degree, and (aa)b = ab while a(ab) = 0.
+    p = make(
+        "degree",
+        [("e0", 0), ("a", 2), ("b", 2), ("ab", 4)],
+        {("a", "a"): {"a": Fraction(1)}, ("a", "b"): {"ab": Fraction(1)}},
+    )
+    codes = [v.code for v in validate_algebra(p).violations]
+    assert "DEGREE_MISMATCH" in codes
+    expected = naive_associativity(p)
+    assert ("a", "a", "b") in expected
+    assert associativity_subjects(p) == expected
+
+
+@pytest.mark.parametrize("name", sorted(SMALL_ALGEBRAS))
+def test_small_algebras_are_valid(name):
+    basis, prods = SMALL_ALGEBRAS[name]()
+    assert validate_algebra(make(name, basis, prods)).ok
+    assert naive_associativity(make(name, basis, prods)) == []
