@@ -34,7 +34,6 @@ from pathlib import Path
 
 from .errors import (
     CutoffExceededError,
-    CutoffTooSmallError,
     FormalpiError,
     InvalidInputError,
     NotCompleteError,
@@ -280,11 +279,7 @@ def _cmd_hurewicz(pres, args, report: RunReport):
     if not is_simply_connected_type(pres):
         require_valid(pres)
         raise NotCompleteError("input has degree-1 classes; table is a truncation")
-    try:
-        model = build_model(pres, args.max_degree, args.max_weight)
-    except CutoffTooSmallError:
-        require_valid(pres)
-        raise
+    model = build_model(pres, args.max_degree, args.max_weight)
     rows = []
     json_rows = []
     for m in range(2, args.max_degree + 1):

@@ -11,18 +11,18 @@ of Lyndon words in the generators, together with one extra element [z, z]
 for every Lyndon word z of odd parity (its square survives in a Lie
 superalgebra and sits at doubled degree and weight).
 
-Elements are expanded in this basis through the embedding into the free
-associative algebra, [a, b] |-> ab - (-1)^(|a||b|) ba, which is faithful in
-characteristic zero.  The expansion of a basis word is triangular: its
-lexicographically smallest associative word is the Lyndon word itself (the
-concatenation zz for squares), so coordinates are read off by peeling
-leading words.
-
-Expansions of bracket words have integer coefficients: the leading one is 1
-for a Lyndon word and 2 for a square.  A rational combination is expanded
-over one common denominator, and the peel runs on integer numerators,
-dividing each leading numerator exactly by its leading coefficient.  Only
-the input coefficients and the returned coordinates are Fractions.
+A basis element is keyed by its word: a Lyndon word w stands for P_w, the
+bracketing of w along its standard factorization, and the square zz of an
+odd Lyndon word z for [P_z, P_z] (no Lyndon word is a square).  Brackets of
+basis elements are rewritten into the basis with integer coefficients
+(Reutenauer, Free Lie Algebras, ch. 4-5; Lothaire, Combinatorics on Words,
+ch. 5): [a, a] is aa for odd a and 0 otherwise; a > b uses antisymmetry;
+for a < b the answer is ab when a is a letter or its right standard factor
+is >= b, and Jacobi on the standard factorization of a otherwise.  A square
+acts as [zz, y] = 2 [z, [z, y]], except [zz, z] = 0: that is the Jacobi
+identity for odd z, and without it 2 [z, [z, z]] = -2 [zz, z] would recurse
+forever.  The table is memoized per pair; ``expand`` folds bracket trees
+bottom-up through it.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import CutoffTooSmallError, OutOfRangeError
-from .graded_core import CharacterLattice
+from .graded_core import CharacterLattice, lincomb
 
 Word = tuple[int, ...]  # associative word in generator indices
 _ZERO = Fraction(0)
@@ -63,15 +63,13 @@ class GeneratorSet:
         for g in self.gens:
             if len(g.character) != self.lattice.length:
                 raise ValueError(f"character of {g.ident!r} has wrong length")
+        object.__setattr__(self, "_index", {ident: i for i, ident in enumerate(ids)})
 
     def __len__(self):
         return len(self.gens)
 
     def index(self, ident: str) -> int:
-        for i, g in enumerate(self.gens):
-            if g.ident == ident:
-                return i
-        raise KeyError(ident)
+        return self._index[ident]
 
     def leaf(self, ident: str) -> "BracketWord":
         i = self.index(ident)
@@ -175,7 +173,10 @@ def lyndon_words(
 
 
 def standard_factorization(w: Word) -> tuple[Word, Word]:
-    """Split a Lyndon word (len >= 2) as u v with v its smallest proper suffix."""
+    """Split a Lyndon word (len >= 2) as u v with v its smallest proper suffix.
+
+    A square zz splits as (z, z), the two halves whose bracket it is.
+    """
     best = None
     split = None
     for i in range(1, len(w)):
@@ -198,8 +199,9 @@ class FreeLieBasis:
         self.max_w = max_w
         self.slots: dict[tuple[int, int, tuple[int, ...]], tuple[BracketWord, ...]] = {}
         self._bracketing_cache: dict[Word, BracketWord] = {}
-        self._expansion_cache: dict[BracketWord, dict[Word, int]] = {}
-        self._peel_cache: dict = {}
+        self._positions: dict[tuple[int, int, tuple[int, ...]], dict[Word, int]] = {}
+        self._table: dict[tuple[Word, Word], dict[Word, int]] = {}
+        self._degrees = [g.reduced_degree for g in gens.gens]
         self._build()
 
     # -- construction ---------------------------------------------------------
@@ -224,8 +226,7 @@ class FreeLieBasis:
 
     def _build(self):
         staging: dict[tuple[int, int, tuple[int, ...]], list[tuple[Word, BracketWord]]] = {}
-        degrees = [g.reduced_degree for g in self.gens.gens]
-        for w in lyndon_words(len(self.gens), self.max_w, degrees, self.max_r):
+        for w in lyndon_words(len(self.gens), self.max_w, self._degrees, self.max_r):
             r, char = self._word_profile(w)
             if r <= self.max_r:
                 staging.setdefault((r, len(w), char), []).append((w, self._bracketing(w)))
@@ -258,46 +259,56 @@ class FreeLieBasis:
     def in_range(self, r: int, w: int) -> bool:
         return 0 <= r <= self.max_r and 1 <= w <= self.max_w
 
-    # -- associative expansion ----------------------------------------------------
+    def positions(self, key) -> dict[Word, int]:
+        """Position of each basis element of slot ``key``, keyed by its word.
 
-    def expansion(self, bw: BracketWord) -> dict[Word, int]:
-        cached = self._expansion_cache.get(bw)
-        if cached is not None:
-            return cached
+        Built on first use from the leaves of the slot's bracket words: a
+        Lyndon word's leaves spell the word, and a square's spell zz.
+        """
+        pos = self._positions.get(key)
+        if pos is None:
+            words = self.slots.get(key, ())
+            pos = self._positions[key] = {self._leaves(bw): i for i, bw in enumerate(words)}
+        return pos
+
+    def _leaves(self, bw: BracketWord) -> Word:
         if bw.is_leaf:
-            out = {(self.gens.index(bw.gen),): 1}
-        else:
-            lhs = self.expansion(bw.left)
-            rhs = self.expansion(bw.right)
-            sign = -1 if (bw.left.parity and bw.right.parity) else 1
-            out = {}
-            for wa, ca in lhs.items():
-                for wb, cb in rhs.items():
-                    k = wa + wb
-                    out[k] = out.get(k, 0) + ca * cb
-                    k = wb + wa
-                    out[k] = out.get(k, 0) - sign * ca * cb
-            out = {k: v for k, v in out.items() if v}
-        self._expansion_cache[bw] = out
+            return (self.gens.index(bw.gen),)
+        return self._leaves(bw.left) + self._leaves(bw.right)
+
+    # -- structure constants ------------------------------------------------------
+
+    def parity(self, w: Word) -> int:
+        return sum(self._degrees[c] for c in w) % 2
+
+    def bracket(self, a: Word, b: Word) -> dict[Word, int]:
+        """[a, b] of two basis elements, in basis coordinates (memoized)."""
+        out = self._table.get((a, b))
+        if out is None:
+            out = self._table[(a, b)] = self._rewrite(a, b)
         return out
 
-    def _peel_data(self, key):
-        cached = self._peel_cache.get(key)
-        if cached is not None:
-            return cached
-        data = []
-        for pos, bw in enumerate(self.slots.get(key, ())):
-            exp = self.expansion(bw)
-            lead = min(exp)
-            data.append((lead, exp[lead], exp))
-        # leading words are the Lyndon words (or zz) themselves: strictly
-        # sorted, so each one locates the single basis word it is peeled by
-        for (prev, _, _), (lead, _, _) in zip(data, data[1:]):
-            if not prev < lead:
-                raise ValueError(f"leading words of slot {key} are not strictly sorted at {lead}")
-        index = {lead: i for i, (lead, _, _) in enumerate(data)}
-        self._peel_cache[key] = (data, index)
-        return data, index
+    def _rewrite(self, a: Word, b: Word) -> dict[Word, int]:
+        if a == b:
+            return {a + a: 1} if self.parity(a) else {}
+        z = _square_root(a)
+        if z is not None:
+            if b == z:
+                return {}
+            return lincomb((2 * c, self.bracket(z, y)) for y, c in self.bracket(z, b).items())
+        if a > b or _square_root(b) is not None:
+            sign = 1 if self.parity(a) and self.parity(b) else -1
+            return {w: sign * c for w, c in self.bracket(b, a).items()}
+        if len(a) == 1:
+            return {a + b: 1}
+        a1, a2 = standard_factorization(a)
+        if a2 >= b:
+            return {a + b: 1}
+        sign = 1 if self.parity(a1) and self.parity(a2) else -1
+        return lincomb(
+            [(c, self.bracket(a1, y)) for y, c in self.bracket(a2, b).items()]
+            + [(sign * c, self.bracket(a2, y)) for y, c in self.bracket(a1, b).items()]
+        )
 
 
 def basis(gens: GeneratorSet, max_r: int, max_w: int) -> FreeLieBasis:
@@ -305,18 +316,17 @@ def basis(gens: GeneratorSet, max_r: int, max_w: int) -> FreeLieBasis:
     return FreeLieBasis(gens, max_r, max_w)
 
 
-class _Coordinates(tuple):
-    """``expand``'s dense coordinate tuple, carrying its nonzero (index, value)
-    pairs in index order as ``nonzero``, so that a caller can skip the zeros
-    without walking them."""
+def _square_root(w: Word) -> Word | None:
+    """z when the basis key w is a square zz, else None."""
+    z = w[: len(w) // 2]
+    return z if z + z == w else None
 
 
 def expand(expr, b: FreeLieBasis) -> tuple[Fraction, ...]:
     """Coordinates of a bracket expression in its slot's basis.
 
     ``expr`` is a BracketWord or a {BracketWord: coeff} combination within a
-    single slot.  Rewriting by graded antisymmetry and Jacobi is implicit in
-    the associative embedding plus leading-word peeling.
+    single slot.  Each tree is folded bottom-up through ``b.bracket``.
     """
     if isinstance(expr, BracketWord):
         expr = {expr: Fraction(1)}
@@ -331,45 +341,22 @@ def expand(expr, b: FreeLieBasis) -> tuple[Fraction, ...]:
     if not b.in_range(r, w):
         raise OutOfRangeError(f"slot (r={r}, w={w}) beyond cutoffs ({b.max_r}, {b.max_w})")
 
-    # one common denominator: the peel runs on integer numerators over den
-    den = lcm(*(Fraction(c).denominator for c in expr.values()))
-    assoc: dict[Word, int] = {}
-    for bw, c in expr.items():
-        c = Fraction(c)
-        n = c.numerator * (den // c.denominator)
-        for word, coeff in b.expansion(bw).items():
-            assoc[word] = assoc.get(word, 0) + n * coeff
-    assoc = {word: v for word, v in assoc.items() if v}
+    def fold(bw: BracketWord) -> dict[Word, int]:
+        if bw.is_leaf:
+            return {(b.gens.index(bw.gen),): 1}
+        right = fold(bw.right)
+        return lincomb(
+            (cx * cy, b.bracket(x, y)) for x, cx in fold(bw.left).items() for y, cy in right.items()
+        )
 
-    data, index = b._peel_data(key)
-    coords: dict[int, int] = {}
-    while assoc:
-        lead = min(assoc)
-        pos = index.get(lead)
-        if pos is None:
-            raise ValueError(f"expression is not in the free Lie algebra span at {lead}")
-        _, lead_coeff, exp = data[pos]
-        c, rem = divmod(assoc[lead], lead_coeff)
-        if rem:
-            # scale every numerator and the denominator so the division is exact
-            assoc = {word: v * lead_coeff for word, v in assoc.items()}
-            coords = {i: x * lead_coeff for i, x in coords.items()}
-            den *= lead_coeff
-            c = assoc[lead] // lead_coeff
-        coords[pos] = coords.get(pos, 0) + c
-        for word, coeff in exp.items():
-            val = assoc.get(word, 0) - c * coeff
-            if val:
-                assoc[word] = val
-            else:
-                assoc.pop(word, None)
-    nonzero = [(i, Fraction(x, den)) for i, x in sorted(coords.items()) if x]
-    dense = [_ZERO] * len(data)
-    for i, c in nonzero:
-        dense[i] = c
-    out = _Coordinates(dense)
-    out.nonzero = nonzero
-    return out
+    # one common denominator: the fold runs on integer numerators over den
+    den = lcm(*(Fraction(c).denominator for c in expr.values()))
+    total = lincomb((int(Fraction(c) * den), fold(bw)) for bw, c in expr.items())
+    pos = b.positions(key)
+    dense = [_ZERO] * len(pos)
+    for word, n in total.items():
+        dense[pos[word]] = Fraction(n, den)
+    return tuple(dense)
 
 
 def dim(p: int, q: int, b: FreeLieBasis) -> int:

@@ -89,9 +89,9 @@ class ValidationReport:
         return "\n".join(str(v) for v in self.violations)
 
 
-def _combine(terms) -> dict[str, Fraction]:
-    """Sum of coeff * vector over (coeff, vector) pairs, zeros dropped."""
-    out: dict[str, Fraction] = {}
+def lincomb(terms) -> dict:
+    """Sum of coeff * vector over (coeff, sparse vector) pairs, zeros dropped."""
+    out: dict = {}
     for coeff, vec in terms:
         for t, c in vec.items():
             out[t] = out.get(t, 0) + coeff * c
@@ -158,7 +158,7 @@ class AlgebraPresentation:
         return {t: sign * c for t, c in stored.items()}
 
     def multiply_vectors(self, u: dict[str, Fraction], v: dict[str, Fraction]) -> dict[str, Fraction]:
-        return _combine((ca * cb, self.product(a, b)) for a, ca in u.items() for b, cb in v.items())
+        return lincomb((ca * cb, self.product(a, b)) for a, ca in u.items() for b, cb in v.items())
 
     def dims_by_degree(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -273,8 +273,8 @@ def validate_algebra(p: AlgebraPresentation) -> ValidationReport:
             ab = prod[a][b]
             for k in sorted(nz[b].union(*(nz[t] for t in ab))):
                 c = ids[k]
-                left = _combine((ct, prod[t][c]) for t, ct in ab.items())
-                right = _combine((cs, prod[a][s]) for s, cs in prod[b][c].items())
+                left = lincomb((ct, prod[t][c]) for t, ct in ab.items())
+                right = lincomb((cs, prod[a][s]) for s, cs in prod[b][c].items())
                 if left != right:
                     v.append(
                         Violation(

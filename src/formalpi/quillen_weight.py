@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from .errors import (
     CutoffExceededError,
@@ -35,8 +36,8 @@ from .errors import (
     OutOfRangeError,
 )
 from .exactlin import RationalMatrix, SubspaceBasis, homology_dim, kernel_basis
-from .free_lie import BracketWord, FreeLieBasis, Generator, GeneratorSet, expand
-from .graded_core import AlgebraPresentation, dualize, is_simply_connected_type
+from .free_lie import FreeLieBasis, Generator, GeneratorSet, Word, standard_factorization
+from .graded_core import AlgebraPresentation, dualize, is_simply_connected_type, lincomb
 
 SlotKey = tuple[int, int, tuple[int, ...]]
 
@@ -58,9 +59,9 @@ class FormalLieModel:
     max_m: int
     max_w: int
     differential: dict[SlotKey, RationalMatrix]
-    _leaf_d: dict[str, dict[BracketWord, Fraction]]
+    d_den: int  # d_word values are integer numerators over d_den
+    _d_cache: dict[Word, dict[Word, int]] = field(repr=False)
     _table_cache: dict = field(default_factory=dict, repr=False)
-    _d_cache: dict[BracketWord, dict[BracketWord, Fraction]] = field(default_factory=dict, repr=False)
 
     @property
     def complete(self) -> bool:
@@ -76,32 +77,20 @@ class FormalLieModel:
         tgt = self.basis.slot_dim(r - 1, w + 1, char) if r >= 1 else 0
         return RationalMatrix.zero(tgt, src)
 
-    def d_word(self, bw: BracketWord) -> dict[BracketWord, Fraction]:
-        """Value of the differential on one bracket word, as a combination.
-
-        Values are memoized per word; each call returns a fresh copy.
-        """
-        out = self._d_cache.get(bw)
+    def d_word(self, word: Word) -> dict[Word, int]:
+        """d of one basis element, as integer numerators over ``d_den`` in
+        basis coordinates: d[u, v] = [du, v] + (-1)^|u| [u, dv] along
+        ``standard_factorization``.  Memoized per word; do not mutate."""
+        out = self._d_cache.get(word)
         if out is None:
-            if bw.is_leaf:
-                out = self._leaf_d.get(bw.gen, {})
-            else:
-                out = {}
-                for lw, c in self.d_word(bw.left).items():
-                    _accumulate(out, self.generators.bracket(lw, bw.right), c)
-                sign = -1 if bw.left.parity else 1
-                for rw, c in self.d_word(bw.right).items():
-                    _accumulate(out, self.generators.bracket(bw.left, rw), sign * c)
-            self._d_cache[bw] = out
-        return dict(out)
-
-
-def _accumulate(acc: dict, key, val):
-    val = acc.get(key, Fraction(0)) + val
-    if val:
-        acc[key] = val
-    else:
-        acc.pop(key, None)
+            b = self.basis
+            u, v = standard_factorization(word)
+            sign = -1 if b.parity(u) else 1
+            out = self._d_cache[word] = lincomb(
+                [(c, b.bracket(x, v)) for x, c in self.d_word(u).items()]
+                + [(sign * c, b.bracket(u, y)) for y, c in self.d_word(v).items()]
+            )
+        return out
 
 
 def build_model(p: AlgebraPresentation, max_m: int, max_w: int) -> FormalLieModel:
@@ -111,25 +100,26 @@ def build_model(p: AlgebraPresentation, max_m: int, max_w: int) -> FormalLieMode
     reporting window so that homology at the window edge sees its incoming
     differential and d^2 = 0 can be checked on every reported word.
     """
+    coproduct = dualize(p)  # validates the presentation, ahead of the cutoffs
     if max_m < 2:
         raise CutoffTooSmallError("max_m must be at least 2")
     if max_w < 1:
         raise CutoffTooSmallError("max_w must be at least 1")
-    coproduct = dualize(p)  # validates the presentation
     gens = model_generators(p)
     b = FreeLieBasis(gens, max_r=max_m, max_w=max_w + 2)
 
-    leaf_d: dict[str, dict[BracketWord, Fraction]] = {}
+    # d g = 1/2 sum c (-1)^(reduced degree of a) [a, b], carried as integer
+    # numerators over one denominator
+    leaf_d = []
     for g in gens.gens:
-        combo: dict[BracketWord, Fraction] = {}
+        terms = []
         for a, bb, c in coproduct.on(g.ident):
-            ra = p.element(a).degree - 1
-            sign = -1 if ra % 2 else 1
-            word = gens.bracket(gens.leaf(a), gens.leaf(bb))
-            _accumulate(combo, word, Fraction(c) * sign / 2)
-        leaf_d[g.ident] = combo
-
-    model = FormalLieModel(p, gens, b, max_m, max_w, {}, leaf_d)
+            x, y = (gens.index(a),), (gens.index(bb),)
+            terms.append((Fraction(c, 2) * (-1) ** b.parity(x), b.bracket(x, y)))
+        leaf_d.append(lincomb(terms))
+    den = lcm(*(q.denominator for d in leaf_d for q in d.values()))
+    d_cache = {(i,): {w: int(q * den) for w, q in d.items()} for i, d in enumerate(leaf_d)}
+    model = FormalLieModel(p, gens, b, max_m, max_w, {}, den, d_cache)
 
     for key in b.slot_keys():
         r, w, char = key
@@ -137,16 +127,12 @@ def build_model(p: AlgebraPresentation, max_m: int, max_w: int) -> FormalLieMode
         # block is target-only (its image would leave the internal basis)
         if r < 1 or w + 1 > b.max_w:
             continue
-        words = b.slots[key]
-        tgt_dim = b.slot_dim(r - 1, w + 1, char)
+        tgt = b.positions((r - 1, w + 1, char))
         cols = {}
-        for j, bw in enumerate(words):
-            combo = model.d_word(bw)
-            if not combo:
-                continue
-            for i, c in expand(combo, b).nonzero:
-                cols[(i, j)] = c
-        model.differential[key] = RationalMatrix._canonical(tgt_dim, len(words), cols)
+        for j, word in enumerate(b.positions(key)):
+            for t, n in model.d_word(word).items():
+                cols[(tgt[t], j)] = Fraction(n, den)
+        model.differential[key] = RationalMatrix._canonical(len(tgt), len(b.slots[key]), cols)
 
     _check_d_squared(model)
     return model

@@ -78,6 +78,21 @@ def divisors(n):
     return [d for d in range(1, n + 1) if n % d == 0]
 
 
+def surface_group_ranks(genus, max_w):
+    """Ranks phi_1..phi_max_w of the lower central series quotients of the
+    genus-g surface group, from Labute's product formula
+    prod_n (1 - t^n)^phi_n = 1 - 2g t + t^2.
+
+    Writing 1 - 2g t + t^2 = (1 - a t)(1 - b t), taking logarithms gives
+    sum_(d | m) d phi_d = a^m + b^m = p_m, whose power sums obey
+    p_m = 2g p_(m-1) - p_(m-2); Moebius inversion then gives phi_m.
+    """
+    p = [2, 2 * genus]
+    while len(p) <= max_w:
+        p.append(2 * genus * p[-1] - p[-2])
+    return [sum(mobius(m // d) * p[d] for d in divisors(m)) // m for m in range(1, max_w + 1)]
+
+
 def multinomial(counts):
     total = sum(counts)
     out = factorial(total)

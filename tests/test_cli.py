@@ -8,6 +8,7 @@ import pytest
 from formalpi.cli import render_json, run
 
 from conftest import ALL_CORPUS, SIMPLY_CONNECTED, corpus_path
+from oracles import surface_group_ranks
 
 
 def invoke(argv):
@@ -32,6 +33,39 @@ def test_pi_table_for_two_sphere_golden_bytes():
     assert lines[2] == "3\t1\t[0,1]"
     assert all(line.split("\t")[1] == "0" for line in lines[3:])
     assert text.endswith("\n") and "\r" not in text
+
+
+# Sigma_2: a_i b_i = w, every other product of degree-1 classes zero
+SIGMA2 = {
+    "name": "Sigma2",
+    "basis": [{"id": "e0", "degree": 0}]
+    + [{"id": x, "degree": 1} for x in ("a0", "a1", "b0", "b1")]
+    + [{"id": "w2", "degree": 2}],
+    "unit": "e0",
+    "products": [
+        {"left": f"a{i}", "right": f"b{i}", "result": [{"id": "w2", "coeff": "1"}]}
+        for i in range(2)
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "genus,argv",
+    [
+        (1, []),  # corpus/torus.json at the defaults: pi_1 abelian of rank 2
+        (2, ["--max-degree", "3", "--max-weight", "5"]),
+    ],
+)
+def test_surface_tables_match_labute(tmp_path, genus, argv):
+    path = corpus_path("torus") if genus == 1 else tmp_path / "sigma2.json"
+    if genus == 2:
+        path.write_text(json.dumps(SIGMA2))
+    status, text = invoke(["pi", str(path), "--json"] + argv)
+    assert status == 0
+    rows = json.loads(text)["rows"]
+    ranks = surface_group_ranks(genus, len(rows[0]["weights"]))
+    assert rows[0] == {"m": 1, "total": sum(ranks), "weights": ranks}
+    assert all(row["total"] == 0 for row in rows[1:])
 
 
 def test_ss_cp2_page_two_with_degeneration():
@@ -221,6 +255,16 @@ def test_hurewicz_reports_invalid_input_ahead_of_every_refusal(tmp_path, capsys,
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     status, text = invoke(["hurewicz", str(bad)] + extra)
+    assert status == 1
+    assert text.startswith("presentation invalid:\nDEGREE_MISMATCH: ")
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", ["pi", "ss", "supports"])
+def test_model_commands_report_invalid_input_ahead_of_a_small_cutoff(tmp_path, capsys, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(INVALID_DEGREE_TWO))
+    status, text = invoke([command, str(bad), "--max-degree", "1"])
     assert status == 1
     assert text.startswith("presentation invalid:\nDEGREE_MISMATCH: ")
     assert capsys.readouterr().err == ""

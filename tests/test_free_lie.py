@@ -1,4 +1,3 @@
-import re
 from fractions import Fraction
 
 import pytest
@@ -69,6 +68,9 @@ def test_standard_factorization_smallest_suffix():
     assert standard_factorization((0, 0, 1)) == ((0,), (0, 1))
     assert standard_factorization((0, 1, 1)) == ((0, 1), (1,))
     assert standard_factorization((0, 0, 1, 1)) == ((0,), (0, 1, 1))
+    # a square zz, the key of [z, z], splits into its halves
+    assert standard_factorization((0, 1, 0, 1)) == ((0, 1), (0, 1))
+    assert standard_factorization((0, 0, 1, 0, 0, 1)) == ((0, 0, 1), (0, 0, 1))
 
 
 def test_single_odd_generator_slots():
@@ -320,25 +322,42 @@ def test_expand_reconstructs_rational_combinations(data):
     assert {k: v for k, v in rebuilt.items() if v} == {k: v for k, v in target.items() if v}
 
 
-def test_peel_scales_when_the_leading_coefficient_does_not_divide():
-    # integral expansions never reach this path: triple one basis word's
-    # cached expansion, so its leading coefficient 3 does not divide
-    g = gens_of(2, 2)
-    b = basis(g, max_r=4, max_w=2)
-    x, y = g.leaf("g0"), g.leaf("g1")
-    (word,) = b.slot(4, 2)
-    assert word == g.bracket(x, y)
-    b._expansion_cache[word] = {k: 3 * v for k, v in b.expansion(word).items()}
-    assert expand({g.bracket(y, x): Fraction(1, 2)}, b) == (Fraction(-1, 6),)
+TORSION3 = CharacterLattice(free_rank=0, torsion=(3,))
+TABLE_CASES = [
+    (gens_of(0, 0, 1), 4, 5),
+    (gens_of(1, 1, 2), 8, 5),
+    (gens_of(1, 2), 10, 6),
+    (gens_of(0, 1), 6, 6),
+    (gens_of(1, 1, 1), 6, 5),
+    (
+        GeneratorSet(
+            (Generator("a", 1, (1,)), Generator("b", 1, (2,)), Generator("c", 2, (1,))),
+            lattice=TORSION3,
+        ),
+        8,
+        5,
+    ),
+]
 
 
-def test_peel_refuses_a_slot_whose_leading_words_are_out_of_order():
-    g = gens_of(1, 1)
-    b = basis(g, max_r=6, max_w=4)
-    key = next(k for k, words in b.slots.items() if len(words) >= 2)
-    b.slots[key] = tuple(reversed(b.slots[key]))
-    with pytest.raises(ValueError, match=re.escape(f"slot {key}")):
-        expand(b.slots[key][0], b)
+@pytest.mark.parametrize("g,max_r,max_w", TABLE_CASES)
+def test_structure_table_matches_the_associative_embedding(g, max_r, max_w):
+    # every bracket of two basis elements within the cutoffs, rewritten by the
+    # table and mapped back into the free associative algebra, equals the
+    # embedding of the bracket tree itself
+    b = basis(g, max_r, max_w)
+    degrees = [x.reduced_degree for x in g.gens]
+    elements = {w: bw for key in b.slot_keys() for w, bw in zip(b.positions(key), b.slots[key])}
+    embedded = {w: embed_bracketing(_tree_of_word(g, bw), degrees)[0] for w, bw in elements.items()}
+    for x, bx in elements.items():
+        for y, by in elements.items():
+            if bx.reduced_degree + by.reduced_degree > max_r or bx.weight + by.weight > max_w:
+                continue
+            rebuilt = {}
+            for word, c in b.bracket(x, y).items():
+                _add_scaled(rebuilt, embedded[word], c)
+            expected = embed_bracketing((_tree_of_word(g, bx), _tree_of_word(g, by)), degrees)[0]
+            assert {k: v for k, v in rebuilt.items() if v} == expected, (bx, by)
 
 
 def test_bracket_words_built_apart_are_interchangeable_keys():

@@ -107,31 +107,36 @@ def test_all_corpus_models_build(corpus):
 
 def derivation_samples(model, rng, count):
     """Yield (lhs, rhs) coordinate pairs for d applied to [u, v] two ways:
-    through the derivation recursion, and through the slot matrix after
-    rewriting [u, v] into the basis."""
+    through the derivation rule on the coordinates of du and dv, and through
+    the slot matrix after rewriting [u, v] into the basis."""
     b = model.basis
-    pool = [bw for key in b.slot_keys() for bw in b.slots[key]]
+    g = model.generators
+    tree = {word: bw for key in b.slot_keys() for word, bw in zip(b.positions(key), b.slots[key])}
+    pool = list(tree.items())
     produced = 0
     while produced < count:
-        u = rng.choice(pool)
+        u, ut = rng.choice(pool)
         partners = [
-            v
-            for v in pool
-            if u.reduced_degree + v.reduced_degree <= b.max_r
-            and u.weight + v.weight + 1 <= b.max_w
+            (v, vt)
+            for v, vt in pool
+            if ut.reduced_degree + vt.reduced_degree <= b.max_r
+            and ut.weight + vt.weight + 1 <= b.max_w
         ]
         if not partners:
             continue
-        v = rng.choice(partners)
-        r = u.reduced_degree + v.reduced_degree
-        w = u.weight + v.weight
-        char = model.generators.lattice.add(u.character, v.character)
-        z = model.generators.bracket(u, v)
-        combo = model.d_word(z)
+        v, vt = rng.choice(partners)
+        r = ut.reduced_degree + vt.reduced_degree
+        w = ut.weight + vt.weight
+        char = g.lattice.add(ut.character, vt.character)
+        sign = -1 if ut.parity else 1
+        combo = {}
+        for x, c in model.d_word(u).items():
+            combo[g.bracket(tree[x], vt)] = Fraction(c, model.d_den)
+        for y, c in model.d_word(v).items():
+            combo[g.bracket(ut, tree[y])] = Fraction(sign * c, model.d_den)
         tgt = b.slot_dim(r - 1, w + 1, char) if r >= 1 else 0
         lhs = expand(combo, b) if combo else (Fraction(0),) * tgt
-        coords = expand(z, b)
-        rhs = tuple(model.slot_matrix(r, w, char).apply(coords))
+        rhs = tuple(model.slot_matrix(r, w, char).apply(expand(g.bracket(ut, vt), b)))
         produced += 1
         yield lhs, rhs
 
