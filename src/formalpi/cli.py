@@ -423,19 +423,16 @@ def _cmd_doldkan(pres, args, report: RunReport):
 
 
 def _cmd_lie_dims(pres, args, report: RunReport):
-    from .free_lie import basis as lie_basis, dim as lie_dim
+    from .free_lie import slot_dims
     from .quillen_weight import model_generators
 
     require_valid(pres)
+    # slot (r, w, char) sits at (p, q) = (r + w, w); sum over characters
+    dims: dict[tuple[int, int], int] = {}
     gens = model_generators(pres)
-    b = lie_basis(gens, args.max_degree - 1, args.max_weight)
-    rows = []
-    for q in range(1, args.max_weight + 1):
-        for p in range(q, q + args.max_degree):
-            d = lie_dim(p, q, b)
-            if d:
-                rows.append([p, q, d])
-    rows.sort()
+    for (r, w, _), d in slot_dims(gens, args.max_degree - 1, args.max_weight).items():
+        dims[(r + w, w)] = dims.get((r + w, w), 0) + d
+    rows = sorted([p, q, d] for (p, q), d in dims.items())
     if args.json:
         report.payload = {
             "command": "lie-dims",

@@ -11,6 +11,12 @@ of Lyndon words in the generators, together with one extra element [z, z]
 for every Lyndon word z of odd parity (its square survives in a Lie
 superalgebra and sits at doubled degree and weight).
 
+Slots are keyed by (reduced degree, weight, character) and can be had two
+ways.  ``slot_dims`` only counts them, by PBW inversion: U(L) = T(V) fixes
+every slot size through a power series, so no word is listed.
+``FreeLieBasis`` builds them, by enumerating the Lyndon words within the
+cutoffs and giving each its bracket tree; the differential needs the words.
+
 A basis element is keyed by its word: a Lyndon word w stands for P_w, the
 bracketing of w along its standard factorization, and the square zz of an
 odd Lyndon word z for [P_z, P_z] (no Lyndon word is a square).  Brackets of
@@ -27,6 +33,7 @@ bottom-up through it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
@@ -186,19 +193,22 @@ def standard_factorization(w: Word) -> tuple[Word, Word]:
     return w[:split], w[split:]
 
 
+def _check_cutoffs(max_r: int, max_w: int):
+    if max_w < 1:
+        raise CutoffTooSmallError("max_w must be at least 1")
+    if max_r < 0:
+        raise CutoffTooSmallError("max_r must be at least 0")
+
+
 class FreeLieBasis:
     """Super-Lyndon basis, complete for reduced degree <= max_r, weight <= max_w."""
 
     def __init__(self, gens: GeneratorSet, max_r: int, max_w: int):
-        if max_w < 1:
-            raise CutoffTooSmallError("max_w must be at least 1")
-        if max_r < 0:
-            raise CutoffTooSmallError("max_r must be at least 0")
+        _check_cutoffs(max_r, max_w)
         self.gens = gens
         self.max_r = max_r
         self.max_w = max_w
         self.slots: dict[tuple[int, int, tuple[int, ...]], tuple[BracketWord, ...]] = {}
-        self._bracketing_cache: dict[Word, BracketWord] = {}
         self._positions: dict[tuple[int, int, tuple[int, ...]], dict[Word, int]] = {}
         self._table: dict[tuple[Word, Word], dict[Word, int]] = {}
         self._degrees = [g.reduced_degree for g in gens.gens]
@@ -206,39 +216,38 @@ class FreeLieBasis:
 
     # -- construction ---------------------------------------------------------
 
-    def _bracketing(self, w: Word) -> BracketWord:
-        cached = self._bracketing_cache.get(w)
-        if cached is not None:
-            return cached
-        if len(w) == 1:
-            bw = self.gens.leaf(self.gens.gens[w[0]].ident)
-        else:
-            u, v = standard_factorization(w)
-            bw = self.gens.bracket(self._bracketing(u), self._bracketing(v))
-        self._bracketing_cache[w] = bw
-        return bw
-
-    def _word_profile(self, w: Word) -> tuple[int, tuple[int, ...]]:
-        letters = [self.gens.gens[i] for i in w]
-        r = sum(g.reduced_degree for g in letters)
-        # torsion reduction is additive: sum the letters, reduce once
-        return r, self.gens.lattice.reduce(map(sum, zip(*[g.character for g in letters])))
-
     def _build(self):
+        lattice = self.gens.lattice
+        # reduced characters of a free lattice add without further reduction
+        add = lattice.add if lattice.torsion else lambda a, b: tuple(map(operator.add, a, b))
+        words = lyndon_words(len(self.gens), self.max_w, self._degrees, self.max_r)
+        # each word's tree and reduced character, shorter words first so that
+        # both standard factors of a word are built before it
+        built: dict[Word, tuple[BracketWord, tuple[int, ...]]] = {}
+        for w in sorted(words, key=len):
+            if len(w) == 1:
+                bw = self.gens.leaf(self.gens.gens[w[0]].ident)
+                built[w] = bw, lattice.reduce(bw.character)
+            else:
+                u, v = standard_factorization(w)
+                (left, cu), (right, cv) = built[u], built[v]
+                char = add(cu, cv)
+                r = left.reduced_degree + right.reduced_degree
+                built[w] = BracketWord(None, left, right, r, len(w), char), char
         staging: dict[tuple[int, int, tuple[int, ...]], list[tuple[Word, BracketWord]]] = {}
-        for w in lyndon_words(len(self.gens), self.max_w, self._degrees, self.max_r):
-            r, char = self._word_profile(w)
-            if r <= self.max_r:
-                staging.setdefault((r, len(w), char), []).append((w, self._bracketing(w)))
+        for w in words:
+            bw, char = built[w]
+            r = bw.reduced_degree
+            staging.setdefault((r, len(w), char), []).append((w, bw))
             # squares of odd Lyndon words live at doubled degree and weight
             if r % 2 == 1 and 2 * r <= self.max_r and 2 * len(w) <= self.max_w:
-                bw = self._bracketing(w)
-                sq = self.gens.bracket(bw, bw)
-                char2 = self.gens.lattice.add(char, char)
+                char2 = add(char, char)
+                sq = BracketWord(None, bw, bw, 2 * r, 2 * len(w), char2)
                 staging.setdefault((2 * r, 2 * len(w), char2), []).append((w + w, sq))
         for key, entries in staging.items():
             entries.sort(key=lambda e: e[0])
             self.slots[key] = tuple(bw for _, bw in entries)
+            self._positions[key] = {w: i for i, (w, _) in enumerate(entries)}
 
     # -- accessors --------------------------------------------------------------
 
@@ -260,21 +269,9 @@ class FreeLieBasis:
         return 0 <= r <= self.max_r and 1 <= w <= self.max_w
 
     def positions(self, key) -> dict[Word, int]:
-        """Position of each basis element of slot ``key``, keyed by its word.
-
-        Built on first use from the leaves of the slot's bracket words: a
-        Lyndon word's leaves spell the word, and a square's spell zz.
-        """
-        pos = self._positions.get(key)
-        if pos is None:
-            words = self.slots.get(key, ())
-            pos = self._positions[key] = {self._leaves(bw): i for i, bw in enumerate(words)}
-        return pos
-
-    def _leaves(self, bw: BracketWord) -> Word:
-        if bw.is_leaf:
-            return (self.gens.index(bw.gen),)
-        return self._leaves(bw.left) + self._leaves(bw.right)
+        """Position of each basis element of slot ``key``, keyed by its word
+        (zz for the square [P_z, P_z]).  Do not mutate."""
+        return self._positions.get(key, {})
 
     # -- structure constants ------------------------------------------------------
 
@@ -314,6 +311,69 @@ class FreeLieBasis:
 def basis(gens: GeneratorSet, max_r: int, max_w: int) -> FreeLieBasis:
     """Complete super-Lyndon basis for all slots with r <= max_r, w <= max_w."""
     return FreeLieBasis(gens, max_r, max_w)
+
+
+def slot_dims(
+    gens: GeneratorSet, max_r: int, max_w: int
+) -> dict[tuple[int, int, tuple[int, ...]], int]:
+    """Slot sizes of ``FreeLieBasis(gens, max_r, max_w)``, counted without building it.
+
+    PBW inversion: U(L) = T(V) (Milnor-Moore), and U(L) has the size of the
+    free graded-commutative algebra on L, so as series in x^(r, w, char)
+
+        T(V) = prod over slots t of (1 + x^t)^dim L_t   (r odd)
+                                 or (1 - x^t)^-dim L_t  (r even).
+
+    Weight by weight, dim L_s is the coefficient of x^s in T(V) less that of
+    the product over the slots of lower weight, whose factors are expanded as
+    binomial series.  Series are keyed by (reduced degree, character) within a
+    weight and cut at max_r: no letter has negative reduced degree.
+    """
+    _check_cutoffs(max_r, max_w)
+    lattice = gens.lattice
+    letters: dict[tuple[int, tuple[int, ...]], int] = {}
+    for g in gens.gens:
+        if g.reduced_degree <= max_r:
+            profile = (g.reduced_degree, lattice.reduce(g.character))
+            letters[profile] = letters.get(profile, 0) + 1
+
+    def shift(series, r, char, coeff, out):
+        """out += coeff * x^(r, char) * series, cut at max_r."""
+        for (r0, c0), n in series.items():
+            if r0 + r <= max_r:
+                key = (r0 + r, lattice.add(c0, char))
+                out[key] = out.get(key, 0) + coeff * n
+
+    one = {(0, lattice.zero()): 1}
+    tensor = one  # weight-w part of T(V)
+    pbw = [one] + [{} for _ in range(max_w)]  # weight parts of the product so far
+    dims = {}
+    for w in range(1, max_w + 1):
+        nxt: dict[tuple[int, tuple[int, ...]], int] = {}
+        for (r, char), n in letters.items():
+            shift(tensor, r, char, n, nxt)
+        tensor = nxt
+        # all of weight w is read off before any of its factors is multiplied in
+        found = [(r, char, n - pbw[w].get((r, char), 0)) for (r, char), n in tensor.items()]
+        for r, char, d in found:
+            if not d:
+                continue
+            dims[(r, w, char)] = d
+            # x^(k t) in the factor of t: binomial(d, k) if r is odd, else binomial(d + k - 1, k)
+            powers, coeff, kr, kchar = [], 1, r, char
+            for k in range(1, max_w // w + 1):
+                coeff = coeff * (d - k + 1 if r % 2 else d + k - 1) // k
+                if kr > max_r or not coeff:
+                    break
+                powers.append((k * w, kr, kchar, coeff))
+                kr, kchar = kr + r, lattice.add(kchar, char)
+            # heaviest weight first, so each step reads the product before this factor
+            for total in range(max_w, w - 1, -1):
+                for kw, kr, kchar, coeff in powers:
+                    if kw > total:
+                        break
+                    shift(pbw[total - kw], kr, kchar, coeff, pbw[total])
+    return dims
 
 
 def _square_root(w: Word) -> Word | None:

@@ -93,6 +93,19 @@ def surface_group_ranks(genus, max_w):
     return [sum(mobius(m // d) * p[d] for d in divisors(m)) // m for m in range(1, max_w + 1)]
 
 
+def torus_pi1_weights(k, max_w):
+    """Weights of pi_1 of the torus T^k: the abelian group Z^k sits in
+    weight 1, and T^k is a K(pi, 1), so nothing else survives."""
+    return [k] + [0] * (max_w - 1)
+
+
+def necklace_numbers(k, max_w):
+    """Witt's formula (1/n) sum_(d | n) mu(d) k^(n/d), n = 1..max_w: the ranks
+    of the lower central series quotients of the free group on k letters,
+    which is pi_1 of a wedge of k circles."""
+    return [sum(mobius(d) * k ** (n // d) for d in divisors(n)) // n for n in range(1, max_w + 1)]
+
+
 def multinomial(counts):
     total = sum(counts)
     out = factorial(total)

@@ -2,13 +2,14 @@
 
 import io
 import json
+from itertools import combinations
 
 import pytest
 
 from formalpi.cli import render_json, run
 
 from conftest import ALL_CORPUS, SIMPLY_CONNECTED, corpus_path
-from oracles import surface_group_ranks
+from oracles import necklace_numbers, surface_group_ranks, torus_pi1_weights
 
 
 def invoke(argv):
@@ -65,6 +66,50 @@ def test_surface_tables_match_labute(tmp_path, genus, argv):
     rows = json.loads(text)["rows"]
     ranks = surface_group_ranks(genus, len(rows[0]["weights"]))
     assert rows[0] == {"m": 1, "total": sum(ranks), "weights": ranks}
+    assert all(row["total"] == 0 for row in rows[1:])
+
+
+def torus_doc(k):
+    """T^k: the exterior algebra on k degree-1 classes x0..x(k-1)."""
+    subsets = [s for n in range(k + 1) for s in combinations(range(k), n)]
+
+    def ident(s):
+        return ".".join(f"x{i}" for i in s) or "e"
+
+    products = []
+    for i, s in enumerate(subsets[1:], 1):
+        for t in subsets[i:]:
+            if set(s) & set(t):
+                continue
+            # sign of the shuffle that sorts the letters of s followed by t
+            swaps = sum(1 for a in s for b in t if a > b)
+            result = [{"id": ident(sorted(s + t)), "coeff": "-1" if swaps % 2 else "1"}]
+            products.append({"left": ident(s), "right": ident(t), "result": result})
+    basis = [{"id": ident(s), "degree": len(s)} for s in subsets]
+    return {"name": f"T{k}", "basis": basis, "unit": "e", "products": products}
+
+
+def wedge_of_circles_doc(k):
+    basis = [{"id": "e", "degree": 0}] + [{"id": f"x{i}", "degree": 1} for i in range(k)]
+    return {"name": f"wedge{k}", "basis": basis, "unit": "e", "products": []}
+
+
+@pytest.mark.parametrize(
+    "doc, max_w, pi1",
+    [
+        pytest.param(torus_doc(3), 3, torus_pi1_weights(3, 3), id="T3"),
+        pytest.param(wedge_of_circles_doc(2), 6, necklace_numbers(2, 6), id="S1vS1"),
+    ],
+)
+def test_pi1_tables_match_closed_forms(tmp_path, doc, max_w, pi1):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    argv = ["pi", str(path), "--max-degree", "3", "--max-weight", str(max_w), "--json"]
+    status, text = invoke(argv)
+    assert status == 0
+    rows = json.loads(text)["rows"]
+    assert rows[0] == {"m": 1, "total": sum(pi1), "weights": pi1}
+    assert [row["m"] for row in rows] == [1, 2, 3]
     assert all(row["total"] == 0 for row in rows[1:])
 
 
@@ -383,3 +428,33 @@ def test_doldkan_refuses_a_negative_fuzz_count_before_any_work(monkeypatch):
     argv = ["doldkan", str(corpus_path("s2")), "--fuzz", "-2"]
     assert invoke(argv) == (1, "fuzz count must be >= 0\n")
     assert invoke(argv + ["--json"]) == (1, "fuzz count must be >= 0\n")
+
+
+@pytest.mark.parametrize(
+    "extra, status, err",
+    [
+        (["--max-degree", "0"], 1, "error [CUTOFF_TOO_SMALL]: max_w must be at least 1\n"),
+        (
+            ["--max-degree", "0", "--max-weight", "3"],
+            1,
+            "error [CUTOFF_TOO_SMALL]: max_r must be at least 0\n",
+        ),
+        (["--max-degree", "1"], 0, ""),
+    ],
+)
+def test_lie_dims_cutoff_edges(capsys, extra, status, err):
+    got, text = invoke(["lie-dims", str(corpus_path("s2"))] + extra)
+    assert got == status
+    assert text == ("" if status else "p\tq\tdim\n")
+    assert capsys.readouterr().err == err
+
+
+def test_lie_dims_builds_no_basis(monkeypatch):
+    def no_build(*args, **kwargs):
+        raise AssertionError("lie-dims built a Lie basis")
+
+    argv = ["lie-dims", str(corpus_path("wedge_s2_s2")), "--max-degree", "6", "--max-weight", "5"]
+    expected = invoke(argv)
+    monkeypatch.setattr("formalpi.free_lie.FreeLieBasis", no_build)
+    assert invoke(argv) == expected
+    assert expected[0] == 0 and expected[1].count("\n") > 5

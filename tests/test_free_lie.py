@@ -13,11 +13,14 @@ from formalpi.free_lie import (
     e1_index_to_lie,
     expand,
     lyndon_words,
+    slot_dims,
     standard_factorization,
     translate_index,
 )
 from formalpi.graded_core import CharacterLattice
+from formalpi.quillen_weight import model_generators
 
+from conftest import ALL_CORPUS
 from oracles import brute_lie_slot_rank, embed_bracketing, super_witt_slot_dims
 
 
@@ -169,6 +172,7 @@ def test_slot_dims_match_witt_counts(degrees):
     expected = super_witt_slot_dims(list(degrees), max_r, max_w)
     got = {k: len(v) for k, v in b.slots.items()}
     assert got == {k: v for k, v in expected.items() if v}
+    assert slot_dims(g, max_r, max_w) == got
 
 
 @pytest.mark.parametrize("degrees", [(1,), (2,), (1, 1), (1, 2), (2, 2)])
@@ -202,6 +206,7 @@ def test_characters_split_slots():
     assert {k: len(v) for k, v in b.slots.items()} == {
         k: v for k, v in expected.items() if v
     }
+    assert slot_dims(g, 4, 4) == {k: v for k, v in expected.items() if v}
     for words in b.slots.values():
         for bw in words:
             assert bw.character == _leaf_character_sum(bw, lat)
@@ -375,3 +380,100 @@ def test_bracket_words_built_apart_are_interchangeable_keys():
     assert table == {u: "second"}
     assert repr(u) == repr(v) == "[g0,[g0,g1]]"
     assert u != g.bracket(g.bracket(g.leaf("g0"), g.leaf("g1")), g.leaf("g0"))
+
+
+# ---------------------------------------------------------------------------
+# slot sizes by PBW inversion
+
+
+def built_dims(g, max_r, max_w):
+    return {k: len(v) for k, v in basis(g, max_r, max_w).slots.items()}
+
+
+@pytest.mark.parametrize("name", ALL_CORPUS)
+def test_slot_dims_match_the_built_basis_on_the_corpus(corpus, name):
+    g = model_generators(corpus[name])
+    for max_r, max_w in [(6, 6), (0, 4), (3, 1)]:
+        assert slot_dims(g, max_r, max_w) == built_dims(g, max_r, max_w)
+
+
+FREE1 = CharacterLattice(free_rank=1)
+FAMILY_ALPHABETS = {
+    # T^3: three degree-1, three degree-2 and one degree-3 class
+    "t3": (gens_of(0, 0, 0, 1, 1, 1, 2), 3, 5),
+    # Sigma_2 with a_i -> 1, b_i -> -1, w -> 0
+    "sigma2_chi": (
+        GeneratorSet(
+            tuple(Generator(f"a{i}", 0, (1,)) for i in range(2))
+            + tuple(Generator(f"b{i}", 0, (-1,)) for i in range(2))
+            + (Generator("w2", 1, (0,)),),
+            lattice=FREE1,
+        ),
+        3,
+        5,
+    ),
+    "t2_chi": (
+        GeneratorSet(
+            (Generator("e1", 0, (1,)), Generator("f1", 0, (-1,)), Generator("t2", 1, (0,))),
+            lattice=FREE1,
+        ),
+        5,
+        7,
+    ),
+    "torsion": (
+        GeneratorSet(
+            (Generator("a", 0, (0, 1)), Generator("b", 1, (1, 2)), Generator("c", 1, (-1, 2))),
+            lattice=CharacterLattice(free_rank=1, torsion=(3,)),
+        ),
+        6,
+        6,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILY_ALPHABETS))
+def test_slot_dims_match_the_built_basis_on_generated_families(name):
+    g, max_r, max_w = FAMILY_ALPHABETS[name]
+    assert slot_dims(g, max_r, max_w) == built_dims(g, max_r, max_w)
+
+
+@pytest.mark.parametrize(
+    "max_r, max_w, message",
+    [(-1, 0, "max_w must be at least 1"), (-1, 3, "max_r must be at least 0")],
+)
+def test_slot_dims_refuse_the_cutoffs_the_basis_refuses(max_r, max_w, message):
+    g = gens_of(1)
+    with pytest.raises(CutoffTooSmallError) as counted:
+        slot_dims(g, max_r, max_w)
+    with pytest.raises(CutoffTooSmallError) as built:
+        basis(g, max_r, max_w)
+    assert str(counted.value) == str(built.value) == message
+
+
+LATTICES = [
+    CharacterLattice(free_rank=1, torsion=(2,)),
+    CharacterLattice(free_rank=0, torsion=(3,)),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_slot_dims_match_the_built_basis_on_random_alphabets(data):
+    lattice = data.draw(st.sampled_from(LATTICES))
+    letters = data.draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, 3),
+                st.tuples(*[st.integers(-2, 3) for _ in range(lattice.length)]),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    g = GeneratorSet(
+        tuple(Generator(f"g{i}", r, c) for i, (r, c) in enumerate(letters)),
+        lattice=lattice,
+    )
+    max_r = data.draw(st.integers(0, 8))
+    max_w = data.draw(st.integers(1, 5))
+    assert slot_dims(g, max_r, max_w) == built_dims(g, max_r, max_w)

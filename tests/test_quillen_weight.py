@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from formalpi.errors import (
     CutoffExceededError,
     CutoffTooSmallError,
+    DSquaredNonzeroError,
     NotCompleteError,
     OutOfRangeError,
 )
@@ -218,3 +220,21 @@ def test_hurewicz_trivial_and_errors(models):
         hurewicz_rank(models("torus", 3, 4), 2)
     with pytest.raises(OutOfRangeError):
         hurewicz_rank(models("s2"), 1)
+
+
+def test_build_model_reports_the_first_column_where_d_squared_fails(corpus, monkeypatch):
+    import formalpi.quillen_weight as qw
+
+    real = qw.dualize
+
+    def skewed(p):
+        # tripling one coproduct term of x4 breaks coassociativity, so d^2 != 0
+        cop = real(p)
+        (a, b, c), *rest = cop.terms["x4"]
+        return replace(cop, terms={**cop.terms, "x4": ((a, b, 3 * c), *rest)})
+
+    monkeypatch.setattr(qw, "dualize", skewed)
+    with pytest.raises(DSquaredNonzeroError) as err:
+        build_model(corpus["rand_formal_1"], 6, 5)
+    assert str(err.value) == "d squared is nonzero on w7 at slot (r=6, w=1)"
+    assert err.value.witness == "w7"
