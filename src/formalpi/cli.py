@@ -37,6 +37,7 @@ from .errors import (
     FormalpiError,
     InvalidInputError,
     NotCompleteError,
+    OutOfRangeError,
 )
 from .graded_core import (
     AlgebraPresentation,
@@ -308,6 +309,10 @@ def _cmd_ss(pres, args, report: RunReport):
     from .quillen_weight import build_model
     from .ss_engine import check_degeneration, filtered_from_model, page
 
+    # refuse before the model is built, after an invalid input is reported
+    if args.page < 1:
+        require_valid(pres)
+        raise OutOfRangeError("pages start at r = 1")
     model = build_model(pres, args.max_degree, args.max_weight)
     fc = filtered_from_model(model)
     pg = page(fc, args.page)

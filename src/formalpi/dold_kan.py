@@ -284,13 +284,10 @@ def normalize(v: CosimplicialVS) -> CochainComplex:
     for n in range(m):
         cols = {}
         total = combine(v.dim(n + 1), v.dim(n), [((-1) ** i, v.coface(n, i)) for i in range(n + 2)])
-        span = [list(vec) for vec in bases[n + 1].vectors]
-        for j, vec in enumerate(bases[n].vectors):
-            image = total.apply(vec)
-            coords = coordinates_in_span(span, image, v.dim(n + 1))
-            for i, val in enumerate(coords):
-                if val:
-                    cols[(i, j)] = val
+        span = bases[n + 1].monic_rows()
+        for j, vec in enumerate(bases[n].monic_rows()):
+            for i, val in coordinates_in_span(span, total.matvec(vec)).items():
+                cols[(i, j)] = val
         diffs.append(RationalMatrix(dims[n + 1], dims[n], cols))
     return CochainComplex(dims, tuple(diffs))
 
@@ -600,19 +597,19 @@ def random_cochain_complex(rng, max_degree: int = 4, max_dim: int = 4) -> Cochai
             matching[i][(t, s)] = Fraction(rng.choice([1, -1, 2, -2, 3]), rng.choice([1, 2]))
 
     def unipotent(k):
-        m = [list(_unit(a, k)) for a in range(k)]
+        entries = {(a, a): Fraction(1) for a in range(k)}
         for a in range(k):
             for b in range(a + 1, k):
                 if rng.random() < 0.4:
-                    m[a][b] = Fraction(rng.choice([1, -1, 2]), rng.choice([1, 2]))
-        return m
+                    entries[(a, b)] = Fraction(rng.choice([1, -1, 2]), rng.choice([1, 2]))
+        return RationalMatrix(k, k, entries)
 
     basis_change = [unipotent(k) for k in dims]
     diffs = []
     for i in range(n_deg - 1):
-        p, k = basis_change[i], dims[i]
+        p, k = basis_change[i].row_dicts(), dims[i]
         # row j of P^-1 solves c P = e_j
-        p_inv = RationalMatrix.from_rows([coordinates_in_span(p, _unit(j, k), k) for j in range(k)])
+        p_inv = {(j, t): c for j in range(k) for t, c in coordinates_in_span(p, {j: 1}).items()}
         d = RationalMatrix(dims[i + 1], k, matching[i])
-        diffs.append(RationalMatrix.from_rows(basis_change[i + 1]).matmul(d).matmul(p_inv))
+        diffs.append(basis_change[i + 1].matmul(d).matmul(RationalMatrix(k, k, p_inv)))
     return CochainComplex(tuple(dims), tuple(diffs))

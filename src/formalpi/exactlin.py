@@ -4,13 +4,14 @@ Everything downstream (Lie model differentials, spectral sequence pages,
 minimal model cohomology) reduces to ranks, kernels and quotient dimensions
 of matrices with Fraction entries.  Floating point is never used.
 
-Every elimination runs through one sparse incremental echelon, _Echelon:
-primitive integer rows keyed by their leading (pivot) column.  A new vector
-is reduced left to right, only against the rows whose pivot column it
-touches, and either vanishes or becomes one more row.  Rank is the number of
-rows, and back-substitution gives the reduced row echelon form.  The RREF of
-a row space is unique, so every result is canonical: independent of row
-order and of the order in which entries were inserted.
+Vectors are sparse dicts from column to a nonzero int or Fraction.  Every
+elimination runs through one incremental echelon, _Echelon: primitive
+integer rows keyed by their leading (pivot) column.  A new vector is reduced
+left to right, only against the rows whose pivot column it touches, and
+either vanishes or becomes one more row.  A SubspaceBasis is the canonical
+form of such an echelon, reduced, with coprime integer rows and positive
+pivots, so equal spans give equal objects.  Dense vectors appear only in its
+read-only view ``vectors`` and in RationalMatrix.apply.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from math import gcd, lcm
 from .errors import CompositionNonzeroError
 
 Entry = tuple[int, int]
+Rows = dict[int, dict[int, int]]
 
 
 ZERO = Fraction(0)
@@ -90,12 +92,6 @@ class RationalMatrix:
     def identity(cls, n: int) -> "RationalMatrix":
         return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
 
-    def to_rows(self) -> list[list[Fraction]]:
-        out = [[Fraction(0)] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            out[i][j] = v
-        return out
-
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix._canonical(
             self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
@@ -104,18 +100,13 @@ class RationalMatrix:
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        by_row: dict[int, list[tuple[int, Fraction]]] = {}
-        for (k, j), v in other.entries.items():
-            by_row.setdefault(k, []).append((j, v))
-        acc: dict[Entry, Fraction] = {}
-        for (i, k), a in self.entries.items():
-            for j, b in by_row.get(k, ()):
-                key = (i, j)
-                acc[key] = acc.get(key, ZERO) + a * b
-        return RationalMatrix._canonical(self.rows, other.cols, {k: v for k, v in acc.items() if v})
+        entries = {
+            (i, j): x for j, col in other._columns.items() for i, x in self.matvec(col).items()
+        }
+        return RationalMatrix._canonical(self.rows, other.cols, entries)
 
     def apply(self, vec: tuple) -> tuple[Fraction, ...]:
-        """Matrix times column vector."""
+        """Matrix times a dense column vector."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
         out = [Fraction(0)] * self.rows
@@ -123,6 +114,23 @@ class RationalMatrix:
             if vec[j]:
                 out[i] += v * _frac(vec[j])
         return tuple(out)
+
+    @cached_property
+    def _columns(self) -> dict[int, dict[int, Fraction]]:
+        """The nonzero columns, as sparse vectors."""
+        cols: dict[int, dict[int, Fraction]] = {}
+        for (i, j), v in self.entries.items():
+            cols.setdefault(j, {})[i] = v
+        return cols
+
+    def matvec(self, vec: dict) -> dict[int, Fraction]:
+        """Matrix times a sparse column vector, as a sparse vector."""
+        out: dict[int, Fraction] = {}
+        columns = self._columns
+        for j, x in vec.items():
+            for i, v in columns.get(j, {}).items():
+                out[i] = out.get(i, ZERO) + v * x
+        return {i: y for i, y in out.items() if y}
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -146,13 +154,19 @@ def combine(rows: int, cols: int, terms) -> RationalMatrix:
     return RationalMatrix._canonical(rows, cols, {k: v for k, v in acc.items() if v})
 
 
-def _sparse(vec) -> dict:
-    """Nonzero entries of a dense vector, as exact ints or Fractions."""
+def _sparse(vec, n: int) -> dict:
+    """vec as a sparse vector of Q^n; vec is a dict or a dense sequence of length n."""
+    if isinstance(vec, dict):
+        if vec and not (0 <= min(vec) and max(vec) < n):
+            raise ValueError("vector index outside the ambient dimension")
+        return {j: x for j, x in vec.items() if x}
+    if len(vec) != n:
+        raise ValueError("vector length != ambient dimension")
     return {j: x if isinstance(x, (int, Fraction)) else Fraction(x) for j, x in enumerate(vec) if x}
 
 
 def _primitive(vec: dict) -> dict[int, int]:
-    """A nonzero multiple of vec (ints or Fractions) with coprime integer entries."""
+    """A new nonzero multiple of vec (ints or Fractions) with coprime integer entries."""
     den = lcm(*(x.denominator for x in vec.values()))
     return _divide_content({j: x.numerator * (den // x.denominator) for j, x in vec.items()})
 
@@ -160,6 +174,11 @@ def _primitive(vec: dict) -> dict[int, int]:
 def _divide_content(vec: dict[int, int]) -> dict[int, int]:
     g = gcd(*vec.values())  # 0 for the empty vector
     return {j: x // g for j, x in vec.items()} if g > 1 else vec
+
+
+def _monic(p: int, row: dict[int, int]) -> dict[int, Fraction]:
+    """row scaled to entry 1 in its pivot column p."""
+    return {j: Fraction(x, row[p]) for j, x in row.items()}
 
 
 def _eliminate(vec: dict[int, int], row: dict[int, int], col: int) -> dict[int, int]:
@@ -184,43 +203,49 @@ def _eliminate(vec: dict[int, int], row: dict[int, int], col: int) -> dict[int, 
     return _divide_content(vec) if a != 1 else vec
 
 
+def _reduce(rows: Rows, vec: dict[int, int]) -> dict[int, int]:
+    """Eliminates leading pivots of rows from vec (its own); {} iff vec is in their span."""
+    while vec:
+        lead = min(vec)
+        row = rows.get(lead)
+        if row is None:
+            break
+        vec = _eliminate(vec, row, lead)
+    return vec
+
+
 class _Echelon:
     """Primitive integer rows keyed by pivot column, each row's leading column."""
 
     __slots__ = ("rows",)
 
-    def __init__(self, vectors=(), rows: dict[int, dict[int, int]] | None = None):
+    def __init__(self, vectors=(), rows: Rows | None = None):
         self.rows = dict(rows) if rows else {}
         for v in vectors:
             self.insert(v)
 
-    def reduce(self, vec: dict[int, int]) -> dict[int, int]:
-        """Eliminates leading pivots from vec (its own); {} iff vec is in the span."""
-        while vec:
-            lead = min(vec)
-            row = self.rows.get(lead)
-            if row is None:
-                break
-            vec = _eliminate(vec, row, lead)
-        return vec
-
     def insert(self, vec: dict) -> bool:
         """Adds vec (ints or Fractions); False when it already lies in the span."""
-        vec = self.reduce(_primitive(vec))
+        vec = _reduce(self.rows, _primitive(vec))
         if vec:
             self.rows[min(vec)] = _divide_content(vec)
         return bool(vec)
 
-    def rref(self) -> tuple[list[int], list[dict[int, Fraction]]]:
-        """Ascending pivot columns and the canonical RREF rows."""
-        pivots = sorted(self.rows)
-        done: dict[int, dict[int, int]] = {}
-        for p in reversed(pivots):
-            row = dict(self.rows[p])
-            for q in [c for c in row if c in done]:
-                row = _eliminate(row, done[q], q)
+    def rref(self) -> Rows:
+        """The canonical form of the span: SubspaceBasis.rows."""
+        done: Rows = {}
+        for p in sorted(self.rows, reverse=True):
+            row = self.rows[p]
+            hits = [q for q in row if q in done]
+            if hits:
+                row = dict(row)
+                for q in hits:
+                    row = _eliminate(row, done[q], q)
+                row = _divide_content(row)
+            if row[p] < 0:
+                row = {j: -x for j, x in row.items()}
             done[p] = row
-        return pivots, [{j: Fraction(x, done[p][p]) for j, x in done[p].items()} for p in pivots]
+        return dict(reversed(done.items()))
 
 
 def rank(m: RationalMatrix) -> int:
@@ -229,76 +254,69 @@ def rank(m: RationalMatrix) -> int:
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """A subspace of Q^n, stored as the reduced row echelon basis.
+    """A subspace of Q^n, stored as its canonical echelon.
 
-    The RREF form is a canonical representative: two constructions of the
-    same subspace yield equal objects.  An echelon of the same span rides
-    along, outside comparison, for membership tests and extensions.
+    rows maps each pivot column, in ascending order, to its reduced row
+    echelon row, scaled to coprime integers with a positive pivot.  That form
+    is unique, so two constructions of the same subspace yield equal
+    objects.  Rows are shared between subspaces and never modified.
     """
 
     ambient_dim: int
-    vectors: tuple[tuple[Fraction, ...], ...]
-
-    def __post_init__(self):
-        for v in self.vectors:
-            if len(v) != self.ambient_dim:
-                raise ValueError("vector length != ambient dimension")
+    rows: Rows
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim: int) -> "SubspaceBasis":
-        if any(len(v) != ambient_dim for v in vectors):
-            raise ValueError("vector length != ambient dimension")
-        return cls._from_echelon(_Echelon(_sparse(v) for v in vectors), ambient_dim)
-
-    @classmethod
-    def _from_echelon(cls, ech: _Echelon, ambient_dim: int) -> "SubspaceBasis":
-        vectors = []
-        for r in ech.rref()[1]:
-            v = [ZERO] * ambient_dim
-            for j, x in r.items():
-                v[j] = x
-            vectors.append(tuple(v))
-        out = cls(ambient_dim, tuple(vectors))
-        out.__dict__["_echelon"] = ech
-        return out
-
-    @cached_property
-    def _echelon(self) -> _Echelon:
-        return _Echelon(_sparse(v) for v in self.vectors)
+        """The span of vectors, each a sparse dict or a dense sequence."""
+        return cls(ambient_dim, _Echelon(_sparse(v, ambient_dim) for v in vectors).rref())
 
     @classmethod
     def full(cls, n: int) -> "SubspaceBasis":
-        vecs = tuple(
-            tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n)
-        )
-        return cls(n, vecs)
+        return cls(n, {i: {i: 1} for i in range(n)})
 
     @classmethod
     def zero(cls, n: int) -> "SubspaceBasis":
-        return cls(n, ())
+        return cls(n, {})
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return len(self.rows)
+
+    def monic_rows(self) -> list[dict[int, Fraction]]:
+        """The canonical basis as sparse rows with pivot entry 1."""
+        return [_monic(p, r) for p, r in self.rows.items()]
+
+    @property
+    def vectors(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Dense view of monic_rows, for printing and tests."""
+        n = self.ambient_dim
+        return tuple(tuple(r.get(j, ZERO) for j in range(n)) for r in self.monic_rows())
 
     def contains(self, vec) -> bool:
-        if len(vec) != self.ambient_dim:
-            raise ValueError("vector length != ambient dimension")
-        return not self._echelon.reduce(_primitive(_sparse(vec)))
+        """Membership of vec, a sparse dict or a dense sequence."""
+        return not _reduce(self.rows, _primitive(_sparse(vec, self.ambient_dim)))
 
     def contains_subspace(self, other: "SubspaceBasis") -> bool:
-        return all(self.contains(v) for v in other.vectors)
+        return all(self.contains(r) for r in other.rows.values())
+
+
+def _null_vectors(n: int, rows: Rows) -> list[dict]:
+    """A basis of {x in Q^n : r . x = 0 for every r in rows}, rows in RREF.
+
+    Free column f gives x_f = 1 and x_p = -r[f] / r[p] at each pivot p.
+    """
+    vecs = {f: {f: 1} for f in range(n) if f not in rows}
+    for p, r in rows.items():
+        for f, x in r.items():
+            if f != p:
+                vecs[f][p] = Fraction(-x, r[p])
+    return list(vecs.values())
 
 
 def kernel_basis(m: RationalMatrix) -> SubspaceBasis:
-    """Right null space {x : m x = 0}, canonical RREF basis."""
-    pivots, rows = _Echelon(m.row_dicts()).rref()
-    ech = _Echelon()
-    for f in sorted(set(range(m.cols)).difference(pivots)):
-        vec = {p: -r[f] for p, r in zip(pivots, rows) if f in r}
-        vec[f] = 1
-        ech.insert(vec)
-    return SubspaceBasis._from_echelon(ech, m.cols)
+    """Right null space {x : m x = 0}."""
+    row_space = _Echelon(m.row_dicts()).rref()
+    return SubspaceBasis(m.cols, _Echelon(_null_vectors(m.cols, row_space)).rref())
 
 
 def homology_dim(d_in: RationalMatrix, d_out: RationalMatrix) -> int:
@@ -322,10 +340,8 @@ def homology_dim(d_in: RationalMatrix, d_out: RationalMatrix) -> int:
 def subspace_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     if a.ambient_dim != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    ech = _Echelon(rows=a._echelon.rows)
-    for v in b.vectors:
-        ech.insert(_sparse(v))
-    return SubspaceBasis._from_echelon(ech, a.ambient_dim)
+    ech = _Echelon(b.rows.values(), rows=a.rows)
+    return SubspaceBasis(a.ambient_dim, ech.rref())
 
 
 def subspace_intersection(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
@@ -337,60 +353,52 @@ def subspace_intersection(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
     n = a.ambient_dim
     if n != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    ech = _Echelon()
-    for u in a.vectors:
-        left = _sparse(u)
-        ech.insert(left | {n + j: x for j, x in left.items()})
-    for v in b.vectors:
-        ech.insert(_sparse(v))
+    doubled = {p: u | {n + j: x for j, x in u.items()} for p, u in a.rows.items()}
+    ech = _Echelon(b.rows.values(), rows=doubled)
     meet = {p - n: {j - n: x for j, x in row.items()} for p, row in ech.rows.items() if p >= n}
-    return SubspaceBasis._from_echelon(_Echelon(rows=meet), n)
+    return SubspaceBasis(n, _Echelon(rows=meet).rref())
 
 
 def image_subspace(m: RationalMatrix, s: SubspaceBasis) -> SubspaceBasis:
     """{m x : x in s} inside Q^rows."""
     if m.cols != s.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return SubspaceBasis.from_vectors([m.apply(v) for v in s.vectors], m.rows)
+    return SubspaceBasis(m.rows, _Echelon(m.matvec(r) for r in s.rows.values()).rref())
 
 
 def preimage_subspace(m: RationalMatrix, s: SubspaceBasis) -> SubspaceBasis:
     """{x : m x in s} inside Q^cols: every functional vanishing on s kills m x."""
     if m.rows != s.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    ann = kernel_basis(_matrix(s.vectors, m.rows))
-    return kernel_basis(_matrix(ann.vectors, m.rows).matmul(m))
+    ann = _null_vectors(m.rows, s.rows)
+    entries = {(i, j): _frac(x) for i, row in enumerate(ann) for j, x in row.items()}
+    return kernel_basis(RationalMatrix._canonical(len(ann), m.rows, entries).matmul(m))
 
 
-def _matrix(rows, cols: int) -> RationalMatrix:
-    entries = {(i, j): x for i, row in enumerate(rows) for j, x in enumerate(row) if x}
-    return RationalMatrix(len(rows), cols, entries)
-
-
-def coordinates_in_span(rows: list[tuple], vec, ambient_dim: int) -> tuple[Fraction, ...]:
-    """Solve vec = sum c_i rows[i]; raises ValueError when vec is outside.
+def coordinates_in_span(rows: list[dict], vec: dict) -> dict[int, Fraction]:
+    """The nonzero c_i with vec = sum c_i rows[i]; ValueError when vec is outside.
 
     The RREF of the augmented system [rows^T | vec] fixes the answer; with
     dependent rows the coefficients of non-pivot rows are 0.
     """
     k = len(rows)
-    columns = list(rows) + [vec]
-    pivots, rref_rows = _Echelon(_sparse([c[j] for c in columns]) for j in range(ambient_dim)).rref()
-    if k in pivots:
+    equations: dict[int, dict] = {}
+    for i, row in enumerate([*rows, vec]):
+        for j, x in row.items():
+            equations.setdefault(j, {})[i] = x
+    solved = _Echelon(equations.values()).rref()
+    if k in solved:
         raise ValueError("vector not in span")
-    coords = [ZERO] * k
-    for p, r in zip(pivots, rref_rows):
-        coords[p] = r.get(k, ZERO)
-    return tuple(coords)
+    return {p: Fraction(r[k], r[p]) for p, r in solved.items() if k in r}
 
 
-def extend_to_complement(sub: SubspaceBasis, space: SubspaceBasis) -> list[tuple]:
-    """Vectors from space's basis extending sub to span space (greedy, stable).
+def extend_to_complement(sub: SubspaceBasis, space: SubspaceBasis) -> list[dict[int, Fraction]]:
+    """Monic basis rows of space extending sub to span space (greedy, stable).
 
-    Each basis vector of space is kept exactly when it is independent of sub
-    and of the vectors kept before it, in basis order.
+    Each basis row of space is kept exactly when it is independent of sub
+    and of the rows kept before it, in pivot order.
     """
     if sub.ambient_dim != space.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    ech = _Echelon(rows=sub._echelon.rows)
-    return [v for v in space.vectors if ech.insert(_sparse(v))]
+    ech = _Echelon(rows=sub.rows)
+    return [_monic(p, r) for p, r in space.rows.items() if ech.insert(r)]

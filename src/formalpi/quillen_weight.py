@@ -267,11 +267,7 @@ def hurewicz_rank(model: FormalLieModel, m: int) -> tuple[int, SubspaceBasis]:
     r = m - 1
     for char in model.basis.characters_at(r, 1):
         slot = model.basis.slot(r, 1, char)
-        kern = kernel_basis(model.slot_matrix(r, 1, char))
-        for kv in kern.vectors:
-            amb = [Fraction(0)] * len(ambient_ids)
-            for pos, c in enumerate(kv):
-                amb[ambient_index[slot[pos].gen]] = c
-            vectors.append(tuple(amb))
+        for row in kernel_basis(model.slot_matrix(r, 1, char)).rows.values():
+            vectors.append({ambient_index[slot[pos].gen]: c for pos, c in row.items()})
     image = SubspaceBasis.from_vectors(vectors, len(ambient_ids))
     return image.dim, image

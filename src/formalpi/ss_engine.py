@@ -24,7 +24,6 @@ block of reduced degree n at p = w, q = w + n.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import InvalidInputError, OutOfRangeError
 from .exactlin import (
@@ -32,6 +31,7 @@ from .exactlin import (
     SubspaceBasis,
     coordinates_in_span,
     extend_to_complement,
+    image_subspace,
     preimage_subspace,
     subspace_intersection,
     subspace_sum,
@@ -132,10 +132,9 @@ class FilteredComplex:
         for n in self.dims:
             dmat = self.d(n)
             for s in range(1, len(self.filtration[n])):
-                sub = self.level(n, s)
                 tgt = self.level(n - 1, s)
-                for v in sub.vectors:
-                    if not tgt.contains(dmat.apply(v)):
+                for row in self.level(n, s).rows.values():
+                    if not tgt.contains(dmat.matvec(row)):
                         raise InvalidInputError(
                             f"differential does not preserve F^{s} at degree {n}"
                         )
@@ -202,37 +201,32 @@ def _compute_page(fc: FilteredComplex, r: int) -> SpectralSequencePage:
             # boundary sources sit r-1 stages up; below stage 0 the source
             # clamps to the whole space while the landing condition stays F^s
             src = _approx(fc, max(s - r + 1, 0), s, n + 1)
-            dmat = fc.d(n + 1)
-            boundary = SubspaceBasis.from_vectors(
-                [dmat.apply(v) for v in src.vectors], fc.dim(n)
-            )
-            denom = subspace_sum(d1, boundary)
-            rep_vectors = extend_to_complement(denom, z)
-            if not rep_vectors:
+            denom = subspace_sum(d1, image_subspace(fc.d(n + 1), src))
+            rep_rows = extend_to_complement(denom, z)
+            if not rep_rows:
                 continue
             slot = (s, n)
             denominators[slot] = denom
-            reps[slot] = rep_vectors
+            reps[slot] = rep_rows
 
     dims = {_publish(s, n): len(v) for (s, n), v in reps.items()}
     diffs: dict[Slot, RationalMatrix] = {}
-    for (s, n), vectors in reps.items():
+    for (s, n), rows in reps.items():
         tgt = (s + r, n - 1)
         tgt_reps = reps.get(tgt, [])
         tgt_denom = denominators.get(tgt)
         if tgt_denom is None:
             # target slot is zero; record the zero map out of this slot
-            diffs[_publish(s, n)] = RationalMatrix.zero(0, len(vectors))
+            diffs[_publish(s, n)] = RationalMatrix.zero(0, len(rows))
             continue
-        span_rows = list(tgt_reps) + list(tgt_denom.vectors)
+        span_rows = [*tgt_reps, *tgt_denom.rows.values()]
         entries = {}
         dmat = fc.d(n)
-        for j, v in enumerate(vectors):
-            coords = coordinates_in_span(span_rows, dmat.apply(v), fc.dim(n - 1))
-            for i in range(len(tgt_reps)):
-                if coords[i]:
-                    entries[(i, j)] = coords[i]
-        diffs[_publish(s, n)] = RationalMatrix(len(tgt_reps), len(vectors), entries)
+        for j, v in enumerate(rows):
+            for i, c in coordinates_in_span(span_rows, dmat.matvec(v)).items():
+                if i < len(tgt_reps):
+                    entries[(i, j)] = c
+        diffs[_publish(s, n)] = RationalMatrix(len(tgt_reps), len(rows), entries)
     return SpectralSequencePage(r, dims, diffs)
 
 
@@ -317,19 +311,14 @@ def filtered_from_model(model) -> FilteredComplex:
                 entries[(tgt_off + i, col_off + j)] = val
         differentials[n] = RationalMatrix(dims[n - 1], dims[n], entries)
 
+    # blocks run in weight order, so F^p is spanned by the unit rows of a
+    # final run of coordinates: those from the first block of weight > p
     filtration: dict[int, tuple[SubspaceBasis, ...]] = {}
     for n, blocks in layout.items():
         levels = []
         for p in range(0, w_top + 1):
-            vecs = []
-            for w, char, k in blocks:
-                if w > p:
-                    off = offsets[(n, w, char)]
-                    for i in range(k):
-                        vec = [Fraction(0)] * dims[n]
-                        vec[off + i] = Fraction(1)
-                        vecs.append(tuple(vec))
-            levels.append(SubspaceBasis.from_vectors(vecs, dims[n]))
+            start = next((offsets[(n, w, char)] for w, char, _ in blocks if w > p), dims[n])
+            levels.append(SubspaceBasis(dims[n], {i: {i: 1} for i in range(start, dims[n])}))
         filtration[n] = tuple(levels)
 
     return FilteredComplex(dims, differentials, filtration)

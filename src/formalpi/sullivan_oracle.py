@@ -25,6 +25,7 @@ from .exactlin import (
     RationalMatrix,
     SubspaceBasis,
     extend_to_complement,
+    image_subspace,
     kernel_basis,
 )
 from .graded_core import AlgebraPresentation, is_simply_connected_type, require_valid
@@ -175,13 +176,10 @@ class _Truncation:
                 entries[(pos[ident], j)] = c
         return RationalMatrix(len(ids), self.dim(n), entries)
 
-    def cohomology_reps(self, n: int) -> list[tuple]:
-        """Echelon representatives of H^n, first-in-basis-order choices."""
-        cocycles = kernel_basis(self.d_matrix(n))
-        boundaries = SubspaceBasis.from_vectors(
-            self.d_matrix(n - 1).transpose().to_rows() if n >= 1 else [], self.dim(n)
-        )
-        return extend_to_complement(boundaries, cocycles)
+    def cohomology_reps(self, n: int) -> list[dict[int, Fraction]]:
+        """Monic echelon rows representing H^n (n >= 1), first-in-basis-order choices."""
+        boundaries = image_subspace(self.d_matrix(n - 1), SubspaceBasis.full(self.dim(n - 1)))
+        return extend_to_complement(boundaries, kernel_basis(self.d_matrix(n)))
 
 
 def minimal_model(p: AlgebraPresentation, cutoff: int) -> MinimalModel:
@@ -199,7 +197,7 @@ def minimal_model(p: AlgebraPresentation, cutoff: int) -> MinimalModel:
         # surject onto the target in degree n
         tr = _Truncation(p, tuple(gens), n + 2)
         comparison = tr.comparison_matrix(n)
-        images = [comparison.apply(r) for r in tr.cohomology_reps(n)]
+        images = [comparison.matvec(r) for r in tr.cohomology_reps(n)]
         ids = tr.target_ids(n)
         hit = SubspaceBasis.from_vectors(images, len(ids))
         for vec in extend_to_complement(hit, SubspaceBasis.full(len(ids))):
@@ -208,21 +206,22 @@ def minimal_model(p: AlgebraPresentation, cutoff: int) -> MinimalModel:
                     name=f"v{n}_{sum(1 for g in gens if g.degree == n)}",
                     degree=n,
                     differential=(),
-                    image=tuple((ids[t], c) for t, c in enumerate(vec) if c),
+                    image=tuple((ids[t], c) for t, c in sorted(vec.items())),
                 )
             )
         # kill the kernel of the comparison one degree up
         tr = _Truncation(p, tuple(gens), n + 2)
         reps = tr.cohomology_reps(n + 1)
         if reps:
-            r = RationalMatrix.from_rows(reps).transpose()  # representatives as columns
-            for lam in kernel_basis(tr.comparison_matrix(n + 1).matmul(r)).vectors:
-                cocycle = zip(tr.monomials[n + 1], r.apply(lam))  # in sorted monomial order
+            columns = {(j, i): x for i, rep in enumerate(reps) for j, x in rep.items()}
+            r = RationalMatrix(tr.dim(n + 1), len(reps), columns)  # representatives as columns
+            for lam in kernel_basis(tr.comparison_matrix(n + 1).matmul(r)).monic_rows():
+                cocycle = sorted(r.matvec(lam).items())  # in sorted monomial order
                 gens.append(
                     ModelGenerator(
                         name=f"v{n}_{sum(1 for g in gens if g.degree == n)}",
                         degree=n,
-                        differential=tuple((mono, c) for mono, c in cocycle if c),
+                        differential=tuple((tr.monomials[n + 1][i], c) for i, c in cocycle),
                         image=(),
                     )
                 )
@@ -254,7 +253,7 @@ def model_violations(mm: MinimalModel) -> list[str]:
     for n in range(2, cutoff + 2):
         reps = tr.cohomology_reps(n)
         comparison = tr.comparison_matrix(n)
-        images = [comparison.apply(r) for r in reps]
+        images = [comparison.matvec(r) for r in reps]
         rank = SubspaceBasis.from_vectors(images, tr.target_dim(n)).dim
         if rank != len(reps):
             bad.append(f"comparison map is not injective on H^{n}")

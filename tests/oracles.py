@@ -57,6 +57,26 @@ def dense_inverse(rows):
     return [row[n:] for row in aug]
 
 
+def dense_rows(m):
+    """The rows of a RationalMatrix as dense lists of Fractions."""
+    return [[m.entries.get((i, j), Fraction(0)) for j in range(m.cols)] for i in range(m.rows)]
+
+
+def gauss_jordan_rref(rows, n):
+    """Nonzero rows of the reduced row echelon form, pivot entries 1, as tuples."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    done = []
+    for col in range(n):
+        piv = next((row for row in rows if row[col] != 0), None)
+        if piv is None:
+            continue
+        rows.remove(piv)
+        piv = [x / piv[col] for x in piv]
+        rows = [[a - row[col] * b for a, b in zip(row, piv)] for row in rows]
+        done = [[a - row[col] * b for a, b in zip(row, piv)] for row in done] + [piv]
+    return [tuple(row) for row in done]
+
+
 def mobius(n):
     if n == 1:
         return 1

@@ -38,7 +38,7 @@ from formalpi.ss_engine import check_degeneration, filtered_from_model, page
 from formalpi.sullivan_oracle import compare, minimal_model
 
 from conftest import ALL_CORPUS, CHARACTER_CORPUS, SIMPLY_CONNECTED
-from oracles import brute_lie_slot_rank, divisors, gauss_rank, mobius
+from oracles import brute_lie_slot_rank, dense_rows, divisors, gauss_rank, mobius
 from test_quillen_weight import derivation_samples
 from test_ss_engine import assert_ss_invariants, random_filtered_complex
 
@@ -314,10 +314,10 @@ def character_sumsets(model, max_w):
 def naive_slot_homology(model, r, w, char):
     b = model.basis
     d_out = model.slot_matrix(r, w, char)
-    rank_out = gauss_rank(d_out.to_rows())
+    rank_out = gauss_rank(dense_rows(d_out))
     rank_in = 0
     if w >= 2:
-        rank_in = gauss_rank(model.slot_matrix(r + 1, w - 1, char).to_rows())
+        rank_in = gauss_rank(dense_rows(model.slot_matrix(r + 1, w - 1, char)))
     return b.slot_dim(r, w, char) - rank_out - rank_in
 
 

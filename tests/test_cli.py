@@ -89,6 +89,23 @@ def torus_doc(k):
     return {"name": f"T{k}", "basis": basis, "unit": "e", "products": products}
 
 
+def sphere_power_doc(k):
+    """(S^2)^k: x0..x(k-1) in degree 2 with xi^2 = 0; all degrees even, so no signs."""
+    subsets = [s for n in range(k + 1) for s in combinations(range(k), n)]
+
+    def ident(s):
+        return ".".join(f"x{i}" for i in sorted(s)) or "e"
+
+    products = [
+        {"left": ident(s), "right": ident(t), "result": [{"id": ident(s + t), "coeff": "1"}]}
+        for i, s in enumerate(subsets[1:], 1)
+        for t in subsets[i:]
+        if not set(s) & set(t)
+    ]
+    basis = [{"id": ident(s), "degree": 2 * len(s)} for s in subsets]
+    return {"name": f"S2^{k}", "basis": basis, "unit": "e", "products": products}
+
+
 def wedge_of_circles_doc(k):
     basis = [{"id": "e", "degree": 0}] + [{"id": f"x{i}", "degree": 1} for i in range(k)]
     return {"name": f"wedge{k}", "basis": basis, "unit": "e", "products": []}
@@ -124,6 +141,35 @@ def test_ss_cp2_page_two_with_degeneration():
         "2\t6\t1\n"
         "degenerate from page 2: true\n"
     )
+
+
+def test_ss_of_four_spheres_is_pi2_and_pi3_and_degenerates(tmp_path):
+    # (S^2)^4 is formal with pi_2 = Q^4 in weight 1 and pi_3 = Q^4 in weight 2
+    # (the Whitehead products of each factor with itself) and nothing else
+    path = tmp_path / "s2_4.json"
+    path.write_text(json.dumps(sphere_power_doc(4)))
+    argv = ["ss", str(path), "--max-degree", "5", "--max-weight", "4", "--check-degeneration"]
+    status, text = invoke(argv)
+    assert status == 0
+    assert text == "p\tq\tdim\n1\t2\t4\n2\t4\t4\ndegenerate from page 2: true\n"
+
+
+def test_ss_refuses_page_zero_before_building(monkeypatch, capsys):
+    def no_build(*args, **kwargs):
+        raise AssertionError("Lie basis built for a page that does not exist")
+
+    monkeypatch.setattr("formalpi.quillen_weight.FreeLieBasis", no_build)
+    status, text = invoke(["ss", str(corpus_path("cp2")), "--page", "0"])
+    assert status == 1 and text == ""
+    assert capsys.readouterr().err == "error [OUT_OF_RANGE]: pages start at r = 1\n"
+
+
+def test_ss_reports_invalid_input_ahead_of_page_zero(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(INVALID_DEGREE_TWO))
+    status, text = invoke(["ss", str(bad), "--page", "0"])
+    assert status == 1
+    assert "DEGREE_MISMATCH" in text
 
 
 def test_truncated_banner_on_non_simply_connected():

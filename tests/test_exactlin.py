@@ -23,6 +23,8 @@ from formalpi.exactlin import (
     subspace_sum,
 )
 
+from oracles import dense_rows, gauss_jordan_rref
+
 
 # --- independent oracles -----------------------------------------------------
 # Plain dense Gaussian elimination over Fractions with first-nonzero
@@ -192,7 +194,7 @@ def test_homology_matches_independent_row_reduction():
     d_in = RationalMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
     d_out = RationalMatrix.from_rows([[1, 1, -1], [2, 2, -2]])
     assert d_out.matmul(d_in).is_zero()
-    expected = (3 - gauss_rank(d_out.to_rows())) - gauss_rank(d_in.to_rows())
+    expected = (3 - gauss_rank(dense_rows(d_out))) - gauss_rank(dense_rows(d_in))
     assert homology_dim(d_in, d_out) == expected == 0
 
 
@@ -236,17 +238,25 @@ def test_preimage_and_image():
     assert img == SubspaceBasis.full(2)
 
 
+def _sparse(vec):
+    return {j: x for j, x in enumerate(vec) if x}
+
+
+def _dense(row, n):
+    return tuple(Fraction(row.get(j, 0)) for j in range(n))
+
+
 def test_coordinates_in_span_roundtrip():
     rows = [(1, 0, 2), (0, 1, 1)]
     v = (3, -2, 4)
-    c = coordinates_in_span(rows, v, 3)
+    c = coordinates_in_span([_sparse(r) for r in rows], _sparse(v))
     rebuilt = [Fraction(0)] * 3
-    for coef, row in zip(c, rows):
+    for i, row in enumerate(rows):
         for j, x in enumerate(row):
-            rebuilt[j] += coef * x
+            rebuilt[j] += c.get(i, 0) * x
     assert tuple(rebuilt) == tuple(Fraction(x) for x in v)
     with pytest.raises(ValueError):
-        coordinates_in_span(rows, (0, 0, 1), 3)
+        coordinates_in_span([_sparse(r) for r in rows], _sparse((0, 0, 1)))
 
 
 # --- echelon kernel properties (rational entries, large heights) --------------
@@ -308,7 +318,21 @@ def test_extend_to_complement_is_the_greedy_first_in_order_choice(family, data):
         stacked = list(sub.vectors) + chosen
         if gauss_rank(stacked + [v]) > gauss_rank(stacked):
             chosen.append(v)
-    assert extend_to_complement(sub, space) == chosen
+    assert [_dense(r, n) for r in extend_to_complement(sub, space)] == chosen
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_families(), st.data())
+def test_from_vectors_is_the_canonical_rref(family, data):
+    n, vecs = family
+    span = SubspaceBasis.from_vectors(vecs, n)
+    assert list(span.vectors) == gauss_jordan_rref(vecs, n)
+    scales = data.draw(st.lists(rationals.filter(bool), min_size=len(vecs), max_size=len(vecs)))
+    order = data.draw(st.permutations(range(len(vecs))))
+    rescaled = [tuple(c * x for x in vecs[i]) for c, i in zip(scales, order)]
+    for gens in (vecs, rescaled):
+        assert SubspaceBasis.from_vectors(gens, n) == span
+        assert SubspaceBasis.from_vectors([_sparse(v) for v in gens], n) == span
 
 
 @settings(max_examples=150, deadline=None)

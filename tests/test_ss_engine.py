@@ -17,7 +17,8 @@ from formalpi.ss_engine import (
     page,
 )
 
-from oracles import dense_inverse, gauss_rank
+from conftest import ALL_CORPUS
+from oracles import dense_inverse, dense_rows, gauss_rank
 
 
 def two_step_example():
@@ -110,6 +111,42 @@ def test_model_filtration_shape(cp2_setup):
         assert fc.dim(n) == expected
 
 
+def dense_unit_filtration(model):
+    """F^p per degree, spanned by dense unit vectors of the words of weight > p.
+
+    The coordinates are laid out as in filtered_from_model: per reduced
+    degree, slot blocks in (weight, character) order up to one weight past
+    the window.
+    """
+    b = model.basis
+    w_top = model.max_w + 1
+    layout = {}
+    for r, w, char in b.slot_keys():
+        if w <= w_top:
+            layout.setdefault(r, []).append((w, char, b.slot_dim(r, w, char)))
+    out = {}
+    for n, blocks in layout.items():
+        blocks.sort(key=lambda t: (t[0], t[1]))
+        dim = sum(k for _, _, k in blocks)
+        levels = []
+        for p in range(w_top + 1):
+            vecs, at = [], 0
+            for w, _, k in blocks:
+                for i in range(at, at + k):
+                    if w > p:
+                        vecs.append(tuple(Fraction(1 if j == i else 0) for j in range(dim)))
+                at += k
+            levels.append(SubspaceBasis.from_vectors(vecs, dim))
+        out[n] = tuple(levels)
+    return out
+
+
+@pytest.mark.parametrize("name", ALL_CORPUS)
+def test_model_filtration_equals_dense_unit_vector_construction(corpus, name):
+    model = build_model(corpus[name], 5, 4)
+    assert filtered_from_model(model).filtration == dense_unit_filtration(model)
+
+
 def test_model_e1_is_free_lie_dims(cp2_setup):
     model, fc = cp2_setup
     p1 = page(fc, 1)
@@ -162,8 +199,8 @@ def total_homology_dims(fc):
         c = fc.dim(n)
         if c == 0:
             continue
-        rank_out = gauss_rank(fc.d(n).to_rows()) if fc.dim(n - 1) else 0
-        rank_in = gauss_rank(fc.d(n + 1).to_rows()) if fc.dim(n + 1) else 0
+        rank_out = gauss_rank(dense_rows(fc.d(n))) if fc.dim(n - 1) else 0
+        rank_in = gauss_rank(dense_rows(fc.d(n + 1))) if fc.dim(n + 1) else 0
         h = c - rank_out - rank_in
         if h:
             out[n] = h
