@@ -145,7 +145,7 @@ def structure_matrix(
                 continue
             _, col_off = hit
             for t in range(c.dim(k)):
-                entries[(row_off + t, col_off + t)] = Fraction(1)
+                entries[(row_off + t, col_off + t)] = 1
         elif image == tuple(range(k)):
             hit = src_lookup.get(epi)
             if hit is None:
@@ -154,7 +154,7 @@ def structure_matrix(
             sign = -1 if k % 2 else 1
             for (i, j), val in c.d(k - 1).entries.items():
                 entries[(row_off + i, col_off + j)] = sign * val
-    return RationalMatrix(tgt_dim, src_dim, entries)
+    return RationalMatrix._canonical(tgt_dim, src_dim, entries)
 
 
 def _delta(i: int, n: int) -> tuple[int, ...]:

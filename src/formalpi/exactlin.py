@@ -2,7 +2,13 @@
 
 Everything downstream (Lie model differentials, spectral sequence pages,
 minimal model cohomology) reduces to ranks, kernels and quotient dimensions
-of matrices with Fraction entries.  Floating point is never used.
+of matrices with exact rational entries.  Floating point is never used.
+
+Exact values have one normal form, owned by ``exact``: an int when the value
+is integral and a Fraction otherwise.  Every stored matrix entry is in that
+form, so integral work (unit coefficients, Koszul signs, identity blocks)
+runs on machine-friendly ints and never builds a Fraction.  Equality stays by
+value: ``1 == Fraction(1)`` and their hashes agree.
 
 Vectors are sparse dicts from column to a nonzero int or Fraction.  Every
 elimination runs through one incremental echelon, _Echelon: primitive
@@ -30,39 +36,49 @@ Rows = dict[int, dict[int, int]]
 ZERO = Fraction(0)
 
 
-def _frac(x) -> Fraction:
-    return x if isinstance(x, Fraction) else Fraction(x)
+def exact(x) -> int | Fraction:
+    """x (an int, Fraction, str or other exact number) in normal form.
+
+    An int when x is integral, a reduced Fraction otherwise; never a bool.
+    """
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 @dataclass(frozen=True)
 class RationalMatrix:
     """Sparse matrix over Q.  Only nonzero entries are stored.
 
-    Fractions are canonical by construction (reduced, positive denominator),
-    so equal matrices compare equal as dataclasses.
+    Entries are in the normal form of ``exact``: ints when integral, reduced
+    Fractions otherwise.  Equality is by value, since ``1 == Fraction(1)``
+    with equal hashes, so equal matrices compare equal as dataclasses.
     """
 
     rows: int
     cols: int
-    entries: dict[Entry, Fraction]
+    entries: dict[Entry, int | Fraction]
 
     def __post_init__(self):
         clean = {}
         for (i, j), v in self.entries.items():
             if not (0 <= i < self.rows and 0 <= j < self.cols):
                 raise ValueError(f"entry ({i},{j}) outside {self.rows}x{self.cols}")
-            v = _frac(v)
-            if v != 0:
+            v = exact(v)
+            if v:
                 clean[(i, j)] = v
         object.__setattr__(self, "entries", clean)
 
     @classmethod
-    def _canonical(cls, rows: int, cols: int, entries: dict[Entry, Fraction]) -> "RationalMatrix":
-        """A matrix whose entries are already in range, Fractions and nonzero.
+    def _canonical(cls, rows: int, cols: int, entries: dict[Entry, int | Fraction]) -> "RationalMatrix":
+        """A matrix whose entries are already in range, normal and nonzero.
 
         Skips the bounds check and normalization of ``__post_init__``; only
         for entries canonical by construction: results of ``matmul``,
-        ``transpose`` and ``combine``, and the Lie-model slot matrices.
+        ``transpose`` and ``combine``, identities, the Dold-Kan structure
+        matrices and the Lie-model slot matrices.
         """
         m = object.__new__(cls)
         object.__setattr__(m, "rows", rows)
@@ -79,10 +95,10 @@ class RationalMatrix:
             if len(row) != m:
                 raise ValueError("ragged rows")
             for j, v in enumerate(row):
-                v = _frac(v)
-                if v != 0:
+                v = exact(v)
+                if v:
                     entries[(i, j)] = v
-        return cls(n, m, entries)
+        return cls._canonical(n, m, entries)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RationalMatrix":
@@ -90,7 +106,7 @@ class RationalMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "RationalMatrix":
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
+        return cls._canonical(n, n, {(i, i): 1 for i in range(n)})
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix._canonical(
@@ -100,10 +116,14 @@ class RationalMatrix:
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        entries = {
-            (i, j): x for j, col in other._columns.items() for i, x in self.matvec(col).items()
-        }
-        return RationalMatrix._canonical(self.rows, other.cols, entries)
+        columns = self._columns
+        acc: dict[Entry, int | Fraction] = {}
+        for (k, j), y in other.entries.items():
+            for i, x in columns.get(k, {}).items():
+                acc[i, j] = acc.get((i, j), 0) + x * y
+        return RationalMatrix._canonical(
+            self.rows, other.cols, {key: exact(v) for key, v in acc.items() if v}
+        )
 
     def apply(self, vec: tuple) -> tuple[Fraction, ...]:
         """Matrix times a dense column vector."""
@@ -112,31 +132,31 @@ class RationalMatrix:
         out = [Fraction(0)] * self.rows
         for (i, j), v in self.entries.items():
             if vec[j]:
-                out[i] += v * _frac(vec[j])
+                out[i] += v * exact(vec[j])
         return tuple(out)
 
     @cached_property
-    def _columns(self) -> dict[int, dict[int, Fraction]]:
+    def _columns(self) -> dict[int, dict[int, int | Fraction]]:
         """The nonzero columns, as sparse vectors."""
-        cols: dict[int, dict[int, Fraction]] = {}
+        cols: dict[int, dict[int, int | Fraction]] = {}
         for (i, j), v in self.entries.items():
             cols.setdefault(j, {})[i] = v
         return cols
 
-    def matvec(self, vec: dict) -> dict[int, Fraction]:
+    def matvec(self, vec: dict) -> dict[int, int | Fraction]:
         """Matrix times a sparse column vector, as a sparse vector."""
-        out: dict[int, Fraction] = {}
+        out: dict[int, int | Fraction] = {}
         columns = self._columns
         for j, x in vec.items():
             for i, v in columns.get(j, {}).items():
-                out[i] = out.get(i, ZERO) + v * x
+                out[i] = out.get(i, 0) + v * x
         return {i: y for i, y in out.items() if y}
 
     def is_zero(self) -> bool:
         return not self.entries
 
-    def row_dicts(self) -> list[dict[int, Fraction]]:
-        out: list[dict[int, Fraction]] = [dict() for _ in range(self.rows)]
+    def row_dicts(self) -> list[dict[int, int | Fraction]]:
+        out: list[dict[int, int | Fraction]] = [dict() for _ in range(self.rows)]
         for (i, j), v in self.entries.items():
             out[i][j] = v
         return out
@@ -144,14 +164,14 @@ class RationalMatrix:
 
 def combine(rows: int, cols: int, terms) -> RationalMatrix:
     """The rows x cols matrix sum of c * m over (c, m) in terms; shapes must agree."""
-    acc: dict[Entry, Fraction] = {}
+    acc: dict[Entry, int | Fraction] = {}
     for c, m in terms:
         if (m.rows, m.cols) != (rows, cols):
             raise ValueError(f"shape mismatch: {m.rows}x{m.cols} term in a {rows}x{cols} sum")
-        c = _frac(c)
+        c = exact(c)
         for key, v in m.entries.items():
-            acc[key] = acc.get(key, ZERO) + c * v
-    return RationalMatrix._canonical(rows, cols, {k: v for k, v in acc.items() if v})
+            acc[key] = acc.get(key, 0) + c * v
+    return RationalMatrix._canonical(rows, cols, {k: exact(v) for k, v in acc.items() if v})
 
 
 def _sparse(vec, n: int) -> dict:
@@ -166,7 +186,13 @@ def _sparse(vec, n: int) -> dict:
 
 
 def _primitive(vec: dict) -> dict[int, int]:
-    """A new nonzero multiple of vec (ints or Fractions) with coprime integer entries."""
+    """A new nonzero multiple of vec (ints or Fractions) with coprime integer entries.
+
+    Always a new dict, also for integer input: _eliminate updates its vector
+    in place, and SubspaceBasis rows are shared.
+    """
+    if all(type(x) is int for x in vec.values()):
+        return _divide_content(dict(vec))
     den = lcm(*(x.denominator for x in vec.values()))
     return _divide_content({j: x.numerator * (den // x.denominator) for j, x in vec.items()})
 
@@ -371,7 +397,7 @@ def preimage_subspace(m: RationalMatrix, s: SubspaceBasis) -> SubspaceBasis:
     if m.rows != s.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     ann = _null_vectors(m.rows, s.rows)
-    entries = {(i, j): _frac(x) for i, row in enumerate(ann) for j, x in row.items()}
+    entries = {(i, j): exact(x) for i, row in enumerate(ann) for j, x in row.items()}
     return kernel_basis(RationalMatrix._canonical(len(ann), m.rows, entries).matmul(m))
 
 

@@ -9,11 +9,14 @@ derived through the Koszul sign.  Products involving the unit are implicit
 ``validate_algebra`` checks the whole table and reports every violation
 instead of stopping at the first, so a bad input file produces a complete
 diagnosis in one run.  Associativity is compared on a product table built
-once, and only on the triples where it can fail.  Skipping the others is
-exact: a triple containing the unit holds by construction, because
+once, and only on the triples where one side has a term.  Skipping the
+others is exact: a triple containing the unit holds by construction, because
 ``product`` makes the unit the identity whatever the table says; and for a
-pair (a, b), both (ab)c and a(bc) are zero unless b*c or some t*c with t in
-ab is nonzero, so only those candidate c are visited, in basis order.
+pair (a, b), (ab)c = sum_t (ab)_t (tc) has no term unless some t in ab has
+tc != 0, and a(bc) = sum_s (bc)_s (as) has no term unless some s in bc has
+as != 0.  So only the c meeting one of these are visited, in basis order,
+found through indexes built once; s may be the unit, which a corrupted
+table can list in bc.  On (S^2)^6 that is 2,100 of 37,926 triples.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidInputError
+from .exactlin import exact
 
 
 @dataclass(frozen=True)
@@ -124,7 +128,7 @@ class AlgebraPresentation:
         self.unit_id = str(unit_id)
         self.index = {e.ident: i for i, e in enumerate(self.basis)}
         self.products = {
-            (str(a), str(b)): {str(t): Fraction(c) for t, c in terms.items() if Fraction(c) != 0}
+            (str(a), str(b)): {str(t): x for t, c in terms.items() if (x := exact(c))}
             for (a, b), terms in products.items()
         }
 
@@ -139,12 +143,12 @@ class AlgebraPresentation:
     def positive_ids(self) -> list[str]:
         return [e.ident for e in self.basis if e.degree > 0]
 
-    def product(self, a: str, b: str) -> dict[str, Fraction]:
+    def product(self, a: str, b: str) -> dict[str, int | Fraction]:
         """Full product, deriving the unstored order by the Koszul sign."""
         if a == self.unit_id:
-            return {b: Fraction(1)}
+            return {b: 1}
         if b == self.unit_id:
-            return {a: Fraction(1)}
+            return {a: 1}
         ia, ib = self.index[a], self.index[b]
         if ia <= ib:
             stored = self.products.get((a, b))
@@ -222,7 +226,7 @@ def validate_algebra(p: AlgebraPresentation) -> ValidationReport:
             continue
         if p.unit_id in (a, b):
             other = b if a == p.unit_id else a
-            if terms != {other: Fraction(1)}:
+            if terms != {other: 1}:
                 v.append(
                     Violation(
                         "UNIT_PRODUCT",
@@ -264,17 +268,28 @@ def validate_algebra(p: AlgebraPresentation) -> ValidationReport:
         return ValidationReport(tuple(v))
 
     ids = [e.ident for e in p.basis]
-    prod = {x: {y: p.product(x, y) for y in p.index} for x in p.index}
+    # prod[x][y] = x * y, listed only when nonzero; x * unit = x always is
+    prod = {x: {y: xy for y in p.index if (xy := p.product(x, y))} for x in p.index}
     # nz[x]: the positions k of non-unit ids[k] with x * ids[k] != 0
-    nz = {x: {k for k, y in enumerate(ids) if y != p.unit_id and prod[x][y]} for x in p.index}
+    nz = {x: {k for k, y in enumerate(ids) if y != p.unit_id and y in prod[x]} for x in p.index}
     rest = [x for x in ids if x != p.unit_id]
+    # hit[x][s]: the positions k of non-unit ids[k] with s in the support of x * ids[k]
+    hit: dict[str, dict[str, list[int]]] = {x: {} for x in rest}
+    for x, row in hit.items():
+        for k in nz[x]:
+            for s in prod[x][ids[k]]:
+                row.setdefault(s, []).append(k)
     for a in rest:
+        pa = prod[a]
         for b in rest:
-            ab = prod[a][b]
-            for k in sorted(nz[b].union(*(nz[t] for t in ab))):
+            ab = pa.get(b, {})
+            hb = hit[b]
+            # c where some t*c (t in ab) or some a*s (s in bc) is nonzero
+            via_bc = (hb[s] for s in pa.keys() & hb.keys())
+            for k in sorted(set().union(*(nz[t] for t in ab), *via_bc)):
                 c = ids[k]
-                left = lincomb((ct, prod[t][c]) for t, ct in ab.items())
-                right = lincomb((cs, prod[a][s]) for s, cs in prod[b][c].items())
+                left = lincomb((ct, prod[t].get(c, {})) for t, ct in ab.items())
+                right = lincomb((cs, pa.get(s, {})) for s, cs in prod[b].get(c, {}).items())
                 if left != right:
                     v.append(
                         Violation(

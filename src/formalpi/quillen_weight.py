@@ -131,7 +131,7 @@ def build_model(p: AlgebraPresentation, max_m: int, max_w: int) -> FormalLieMode
         cols = {}
         for j, word in enumerate(b.positions(key)):
             for t, n in model.d_word(word).items():
-                cols[(tgt[t], j)] = Fraction(n, den)
+                cols[(tgt[t], j)] = n // den if n % den == 0 else Fraction(n, den)
         model.differential[key] = RationalMatrix._canonical(len(tgt), len(b.slots[key]), cols)
 
     _check_d_squared(model)

@@ -62,6 +62,15 @@ def dense_rows(m):
     return [[m.entries.get((i, j), Fraction(0)) for j in range(m.cols)] for i in range(m.rows)]
 
 
+def dense_matmul(a, b):
+    """The product of dense matrices a (n x k) and b (k x m, k >= 1) as rows of Fractions."""
+    return [
+        [sum((Fraction(x) * Fraction(b[t][j]) for t, x in enumerate(row)), Fraction(0))
+         for j in range(len(b[0]))]
+        for row in a
+    ]
+
+
 def gauss_jordan_rref(rows, n):
     """Nonzero rows of the reduced row echelon form, pivot entries 1, as tuples."""
     rows = [[Fraction(x) for x in row] for row in rows]

@@ -153,11 +153,16 @@ def test_random_complex_is_seed_deterministic():
     ],
 )
 def test_random_complexes_are_pinned(max_degree, max_dim, want):
-    """Seeds 0..199 give the same complexes as the original dense-inverse code."""
+    """Seeds 0..199 give the same complexes as the original dense-inverse code.
+
+    Entries are hashed as Fractions: integral entries are stored as ints,
+    whose repr differs from the Fraction of the same value.
+    """
     h = hashlib.sha256()
     for seed in range(200):
         c = random_cochain_complex(random.Random(seed), max_degree, max_dim)
-        h.update(repr((c.dims, [sorted(m.entries.items()) for m in c.differentials])).encode())
+        diffs = [sorted((k, Fraction(v)) for k, v in m.entries.items()) for m in c.differentials]
+        h.update(repr((c.dims, diffs)).encode())
     assert h.hexdigest() == want
 
 

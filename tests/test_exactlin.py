@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import itertools
 import random
 from fractions import Fraction
@@ -23,7 +24,7 @@ from formalpi.exactlin import (
     subspace_sum,
 )
 
-from oracles import dense_rows, gauss_jordan_rref
+from oracles import dense_matmul, dense_rows, gauss_jordan_rref
 
 
 # --- independent oracles -----------------------------------------------------
@@ -356,3 +357,59 @@ def test_combine_is_a_shape_checked_signed_sum():
     assert combine(3, 1, []) == RationalMatrix.zero(3, 1)
     with pytest.raises(ValueError, match="shape"):
         combine(2, 2, [(1, a), (1, RationalMatrix.zero(2, 3))])
+
+
+# --- the int rule: integral entries are ints, the others reduced Fractions ---
+
+mixed_entries = st.one_of(
+    st.integers(min_value=-4, max_value=4),
+    st.booleans(),
+    st.builds(Fraction, st.integers(min_value=-4, max_value=4), st.integers(min_value=1, max_value=3)),
+)
+
+
+def _dense_matrix(draw, rows, cols):
+    row = st.lists(mixed_entries, min_size=cols, max_size=cols)
+    return draw(st.lists(row, min_size=rows, max_size=rows))
+
+
+def _in_normal_form(m):
+    return all(
+        (type(v) is int and v != 0) or (type(v) is Fraction and v.denominator != 1)
+        for v in m.entries.values()
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_matmul_and_combine_match_dense_oracle_in_normal_form(data):
+    n, k, m = (data.draw(st.integers(min_value=1, max_value=5)) for _ in range(3))
+    a, b, e = (_dense_matrix(data.draw, r, c) for r, c in ((n, k), (k, m), (n, m)))
+    c, d = data.draw(mixed_entries), data.draw(mixed_entries)
+    ma = RationalMatrix.from_rows(a)
+    mb = RationalMatrix(k, m, {(i, j): x for i, row in enumerate(b) for j, x in enumerate(row)})
+    me = RationalMatrix.from_rows(e)
+    ab = dense_matmul(a, b)
+    prod = ma.matmul(mb)
+    assert dense_rows(prod) == ab
+    total = combine(n, m, [(c, prod), (d, me)])
+    assert dense_rows(total) == [[c * x + d * y for x, y in zip(r, s)] for r, s in zip(ab, e)]
+    for mat in (ma, mb, me, prod, total, prod.transpose(), RationalMatrix.identity(n)):
+        assert _in_normal_form(mat)
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_families(), st.data())
+def test_subspace_operations_leave_their_arguments_rows_unchanged(family, data):
+    n, vecs = family
+    split = data.draw(st.integers(min_value=0, max_value=len(vecs)))
+    a = SubspaceBasis.from_vectors(vecs[:split], n)
+    b = SubspaceBasis.from_vectors(vecs[split:], n)
+    before = copy.deepcopy((a.rows, b.rows))
+    for x, y in ((a, b), (b, a)):
+        subspace_sum(x, y)
+        subspace_intersection(x, y)
+        extend_to_complement(x, subspace_sum(x, y))
+        for row in y.rows.values():
+            x.contains(row)
+    assert (a.rows, b.rows) == before

@@ -268,6 +268,52 @@ def test_associativity_matches_naive_triple_loop(data):
     assert associativity_subjects(p) == naive_associativity(p)
 
 
+EVEN = [("e0", 0), ("a", 2), ("b", 2), ("c", 2), ("w", 4), ("x", 4), ("y", 4), ("z", 6)]
+
+# (products, a triple the check must report, or None for an associative table)
+ASSOCIATIVITY_CASES = {
+    # b*c lists the unit (a degree mismatch): (ab)c = 0 but a(bc) = a*e0 = a
+    "bc_lists_the_unit": ({("b", "c"): {"e0": Fraction(1)}}, ("a", "b", "c")),
+    # ab = 0, so (ab)c has no term, but a(bc) = a*w = z
+    "ab_zero_a_bc_nonzero": (
+        {("b", "c"): {"w": Fraction(1)}, ("a", "w"): {"z": Fraction(1)}},
+        ("a", "b", "c"),
+    ),
+    # a(bc) = a*x + a*y = z - z cancels to 0, while (ab)c = w*c = z
+    "a_bc_cancels": (
+        {
+            ("a", "b"): {"w": Fraction(1)},
+            ("c", "w"): {"z": Fraction(1)},
+            ("b", "c"): {"x": Fraction(1), "y": Fraction(1)},
+            ("a", "x"): {"z": Fraction(1)},
+            ("a", "y"): {"z": Fraction(-1)},
+        },
+        ("a", "b", "c"),
+    ),
+    # the same cancellation with ab = 0: associative at (a, b, c)
+    "a_bc_cancels_to_ab_c": (
+        {
+            ("b", "c"): {"x": Fraction(1), "y": Fraction(1)},
+            ("a", "x"): {"z": Fraction(1)},
+            ("a", "y"): {"z": Fraction(-1)},
+        },
+        None,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ASSOCIATIVITY_CASES))
+def test_associativity_fixed_cases_match_naive_triple_loop(name):
+    prods, bad = ASSOCIATIVITY_CASES[name]
+    p = make(name, EVEN, prods)
+    expected = naive_associativity(p)
+    if bad is None:
+        assert expected == []
+    else:
+        assert bad in expected
+    assert associativity_subjects(p) == expected
+
+
 def test_associativity_repeats_triples_of_a_duplicate_id():
     p = make(
         "dup",
