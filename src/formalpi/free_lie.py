@@ -15,7 +15,9 @@ Slots are keyed by (reduced degree, weight, character) and can be had two
 ways.  ``slot_dims`` only counts them, by PBW inversion: U(L) = T(V) fixes
 every slot size through a power series, so no word is listed.
 ``FreeLieBasis`` builds them, by enumerating the Lyndon words within the
-cutoffs and giving each its bracket tree; the differential needs the words.
+cutoffs and storing each word's standard factors and parity; the
+differential needs the words.  Slots hold words, and a word's bracket tree
+is built from its factors only on request (``tree``, ``slot``).
 
 A basis element is keyed by its word: a Lyndon word w stands for P_w, the
 bracketing of w along its standard factorization, and the square zz of an
@@ -201,17 +203,26 @@ def _check_cutoffs(max_r: int, max_w: int):
 
 
 class FreeLieBasis:
-    """Super-Lyndon basis, complete for reduced degree <= max_r, weight <= max_w."""
+    """Super-Lyndon basis, complete for reduced degree <= max_r, weight <= max_w.
+
+    ``slots`` maps each slot key to its basis words in sorted order (zz for the
+    square [P_z, P_z]); bracket trees are built from the words on request.
+    """
 
     def __init__(self, gens: GeneratorSet, max_r: int, max_w: int):
         _check_cutoffs(max_r, max_w)
         self.gens = gens
         self.max_r = max_r
         self.max_w = max_w
-        self.slots: dict[tuple[int, int, tuple[int, ...]], tuple[BracketWord, ...]] = {}
+        self.slots: dict[tuple[int, int, tuple[int, ...]], tuple[Word, ...]] = {}
         self._positions: dict[tuple[int, int, tuple[int, ...]], dict[Word, int]] = {}
         self._table: dict[tuple[Word, Word], dict[Word, int]] = {}
         self._degrees = [g.reduced_degree for g in gens.gens]
+        # standard factors and parity of every basis word, and of the words
+        # beyond the basis that the rewriting meets
+        self._factors: dict[Word, tuple[Word, Word]] = {}
+        self._parity: dict[Word, int] = {}
+        self._trees: dict[Word, BracketWord] = {}
         self._build()
 
     # -- construction ---------------------------------------------------------
@@ -220,44 +231,60 @@ class FreeLieBasis:
         lattice = self.gens.lattice
         # reduced characters of a free lattice add without further reduction
         add = lattice.add if lattice.torsion else lambda a, b: tuple(map(operator.add, a, b))
-        words = lyndon_words(len(self.gens), self.max_w, self._degrees, self.max_r)
-        # each word's tree and reduced character, shorter words first so that
-        # both standard factors of a word are built before it
-        built: dict[Word, tuple[BracketWord, tuple[int, ...]]] = {}
-        for w in sorted(words, key=len):
+        factors, parity = self._factors, self._parity
+        staging: dict[tuple[int, int, tuple[int, ...]], list[Word]] = {}
+        grading: dict[Word, tuple[int, tuple[int, ...]]] = {}
+        # shorter words first, so that both standard factors of a word are
+        # graded before it; the right factor is the longest proper Lyndon
+        # suffix, and every Lyndon suffix is in the basis (degrees are >= 0)
+        for w in sorted(lyndon_words(len(self.gens), self.max_w, self._degrees, self.max_r), key=len):
             if len(w) == 1:
-                bw = self.gens.leaf(self.gens.gens[w[0]].ident)
-                built[w] = bw, lattice.reduce(bw.character)
+                g = self.gens.gens[w[0]]
+                r, char = g.reduced_degree, lattice.reduce(g.character)
             else:
-                u, v = standard_factorization(w)
-                (left, cu), (right, cv) = built[u], built[v]
-                char = add(cu, cv)
-                r = left.reduced_degree + right.reduced_degree
-                built[w] = BracketWord(None, left, right, r, len(w), char), char
-        staging: dict[tuple[int, int, tuple[int, ...]], list[tuple[Word, BracketWord]]] = {}
-        for w in words:
-            bw, char = built[w]
-            r = bw.reduced_degree
-            staging.setdefault((r, len(w), char), []).append((w, bw))
+                i = 1
+                while w[i:] not in grading:
+                    i += 1
+                u, v = factors[w] = w[:i], w[i:]
+                (ru, cu), (rv, cv) = grading[u], grading[v]
+                r, char = ru + rv, add(cu, cv)
+            grading[w] = r, char
+            parity[w] = r % 2
+            staging.setdefault((r, len(w), char), []).append(w)
             # squares of odd Lyndon words live at doubled degree and weight
             if r % 2 == 1 and 2 * r <= self.max_r and 2 * len(w) <= self.max_w:
-                char2 = add(char, char)
-                sq = BracketWord(None, bw, bw, 2 * r, 2 * len(w), char2)
-                staging.setdefault((2 * r, 2 * len(w), char2), []).append((w + w, sq))
-        for key, entries in staging.items():
-            entries.sort(key=lambda e: e[0])
-            self.slots[key] = tuple(bw for _, bw in entries)
-            self._positions[key] = {w: i for i, (w, _) in enumerate(entries)}
+                factors[w + w], parity[w + w] = (w, w), 0
+                staging.setdefault((2 * r, 2 * len(w), add(char, char)), []).append(w + w)
+        for key, words in staging.items():
+            words.sort()
+            self.slots[key] = tuple(words)
+            self._positions[key] = {w: i for i, w in enumerate(words)}
 
     # -- accessors --------------------------------------------------------------
 
-    def slot(self, r: int, w: int, char=None) -> tuple[BracketWord, ...]:
+    def tree(self, w: Word) -> BracketWord:
+        """The bracket tree of the basis element keyed by ``w`` (memoized)."""
+        t = self._trees.get(w)
+        if t is None:
+            if len(w) == 1:
+                t = self.gens.leaf(self.gens.gens[w[0]].ident)
+            else:
+                u, v = self.factors(w)
+                t = self.gens.bracket(self.tree(u), self.tree(v))
+            self._trees[w] = t
+        return t
+
+    def _words(self, r: int, w: int, char) -> tuple[Word, ...]:
         if char is None:
             char = self.gens.lattice.zero()
         return self.slots.get((r, w, tuple(char)), ())
 
+    def slot(self, r: int, w: int, char=None) -> tuple[BracketWord, ...]:
+        """The bracket trees of one slot, in basis order."""
+        return tuple(map(self.tree, self._words(r, w, char)))
+
     def slot_dim(self, r: int, w: int, char=None) -> int:
-        return len(self.slot(r, w, char))
+        return len(self._words(r, w, char))
 
     def slot_keys(self):
         return sorted(self.slots.keys())
@@ -276,7 +303,17 @@ class FreeLieBasis:
     # -- structure constants ------------------------------------------------------
 
     def parity(self, w: Word) -> int:
-        return sum(self._degrees[c] for c in w) % 2
+        p = self._parity.get(w)
+        if p is None:
+            p = self._parity[w] = sum(self._degrees[c] for c in w) % 2
+        return p
+
+    def factors(self, w: Word) -> tuple[Word, Word]:
+        """``standard_factorization(w)``, stored for basis words, memoized beyond."""
+        f = self._factors.get(w)
+        if f is None:
+            f = self._factors[w] = standard_factorization(w)
+        return f
 
     def bracket(self, a: Word, b: Word) -> dict[Word, int]:
         """[a, b] of two basis elements, in basis coordinates (memoized)."""
@@ -298,7 +335,7 @@ class FreeLieBasis:
             return {w: sign * c for w, c in self.bracket(b, a).items()}
         if len(a) == 1:
             return {a + b: 1}
-        a1, a2 = standard_factorization(a)
+        a1, a2 = self.factors(a)
         if a2 >= b:
             return {a + b: 1}
         sign = 1 if self.parity(a1) and self.parity(a2) else -1

@@ -11,9 +11,14 @@ Delta(xi) = sum c_i a_i (x) b_i,
 extended to bracket words as a graded derivation,
 d[u,v] = [du,v] + (-1)^|u| [u,dv].  The scalar and sign convention is pinned
 by machine checks: build_model verifies d has square zero on every basis
-word within cutoffs, and the test suite verifies d descends through
-rewriting into the Lyndon basis.  Any convention passing both yields the
-same homology.
+word of the reporting weights, and the test suite verifies d descends
+through rewriting into the Lyndon basis.  Any convention passing both
+yields the same homology.
+
+The basis is built one weight past the report, the targets of the top
+reported weight; only slots of reported weight get a matrix.  d is composed
+word by word through the bracket table, so the d^2 check reaches the weight
+after that through dictionary keys alone and needs no basis there.
 
 Homology of (L, d) at reduced degree m-1, weight w, character chi is the
 weight-w, character-chi piece of the degree-m homotopy group.  For simply
@@ -36,7 +41,7 @@ from .errors import (
     OutOfRangeError,
 )
 from .exactlin import RationalMatrix, SubspaceBasis, homology_dim, kernel_basis
-from .free_lie import FreeLieBasis, Generator, GeneratorSet, Word, standard_factorization
+from .free_lie import FreeLieBasis, Generator, GeneratorSet, Word
 from .graded_core import AlgebraPresentation, dualize, is_simply_connected_type, lincomb
 
 SlotKey = tuple[int, int, tuple[int, ...]]
@@ -55,7 +60,7 @@ def model_generators(p: AlgebraPresentation) -> GeneratorSet:
 class FormalLieModel:
     presentation: AlgebraPresentation
     generators: GeneratorSet
-    basis: FreeLieBasis  # internal cutoffs exceed the reporting window
+    basis: FreeLieBasis  # one weight past the report: targets of the top weight
     max_m: int
     max_w: int
     differential: dict[SlotKey, RationalMatrix]
@@ -68,7 +73,15 @@ class FormalLieModel:
         return is_simply_connected_type(self.presentation)
 
     def slot_matrix(self, r: int, w: int, char: tuple[int, ...] = ()) -> RationalMatrix:
-        """Differential out of slot (r, w, char), into (r-1, w+1, char)."""
+        """Differential out of slot (r, w, char), into (r-1, w+1, char).
+
+        Empty slots inside the assembled window (r <= max_m, w <= max_w) give
+        zero matrices; a slot outside it has no matrix and is refused."""
+        if r > self.max_m or w > self.max_w:
+            raise OutOfRangeError(
+                f"slot (r={r}, w={w}) outside the assembled window "
+                f"(r <= {self.max_m}, w <= {self.max_w})"
+            )
         key = (r, w, tuple(char))
         m = self.differential.get(key)
         if m is not None:
@@ -80,11 +93,11 @@ class FormalLieModel:
     def d_word(self, word: Word) -> dict[Word, int]:
         """d of one basis element, as integer numerators over ``d_den`` in
         basis coordinates: d[u, v] = [du, v] + (-1)^|u| [u, dv] along
-        ``standard_factorization``.  Memoized per word; do not mutate."""
+        the word's standard factors.  Memoized per word; do not mutate."""
         out = self._d_cache.get(word)
         if out is None:
             b = self.basis
-            u, v = standard_factorization(word)
+            u, v = b.factors(word)
             sign = -1 if b.parity(u) else 1
             out = self._d_cache[word] = lincomb(
                 [(c, b.bracket(x, v)) for x, c in self.d_word(u).items()]
@@ -96,9 +109,11 @@ class FormalLieModel:
 def build_model(p: AlgebraPresentation, max_m: int, max_w: int) -> FormalLieModel:
     """Construct the Lie model with verified differential.
 
-    Internal slots extend two weights and one reduced degree beyond the
-    reporting window so that homology at the window edge sees its incoming
-    differential and d^2 = 0 can be checked on every reported word.
+    The basis extends one weight and one reduced degree beyond the reporting
+    window, so that d out of every reported slot has its target and homology
+    at the window edge sees its incoming differential.  d^2 = 0 is checked on
+    every reported word by composing ``d_word``, which needs no basis
+    position for the weight after that.
     """
     coproduct = dualize(p)  # validates the presentation, ahead of the cutoffs
     if max_m < 2:
@@ -106,7 +121,7 @@ def build_model(p: AlgebraPresentation, max_m: int, max_w: int) -> FormalLieMode
     if max_w < 1:
         raise CutoffTooSmallError("max_w must be at least 1")
     gens = model_generators(p)
-    b = FreeLieBasis(gens, max_r=max_m, max_w=max_w + 2)
+    b = FreeLieBasis(gens, max_r=max_m, max_w=max_w + 1)
 
     # d g = 1/2 sum c (-1)^(reduced degree of a) [a, b], carried as integer
     # numerators over one denominator
@@ -124,12 +139,12 @@ def build_model(p: AlgebraPresentation, max_m: int, max_w: int) -> FormalLieMode
     for key in b.slot_keys():
         r, w, char = key
         # below reduced degree 0 there is nothing; the top internal weight
-        # block is target-only (its image would leave the internal basis)
+        # is target-only, so matrices are assembled for the reported weights
         if r < 1 or w + 1 > b.max_w:
             continue
         tgt = b.positions((r - 1, w + 1, char))
         cols = {}
-        for j, word in enumerate(b.positions(key)):
+        for j, word in enumerate(b.slots[key]):
             for t, n in model.d_word(word).items():
                 cols[(tgt[t], j)] = n // den if n % den == 0 else Fraction(n, den)
         model.differential[key] = RationalMatrix._canonical(len(tgt), len(b.slots[key]), cols)
@@ -147,9 +162,9 @@ def _check_d_squared(model: FormalLieModel):
         r, w, _ = key
         if w > model.max_w or r < 2:
             continue
-        for j, word in enumerate(b.positions(key)):
+        for word in b.slots[key]:
             if lincomb((c, model.d_word(t)) for t, c in model.d_word(word).items()):
-                witness = repr(b.slots[key][j])
+                witness = repr(b.tree(word))
                 raise DSquaredNonzeroError(
                     f"d squared is nonzero on {witness} at slot (r={r}, w={w})",
                     witness=witness,

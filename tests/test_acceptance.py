@@ -190,11 +190,12 @@ def test_c06_differential_well_formed(corpus):
     for name in ALL_CORPUS:
         pres = corpus[name]
         min_r = min(pres.element(i).degree - 1 for i in pres.positive_ids())
-        # window wide enough that at least one bracket pair exists to sample
-        model = model_for(corpus, name, max(6, 2 * min_r), 5)
+        # window wide enough that at least one bracket pair exists to sample;
+        # d out of weight 6 is assembled, so d d composes for every w <= 5
+        model = model_for(corpus, name, max(6, 2 * min_r), 6)
         b = model.basis
         for r, w, char in b.slot_keys():
-            if r < 2 or w > model.max_w:
+            if r < 2 or w > 5:
                 continue
             comp = model.slot_matrix(r - 1, w + 1, char).matmul(
                 model.slot_matrix(r, w, char)

@@ -207,8 +207,8 @@ def test_characters_split_slots():
         k: v for k, v in expected.items() if v
     }
     assert slot_dims(g, 4, 4) == {k: v for k, v in expected.items() if v}
-    for words in b.slots.values():
-        for bw in words:
+    for key in b.slots:
+        for bw in b.slot(*key):
             assert bw.character == _leaf_character_sum(bw, lat)
 
 
@@ -235,7 +235,7 @@ def test_expand_basis_words_are_unit_vectors():
     g = gens_of(1, 2)
     b = basis(g, max_r=8, max_w=4)
     for key, words in b.slots.items():
-        for pos, bw in enumerate(words):
+        for pos, bw in enumerate(b.slot(*key)):
             coords = expand(bw, b)
             assert len(coords) == len(words)
             assert all(c == (1 if i == pos else 0) for i, c in enumerate(coords))
@@ -257,7 +257,7 @@ def test_expand_linear():
 def test_expand_graded_jacobi(data):
     g = gens_of(1, 2)
     b = basis(g, max_r=12, max_w=6)
-    small = [bw for key in b.slot_keys() for bw in b.slots[key] if bw.weight <= 2]
+    small = [bw for key in b.slot_keys() for bw in b.slot(*key) if bw.weight <= 2]
     u = data.draw(st.sampled_from(small))
     v = data.draw(st.sampled_from(small))
     w = data.draw(st.sampled_from(small))
@@ -352,7 +352,7 @@ def test_structure_table_matches_the_associative_embedding(g, max_r, max_w):
     # embedding of the bracket tree itself
     b = basis(g, max_r, max_w)
     degrees = [x.reduced_degree for x in g.gens]
-    elements = {w: bw for key in b.slot_keys() for w, bw in zip(b.positions(key), b.slots[key])}
+    elements = {w: b.tree(w) for key in b.slot_keys() for w in b.slots[key]}
     embedded = {w: embed_bracketing(_tree_of_word(g, bw), degrees)[0] for w, bw in elements.items()}
     for x, bx in elements.items():
         for y, by in elements.items():
@@ -456,9 +456,7 @@ LATTICES = [
 ]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_slot_dims_match_the_built_basis_on_random_alphabets(data):
+def _random_alphabet(data):
     lattice = data.draw(st.sampled_from(LATTICES))
     letters = data.draw(
         st.lists(
@@ -470,10 +468,66 @@ def test_slot_dims_match_the_built_basis_on_random_alphabets(data):
             max_size=4,
         )
     )
-    g = GeneratorSet(
+    return GeneratorSet(
         tuple(Generator(f"g{i}", r, c) for i, (r, c) in enumerate(letters)),
         lattice=lattice,
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_slot_dims_match_the_built_basis_on_random_alphabets(data):
+    g = _random_alphabet(data)
     max_r = data.draw(st.integers(0, 8))
     max_w = data.draw(st.integers(1, 5))
     assert slot_dims(g, max_r, max_w) == built_dims(g, max_r, max_w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_stored_factors_and_parity_match_their_definitions(data):
+    g = _random_alphabet(data)
+    degrees = [x.reduced_degree for x in g.gens]
+    max_r, max_w = data.draw(st.integers(0, 8)), data.draw(st.integers(1, 5))
+    b = basis(g, max_r, max_w)
+    inside = {w for words in b.slots.values() for w in words}
+    # Lyndon words and odd squares past either cutoff, met only by the rewriting
+    longer = lyndon_words(len(g), max_w + 2)
+    squares = [w + w for w in longer if sum(degrees[c] for c in w) % 2]
+    beyond = [w for w in longer + squares if w not in inside]
+    for w in [*inside, *beyond]:
+        assert b.parity(w) == sum(degrees[c] for c in w) % 2, w
+        if len(w) >= 2:
+            assert b.factors(w) == standard_factorization(w), w
+
+
+def test_slot_trees_are_the_standard_bracketings():
+    b = basis(gens_of(0, 1), 2, 4)
+    assert {k: [repr(t) for t in b.slot(*k)] for k in b.slot_keys()} == {
+        (0, 1, ()): ["g0"],
+        (1, 1, ()): ["g1"],
+        (1, 2, ()): ["[g0,g1]"],
+        (1, 3, ()): ["[g0,[g0,g1]]"],
+        (1, 4, ()): ["[g0,[g0,[g0,g1]]]"],
+        (2, 2, ()): ["[g1,g1]"],
+        (2, 3, ()): ["[[g0,g1],g1]"],
+        (2, 4, ()): ["[g0,[[g0,g1],g1]]", "[[g0,g1],[g0,g1]]"],
+    }
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_slot_trees_match_their_words_on_random_alphabets(data):
+    g = _random_alphabet(data)
+    b = basis(g, data.draw(st.integers(0, 8)), data.draw(st.integers(1, 5)))
+
+    def bracketing(w):
+        if len(w) == 1:
+            return g.gens[w[0]].ident
+        u, v = standard_factorization(w)
+        return f"[{bracketing(u)},{bracketing(v)}]"
+
+    for (r, w, char), words in b.slots.items():
+        trees = b.slot(r, w, char)
+        assert [repr(t) for t in trees] == [bracketing(x) for x in words]
+        assert all((t.reduced_degree, t.weight, g.lattice.reduce(t.character)) == (r, w, char) for t in trees)

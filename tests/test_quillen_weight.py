@@ -12,6 +12,7 @@ from formalpi.errors import (
     OutOfRangeError,
 )
 from formalpi.free_lie import expand
+from formalpi.graded_core import lincomb
 from formalpi.quillen_weight import (
     build_model,
     homotopy_table,
@@ -113,7 +114,7 @@ def derivation_samples(model, rng, count):
     the slot matrix after rewriting [u, v] into the basis."""
     b = model.basis
     g = model.generators
-    tree = {word: bw for key in b.slot_keys() for word, bw in zip(b.positions(key), b.slots[key])}
+    tree = {word: b.tree(word) for key in b.slot_keys() for word in b.slots[key]}
     pool = list(tree.items())
     produced = 0
     while produced < count:
@@ -238,3 +239,56 @@ def test_build_model_reports_the_first_column_where_d_squared_fails(corpus, monk
         build_model(corpus["rand_formal_1"], 6, 5)
     assert str(err.value) == "d squared is nonzero on w7 at slot (r=6, w=1)"
     assert err.value.witness == "w7"
+
+
+@pytest.mark.parametrize("name,max_m,max_w", [("cp3", 6, 3), ("torus", 5, 3), ("rand_formal_1", 6, 3)])
+def test_model_is_built_one_weight_past_the_report(corpus, name, max_m, max_w):
+    model = build_model(corpus[name], max_m, max_w)
+    b = model.basis
+    assert (b.max_r, b.max_w) == (max_m, max_w + 1)
+    # a matrix out of every slot of reported weight, none above it
+    assert set(model.differential) == {k for k in b.slots if k[0] >= 1 and k[1] <= max_w}
+    for r, w, char in model.differential:
+        assert model.slot_matrix(r, w, char).rows == b.slot_dim(r - 1, w + 1, char)
+
+
+def test_slot_matrix_refuses_slots_outside_the_assembled_window(models):
+    model = models("torus", 5, 3)
+    # empty slots inside the window are zero matrices
+    empty = model.slot_matrix(5, 3, (7,) * len(model.generators.lattice.zero()))
+    assert (empty.rows, empty.cols) == (0, 0)
+    assert model.slot_matrix(0, 2).is_zero()
+    for r, w in [(2, 4), (6, 1), (0, 4)]:
+        with pytest.raises(OutOfRangeError, match=rf"slot \(r={r}, w={w}\) outside"):
+            model.slot_matrix(r, w)
+
+
+@pytest.mark.parametrize("name,max_m,max_w", [("torus", 5, 3), ("rand_formal_1", 6, 3)])
+def test_d_squared_is_checked_at_the_top_reported_weight(corpus, monkeypatch, name, max_m, max_w):
+    import formalpi.quillen_weight as qw
+
+    clean = build_model(corpus[name], max_m, max_w)
+    b = clean.basis
+    # a word one weight past the report that d reaches from a checked word
+    hits = [
+        (x, t)
+        for key in b.slot_keys()
+        if key[0] >= 2 and key[1] == max_w
+        for x in b.slots[key]
+        for t in clean.d_word(x)
+    ]
+    assert hits
+    target = hits[0][1]
+    assert len(target) == max_w + 1
+    witnesses = {repr(b.tree(x)) for x, t in hits if t == target}
+    real = qw.FormalLieModel.d_word
+
+    def perturbed(self, word):
+        out = real(self, word)
+        return lincomb([(1, out), (1, {word + word: 1})]) if word == target else out
+
+    monkeypatch.setattr(qw.FormalLieModel, "d_word", perturbed)
+    with pytest.raises(DSquaredNonzeroError) as err:
+        build_model(corpus[name], max_m, max_w)
+    assert err.value.witness in witnesses
+    assert f"w={max_w})" in str(err.value)
