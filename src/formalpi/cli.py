@@ -204,10 +204,9 @@ def _cmd_validate(pres, args, report: RunReport):
 
 
 def _cmd_pi(pres, args, report: RunReport):
-    from .quillen_weight import build_model, homotopy_table
+    from .quillen_weight import ext_table
 
-    model = build_model(pres, args.max_degree, args.max_weight)
-    table = homotopy_table(model, args.max_degree, args.max_weight)
+    table = ext_table(pres, args.max_degree, args.max_weight)
     rows = []
     if not table.complete:
         agg = [0] * table.max_w
@@ -243,14 +242,13 @@ def _cmd_pi(pres, args, report: RunReport):
 
 
 def _cmd_supports(pres, args, report: RunReport):
-    from .quillen_weight import build_model, homotopy_table, supports
+    from .quillen_weight import ext_table
 
-    model = build_model(pres, args.max_degree, args.max_weight)
-    table = homotopy_table(model, args.max_degree, args.max_weight)
+    table = ext_table(pres, args.max_degree, args.max_weight)
     rows = []
     json_rows = []
     for m in range(2, args.max_degree + 1):
-        chars = sorted(supports(model, m))
+        chars = sorted(table.characters(m))
         rows.append([m, " ".join(_char_label(c) for c in chars) or "-"])
         json_rows.append({"m": m, "support": [list(c) for c in chars]})
     banner = None if table.complete else f"TRUNCATED AT WEIGHT {table.max_w}"
@@ -272,24 +270,22 @@ def _cmd_supports(pres, args, report: RunReport):
 
 
 def _cmd_hurewicz(pres, args, report: RunReport):
-    from .quillen_weight import build_model, hurewicz_rank
+    from .quillen_weight import check_cutoffs, hurewicz_image
 
-    # refuse before the model is built, which can take minutes; build_model
-    # validates before it builds, and an invalid input is reported ahead of
-    # the degree-1 and the cutoff refusals
+    # an invalid input is reported ahead of the degree-1 and the cutoff refusals
+    require_valid(pres)
     if not is_simply_connected_type(pres):
-        require_valid(pres)
         raise NotCompleteError("input has degree-1 classes; table is a truncation")
-    model = build_model(pres, args.max_degree, args.max_weight)
+    check_cutoffs(args.max_degree, args.max_weight)
     rows = []
     json_rows = []
     for m in range(2, args.max_degree + 1):
-        rk, image = hurewicz_rank(model, m)
-        rows.append([m, rk, image.ambient_dim])
+        image = hurewicz_image(pres, m)
+        rows.append([m, image.dim, image.ambient_dim])
         json_rows.append(
             {
                 "m": m,
-                "rank": rk,
+                "rank": image.dim,
                 "h_dim": image.ambient_dim,
                 "image": [[str(x) for x in v] for v in image.vectors],
             }

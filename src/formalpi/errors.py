@@ -60,6 +60,15 @@ class DSquaredNonzeroError(FormalpiError):
         self.witness = witness
 
 
+class NegativeDimensionError(FormalpiError):
+    """A series inverted by PBW is not the size of any enveloping algebra.
+
+    The message names the slot that would get a negative dimension.
+    """
+
+    code = "NEGATIVE_DIMENSION"
+
+
 class CutoffExceededError(FormalpiError):
     """A complete answer was requested but needs weights beyond the cutoff."""
 

@@ -13,7 +13,8 @@ superalgebra and sits at doubled degree and weight).
 
 Slots are keyed by (reduced degree, weight, character) and can be had two
 ways.  ``slot_dims`` only counts them, by PBW inversion: U(L) = T(V) fixes
-every slot size through a power series, so no word is listed.
+every slot size through a power series, so no word is listed
+(``pbw_invert`` does the inversion for any series of a U(L)).
 ``FreeLieBasis`` builds them, by enumerating the Lyndon words within the
 cutoffs and storing each word's standard factors and parity; the
 differential needs the words.  Slots hold words, and a word's bracket tree
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
-from .errors import CutoffTooSmallError, OutOfRangeError
+from .errors import CutoffTooSmallError, NegativeDimensionError, OutOfRangeError
 from .graded_core import CharacterLattice, lincomb
 
 Word = tuple[int, ...]  # associative word in generator indices
@@ -355,16 +356,9 @@ def slot_dims(
 ) -> dict[tuple[int, int, tuple[int, ...]], int]:
     """Slot sizes of ``FreeLieBasis(gens, max_r, max_w)``, counted without building it.
 
-    PBW inversion: U(L) = T(V) (Milnor-Moore), and U(L) has the size of the
-    free graded-commutative algebra on L, so as series in x^(r, w, char)
-
-        T(V) = prod over slots t of (1 + x^t)^dim L_t   (r odd)
-                                 or (1 - x^t)^-dim L_t  (r even).
-
-    Weight by weight, dim L_s is the coefficient of x^s in T(V) less that of
-    the product over the slots of lower weight, whose factors are expanded as
-    binomial series.  Series are keyed by (reduced degree, character) within a
-    weight and cut at max_r: no letter has negative reduced degree.
+    U(L) = T(V) (Milnor-Moore), so ``pbw_invert`` of the series of T(V) gives
+    every slot; the weight-w part of T(V) is the weight-(w-1) part times the
+    letters.
     """
     _check_cutoffs(max_r, max_w)
     lattice = gens.lattice
@@ -374,25 +368,48 @@ def slot_dims(
             profile = (g.reduced_degree, lattice.reduce(g.character))
             letters[profile] = letters.get(profile, 0) + 1
 
-    def shift(series, r, char, coeff, out):
-        """out += coeff * x^(r, char) * series, cut at max_r."""
-        for (r0, c0), n in series.items():
-            if r0 + r <= max_r:
-                key = (r0 + r, lattice.add(c0, char))
-                out[key] = out.get(key, 0) + coeff * n
+    def tensor_parts():
+        tensor = {(0, lattice.zero()): 1}
+        for _ in range(max_w):
+            nxt: dict[tuple[int, tuple[int, ...]], int] = {}
+            for (r, char), n in letters.items():
+                _shift(lattice, max_r, tensor, r, char, n, nxt)
+            tensor = nxt
+            yield tensor
 
+    return pbw_invert(tensor_parts(), lattice, max_r, max_w)
+
+
+def pbw_invert(
+    parts, lattice: CharacterLattice, max_r: int, max_w: int
+) -> dict[tuple[int, int, tuple[int, ...]], int]:
+    """dim L per slot (r, w, char) from the series of U(L), for w <= max_w, r <= max_r.
+
+    ``parts`` yields, for w = 1, ..., max_w, the weight-w part of U(L) as
+    {(r, char): dim}, cut at max_r.  PBW: U(L) has the size of the free
+    graded-commutative algebra on L, so as series in x^(r, w, char)
+
+        U(L) = prod over slots t of (1 + x^t)^dim L_t   (r odd)
+                                 or (1 - x^t)^-dim L_t  (r even).
+
+    Weight by weight, dim L_s is the coefficient of x^s in U(L) less that of
+    the product over the slots of lower weight, whose factors are expanded as
+    binomial series.  Series are keyed by (reduced degree, character) within
+    a weight and cut at max_r; no reduced degree is negative.  A slot that
+    would get a negative dimension raises NegativeDimensionError naming it:
+    the series is not that of any U(L).
+    """
     one = {(0, lattice.zero()): 1}
-    tensor = one  # weight-w part of T(V)
     pbw = [one] + [{} for _ in range(max_w)]  # weight parts of the product so far
     dims = {}
-    for w in range(1, max_w + 1):
-        nxt: dict[tuple[int, tuple[int, ...]], int] = {}
-        for (r, char), n in letters.items():
-            shift(tensor, r, char, n, nxt)
-        tensor = nxt
+    for w, part in zip(range(1, max_w + 1), parts):
         # all of weight w is read off before any of its factors is multiplied in
-        found = [(r, char, n - pbw[w].get((r, char), 0)) for (r, char), n in tensor.items()]
-        for r, char, d in found:
+        found = [(key, part.get(key, 0) - pbw[w].get(key, 0)) for key in {**part, **pbw[w]}]
+        for (r, char), d in found:
+            if d < 0:
+                raise NegativeDimensionError(
+                    f"PBW inversion gives slot (r={r}, w={w}, char={char}) dimension {d}"
+                )
             if not d:
                 continue
             dims[(r, w, char)] = d
@@ -409,8 +426,16 @@ def slot_dims(
                 for kw, kr, kchar, coeff in powers:
                     if kw > total:
                         break
-                    shift(pbw[total - kw], kr, kchar, coeff, pbw[total])
+                    _shift(lattice, max_r, pbw[total - kw], kr, kchar, coeff, pbw[total])
     return dims
+
+
+def _shift(lattice: CharacterLattice, max_r: int, series, r, char, coeff, out):
+    """out += coeff * x^(r, char) * series, cut at max_r."""
+    for (r0, c0), n in series.items():
+        if r0 + r <= max_r:
+            key = (r0 + r, lattice.add(c0, char))
+            out[key] = out.get(key, 0) + coeff * n
 
 
 def _square_root(w: Word) -> Word | None:

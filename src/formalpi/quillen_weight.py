@@ -25,6 +25,14 @@ weight-w, character-chi piece of the degree-m homotopy group.  For simply
 connected input (no degree-1 classes) the weight of a contribution to degree
 m is at most m-1, so tables up to max_m are complete once max_w >= max_m - 1;
 otherwise results are truncations of the weight tower and flagged as such.
+
+The same table has a second route that builds no model.  U(H(L)) = H(U L)
+is Ext_A(Q, Q), so ``ext_table`` inverts the dimensions of the minimal
+resolution of ``resolution`` by PBW, and ``hurewicz_image`` takes the
+weight-1 kernel as the annihilator of the decomposables.  The command line
+tables (pi, supports, hurewicz) take that route; the model serves the
+weight spectral sequence, and ``homotopy_table``, ``supports`` and
+``hurewicz_rank`` on it are the independent check the tests compare with.
 """
 
 from __future__ import annotations
@@ -41,8 +49,15 @@ from .errors import (
     OutOfRangeError,
 )
 from .exactlin import RationalMatrix, SubspaceBasis, homology_dim, kernel_basis
-from .free_lie import FreeLieBasis, Generator, GeneratorSet, Word
-from .graded_core import AlgebraPresentation, dualize, is_simply_connected_type, lincomb
+from .free_lie import FreeLieBasis, Generator, GeneratorSet, Word, pbw_invert
+from .graded_core import (
+    AlgebraPresentation,
+    dualize,
+    is_simply_connected_type,
+    lincomb,
+    require_valid,
+)
+from .resolution import ext_dims
 
 SlotKey = tuple[int, int, tuple[int, ...]]
 
@@ -116,10 +131,7 @@ def build_model(p: AlgebraPresentation, max_m: int, max_w: int) -> FormalLieMode
     position for the weight after that.
     """
     coproduct = dualize(p)  # validates the presentation, ahead of the cutoffs
-    if max_m < 2:
-        raise CutoffTooSmallError("max_m must be at least 2")
-    if max_w < 1:
-        raise CutoffTooSmallError("max_w must be at least 1")
+    check_cutoffs(max_m, max_w)
     gens = model_generators(p)
     b = FreeLieBasis(gens, max_r=max_m, max_w=max_w + 1)
 
@@ -150,7 +162,29 @@ def build_model(p: AlgebraPresentation, max_m: int, max_w: int) -> FormalLieMode
         model.differential[key] = RationalMatrix._canonical(len(tgt), len(b.slots[key]), cols)
 
     _check_d_squared(model)
+    # the bracket memo and d of the words one weight past the report served
+    # only the check; both refill on demand
+    b._table.clear()
+    for word in [x for x in model._d_cache if len(x) > max_w]:
+        del model._d_cache[word]
     return model
+
+
+def check_cutoffs(max_m: int, max_w: int):
+    """Refuses a vacuous window: degrees from 2, weights from 1."""
+    if max_m < 2:
+        raise CutoffTooSmallError("max_m must be at least 2")
+    if max_w < 1:
+        raise CutoffTooSmallError("max_w must be at least 1")
+
+
+def _check_complete_window(complete: bool, max_m: int, max_w: int):
+    """A complete table to degree max_m reads weights to max_m - 1."""
+    if complete and max_w < max_m - 1:
+        raise CutoffExceededError(
+            f"a complete table to degree {max_m} needs weights to {max_m - 1}, "
+            f"got max_w={max_w}"
+        )
 
 
 def _check_d_squared(model: FormalLieModel):
@@ -225,11 +259,7 @@ def homotopy_table(
             f"(m={model.max_m}, w={model.max_w})"
         )
     complete = model.complete
-    if complete and max_w < max_m - 1:
-        raise CutoffExceededError(
-            f"a complete table to degree {max_m} needs weights to {max_m - 1}, "
-            f"got max_w={max_w}"
-        )
+    _check_complete_window(complete, max_m, max_w)
     cache_key = (max_m, max_w)
     cached = model._table_cache.get(cache_key)
     if cached is not None:
@@ -286,3 +316,47 @@ def hurewicz_rank(model: FormalLieModel, m: int) -> tuple[int, SubspaceBasis]:
             vectors.append({ambient_index[slot[pos].gen]: c for pos, c in row.items()})
     image = SubspaceBasis.from_vectors(vectors, len(ambient_ids))
     return image.dim, image
+
+
+# ---------------------------------------------------------------------------
+# the same tables from Ext_A(Q, Q), with no model
+
+
+def ext_table(p: AlgebraPresentation, max_m: int, max_w: int) -> HomotopyTable:
+    """``homotopy_table(build_model(p, max_m, max_w))``, read off Ext_A(Q, Q).
+
+    Slot (r, w, char) of U(pi) is dim B_(w, r + w, char) of the minimal
+    resolution, and PBW inversion gives pi.  Validates p, then refuses the
+    cutoffs as ``build_model`` and then ``homotopy_table`` do.
+    """
+    require_valid(p)
+    check_cutoffs(max_m, max_w)
+    complete = is_simply_connected_type(p)
+    _check_complete_window(complete, max_m, max_w)
+    parts: list[dict] = [{} for _ in range(max_w)]
+    for (s, t, char), d in ext_dims(p, max_m - 1, max_w).items():
+        parts[s - 1][(t - s, char)] = d
+    entries, pi1 = {}, {}
+    for (r, w, char), d in pbw_invert(parts, p.lattice, max_m - 1, max_w).items():
+        if r:
+            entries[(r + 1, w, char)] = d
+        else:
+            pi1[(w, char)] = d
+    return HomotopyTable(max_m, max_w, complete, entries, pi1)
+
+
+def hurewicz_image(p: AlgebraPresentation, m: int) -> SubspaceBasis:
+    """The image of ``hurewicz_rank(model, m)``, with no model.
+
+    The functionals on A^m, in the dual basis of the degree-m classes, that
+    vanish on every product of two positive-degree classes.  p must be valid.
+    """
+    ids = [i for i in p.positive_ids() if p.degree(i) == m]
+    ambient = {ident: k for k, ident in enumerate(ids)}
+    entries = {}
+    row = 0
+    for (a, b), terms in p.products.items():
+        if terms and p.unit_id not in (a, b) and p.degree(a) + p.degree(b) == m:
+            entries.update({(row, ambient[t]): c for t, c in terms.items()})
+            row += 1
+    return kernel_basis(RationalMatrix._canonical(row, len(ids), entries))

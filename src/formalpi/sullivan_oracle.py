@@ -8,7 +8,9 @@ degree above.  Generator differentials are decomposable polynomials in the
 previously adjoined generators, which is exactly minimality.
 
 Generator counts per degree form the output of record: they are compared
-against the homotopy table computed on the Lie side, and agreement of the
+against the homotopy table computed on the Lie side (the Lie model's
+``homotopy_table``; the command line reads its tables off Ext_A(Q, Q)
+instead, and the tests hold the two tables equal), and agreement of the
 two machineries is the point of this module.
 
 All computations happen in the free graded-commutative algebra truncated

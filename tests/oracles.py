@@ -8,7 +8,7 @@ linear algebra or Lie machinery, so agreement is meaningful.
 
 from fractions import Fraction
 from itertools import product
-from math import factorial
+from math import comb, factorial
 
 
 def gauss_rank(rows):
@@ -126,6 +126,26 @@ def torus_pi1_weights(k, max_w):
     """Weights of pi_1 of the torus T^k: the abelian group Z^k sits in
     weight 1, and T^k is a K(pi, 1), so nothing else survives."""
     return [k] + [0] * (max_w - 1)
+
+
+def polynomial_ext_dims(k, max_s):
+    """dim Ext^s_A(Q, Q), s = 1..max_s, when Ext is a polynomial algebra on k
+    classes of homological degree 1: C(s + k - 1, k - 1).  That is the
+    Koszul dual of an exterior algebra on k odd classes (T^k, at t = s) and of
+    a tensor power of k copies of Q[x]/x^2 with |x| = 2 ((S^2)^k, at t = 2s)."""
+    return [comb(s + k - 1, k - 1) for s in range(1, max_s + 1)]
+
+
+def surface_ext_dims(genus, max_s):
+    """dim Ext^s_A(Q, Q), s = 1..max_s, for A = H*(Sigma_g), all at t = s.
+
+    A is Koszul with Hilbert series 1 + 2g x + x^2, so Ext has the series
+    1 / (1 - 2g x + x^2): c_s = 2g c_(s-1) - c_(s-2), c_0 = 1, c_(-1) = 0.
+    """
+    c = [0, 1]
+    while len(c) < max_s + 2:
+        c.append(2 * genus * c[-1] - c[-2])
+    return c[2:]
 
 
 def necklace_numbers(k, max_w):

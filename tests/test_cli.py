@@ -504,3 +504,30 @@ def test_lie_dims_builds_no_basis(monkeypatch):
     monkeypatch.setattr("formalpi.free_lie.FreeLieBasis", no_build)
     assert invoke(argv) == expected
     assert expected[0] == 0 and expected[1].count("\n") > 5
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["pi", str(corpus_path("cp3")), "--max-degree", "6", "--max-weight", "5"],
+        ["pi", str(corpus_path("torus")), "--max-degree", "4"],
+        ["supports", str(corpus_path("char_torsion")), "--max-degree", "5"],
+        ["hurewicz", str(corpus_path("rand_formal_1")), "--max-degree", "7"],
+    ],
+)
+def test_table_commands_build_no_lie_basis(monkeypatch, argv):
+    def no_build(*args, **kwargs):
+        raise AssertionError("a Lie basis was built")
+
+    expected = invoke(argv)
+    monkeypatch.setattr("formalpi.free_lie.FreeLieBasis.__init__", no_build)
+    assert invoke(argv) == expected
+    assert expected[0] == 0 and expected[1].count("\n") > 3
+
+
+def test_supports_refuses_a_weight_cutoff_below_the_degree(capsys):
+    argv = ["supports", str(corpus_path("char_even")), "--max-degree", "5", "--max-weight", "3"]
+    status, text = invoke(argv)
+    assert status == 3 and text == ""
+    err = capsys.readouterr().err
+    assert err.startswith("cutoff exceeded: a complete table to degree 5 needs weights to 4")

@@ -1,0 +1,182 @@
+"""The minimal resolution of Q over A: Ext against closed forms, the d d = 0
+check, and the homotopy tables it gives against the Lie model's."""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+import formalpi.resolution as resolution
+from formalpi.cli import parse_presentation
+from formalpi.errors import (
+    CutoffExceededError,
+    CutoffTooSmallError,
+    DSquaredNonzeroError,
+    InvalidInputError,
+    NegativeDimensionError,
+)
+from formalpi.exactlin import SubspaceBasis
+from formalpi.free_lie import pbw_invert
+from formalpi.graded_core import AlgebraPresentation, CharacterLattice
+from formalpi.quillen_weight import (
+    build_model,
+    ext_table,
+    homotopy_table,
+    hurewicz_image,
+    hurewicz_rank,
+)
+from formalpi.resolution import ext_dims
+
+from conftest import ALL_CORPUS, SIMPLY_CONNECTED
+from oracles import polynomial_ext_dims, surface_ext_dims
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import bench_gen  # noqa: E402
+
+
+def generated(token):
+    return parse_presentation(json.loads(bench_gen.make(token, 7)))
+
+
+def parsed(p):
+    return parse_presentation(json.loads(bench_gen.to_json(p)))
+
+
+def sphere_power(n, k):
+    return parsed(bench_gen.power(lambda i: bench_gen.sphere(n, i), k))
+
+
+def surface(genus, characters=False):
+    return parsed(bench_gen.surface(genus, characters))
+
+
+def by_level(dims, max_s):
+    """The dims summed over t and characters, level s = 1..max_s."""
+    out = [0] * max_s
+    for (s, _, _), d in dims.items():
+        out[s - 1] += d
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Ext against closed forms
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_torus_ext_is_polynomial_in_degree_one(k):
+    dims = ext_dims(sphere_power(1, k), 3, 5)
+    assert {t - s for s, t, _ in dims} == {0}
+    assert by_level(dims, 5) == polynomial_ext_dims(k, 5)
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_sphere_power_ext_is_polynomial_in_degree_two(k):
+    dims = ext_dims(sphere_power(2, k), 5, 5)
+    assert {t - 2 * s for s, t, _ in dims} == {0}
+    assert by_level(dims, 5) == polynomial_ext_dims(k, 5)
+
+
+@pytest.mark.parametrize("genus,characters", [(1, False), (2, False), (2, True), (3, False)])
+def test_surface_ext_matches_its_hilbert_series(genus, characters):
+    dims = ext_dims(surface(genus, characters), 2, 4)
+    assert {t - s for s, t, _ in dims} == {0}
+    assert by_level(dims, 4) == surface_ext_dims(genus, 4)
+
+
+def test_ext_of_the_ground_field_is_empty():
+    assert ext_dims(AlgebraPresentation("pt", [("e", 0)], "e", {}), 5, 5) == {}
+
+
+def test_corrupted_boundary_fails_the_d_squared_check(monkeypatch):
+    real = resolution.kernel_basis
+    corrupted = []
+
+    def kernel_basis(m):
+        # add a non-cycle to the first kernel row that a generator is made from
+        k = real(m)
+        if corrupted or not k.dim or k.dim == k.ambient_dim:
+            return k
+        pivot, row = next(iter(k.rows.items()))
+        j = next(j for j in range(pivot + 1, m.cols) if not k.contains({j: 1}))
+        corrupted.append(j)
+        return SubspaceBasis(k.ambient_dim, {**k.rows, pivot: {**row, j: row.get(j, 0) + 1}})
+
+    monkeypatch.setattr(resolution, "kernel_basis", kernel_basis)
+    with pytest.raises(DSquaredNonzeroError) as err:
+        ext_dims(sphere_power(1, 3), 3, 3)
+    assert corrupted
+    assert err.value.witness == (2, 3, ())
+    assert str(err.value) == "d squared is nonzero on the resolution at (s=2, t=3, char=())"
+
+
+# ---------------------------------------------------------------------------
+# PBW inversion
+
+
+def test_pbw_inversion_names_a_slot_of_negative_dimension():
+    lattice = CharacterLattice()
+    # U(L) would hold one class in weight 1 and none in weight 2, but the
+    # square of an even class lives there
+    with pytest.raises(NegativeDimensionError, match=r"slot \(r=0, w=2, char=\(\)\) dimension -1"):
+        pbw_invert([{(0, ()): 1}, {}], lattice, 3, 2)
+    assert pbw_invert([{(1, ()): 1}, {}], lattice, 3, 2) == {(1, 1, ()): 1}
+
+
+# ---------------------------------------------------------------------------
+# two routes, one table
+
+
+def corpus_cases():
+    for name in SIMPLY_CONNECTED:
+        yield name, 8, 7
+    yield "torus", 5, 5
+    for name in ALL_CORPUS[len(SIMPLY_CONNECTED) + 1 :]:
+        yield name, 5, 5
+
+
+GENERATED = [
+    ("t3", 3, 3),
+    ("sigma2", 3, 3),
+    ("sigma2_chi", 3, 3),
+    ("t2_chi", 4, 4),
+    ("s2^4", 6, 5),
+    ("cp2xcp2", 6, 5),
+    ("wedge_2233", 7, 6),
+    ("s2^4~r0", 6, 5),
+    ("s2^4~r1", 6, 5),
+]
+
+
+@pytest.mark.parametrize("name,max_m,max_w", list(corpus_cases()))
+def test_resolution_table_equals_lie_model_table_on_corpus(corpus, name, max_m, max_w):
+    p = corpus[name]
+    assert ext_table(p, max_m, max_w) == homotopy_table(build_model(p, max_m, max_w))
+
+
+@pytest.mark.parametrize("token,max_m,max_w", GENERATED)
+def test_resolution_table_equals_lie_model_table_on_generated(token, max_m, max_w):
+    p = generated(token)
+    table = ext_table(p, max_m, max_w)
+    assert table == homotopy_table(build_model(p, max_m, max_w))
+    assert table.entries or table.pi1_pieces
+
+
+@pytest.mark.parametrize("name", SIMPLY_CONNECTED)
+def test_hurewicz_image_equals_the_lie_model_kernel(corpus, name):
+    model = build_model(corpus[name], 7, 6)
+    for m in range(2, 8):
+        assert hurewicz_image(corpus[name], m) == hurewicz_rank(model, m)[1]
+
+
+def test_resolution_table_refuses_like_the_lie_model(corpus):
+    bad = AlgebraPresentation("bad", [("e", 0), ("a", 2), ("t", 3)], "e", {("a", "a"): {"t": 1}})
+    with pytest.raises(InvalidInputError):
+        ext_table(bad, 1, 0)
+    with pytest.raises(CutoffTooSmallError):
+        ext_table(corpus["s2"], 1, 3)
+    with pytest.raises(CutoffTooSmallError):
+        ext_table(corpus["s2"], 4, 0)
+    with pytest.raises(CutoffExceededError):
+        ext_table(corpus["s2"], 6, 4)
+    assert not ext_table(corpus["torus"], 6, 2).complete
