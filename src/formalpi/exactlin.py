@@ -18,6 +18,11 @@ either vanishes or becomes one more row.  A SubspaceBasis is the canonical
 form of such an echelon, reduced, with coprime integer rows and positive
 pivots, so equal spans give equal objects.  Dense vectors appear only in its
 read-only view ``vectors`` and in RationalMatrix.apply.
+
+Kernels, preimages and intersections all answer {x in W : m x in S} with
+one tagged echelon, _preimage: seeded with the rows of S, it takes (m x | x)
+for each basis row x of W, and its rows with pivot in the x half span the
+answer.
 """
 
 from __future__ import annotations
@@ -326,23 +331,26 @@ class SubspaceBasis:
         return all(self.contains(r) for r in other.rows.values())
 
 
-def _null_vectors(n: int, rows: Rows) -> list[dict]:
-    """A basis of {x in Q^n : r . x = 0 for every r in rows}, rows in RREF.
+def _preimage(m: RationalMatrix, s: SubspaceBasis, within: SubspaceBasis | None) -> SubspaceBasis:
+    """{x in within : m x in s}, within None for all of Q^cols (Zassenhaus).
 
-    Free column f gives x_f = 1 and x_p = -r[f] / r[p] at each pivot p.
+    The echelon starts from the rows of s; x is placed from column m.rows on,
+    so the rows (0 | x) are those whose pivot lies in that right half.
     """
-    vecs = {f: {f: 1} for f in range(n) if f not in rows}
-    for p, r in rows.items():
-        for f, x in r.items():
-            if f != p:
-                vecs[f][p] = Fraction(-x, r[p])
-    return list(vecs.values())
+    n = m.rows
+    if within is None:
+        columns = m._columns
+        tagged = ({**columns.get(j, {}), n + j: 1} for j in range(m.cols))
+    else:
+        tagged = (m.matvec(x) | {n + j: v for j, v in x.items()} for x in within.rows.values())
+    ech = _Echelon(tagged, rows=s.rows)
+    meet = {p - n: {j - n: v for j, v in row.items()} for p, row in ech.rows.items() if p >= n}
+    return SubspaceBasis(m.cols, _Echelon(rows=meet).rref())
 
 
 def kernel_basis(m: RationalMatrix) -> SubspaceBasis:
-    """Right null space {x : m x = 0}."""
-    row_space = _Echelon(m.row_dicts()).rref()
-    return SubspaceBasis(m.cols, _Echelon(_null_vectors(m.cols, row_space)).rref())
+    """Right null space {x : m x = 0}: the preimage of 0 under m."""
+    return _preimage(m, SubspaceBasis.zero(m.rows), None)
 
 
 def homology_dim(d_in: RationalMatrix, d_out: RationalMatrix) -> int:
@@ -371,18 +379,11 @@ def subspace_sum(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
 
 
 def subspace_intersection(a: SubspaceBasis, b: SubspaceBasis) -> SubspaceBasis:
-    """Intersection of row spans (Zassenhaus).
-
-    Rows (u | u) for u in a and (v | 0) for v in b go into one echelon; the
-    rows whose pivot lies in the right half span (0 | a cap b).
-    """
+    """Intersection of row spans: {x in a : x in b}, the preimage of b under 1."""
     n = a.ambient_dim
     if n != b.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    doubled = {p: u | {n + j: x for j, x in u.items()} for p, u in a.rows.items()}
-    ech = _Echelon(b.rows.values(), rows=doubled)
-    meet = {p - n: {j - n: x for j, x in row.items()} for p, row in ech.rows.items() if p >= n}
-    return SubspaceBasis(n, _Echelon(rows=meet).rref())
+    return _preimage(RationalMatrix.identity(n), b, a)
 
 
 def image_subspace(m: RationalMatrix, s: SubspaceBasis) -> SubspaceBasis:
@@ -392,13 +393,13 @@ def image_subspace(m: RationalMatrix, s: SubspaceBasis) -> SubspaceBasis:
     return SubspaceBasis(m.rows, _Echelon(m.matvec(r) for r in s.rows.values()).rref())
 
 
-def preimage_subspace(m: RationalMatrix, s: SubspaceBasis) -> SubspaceBasis:
-    """{x : m x in s} inside Q^cols: every functional vanishing on s kills m x."""
-    if m.rows != s.ambient_dim:
+def preimage_subspace(
+    m: RationalMatrix, s: SubspaceBasis, within: SubspaceBasis | None = None
+) -> SubspaceBasis:
+    """{x in within : m x in s} inside Q^cols; within None stands for all of Q^cols."""
+    if m.rows != s.ambient_dim or (within is not None and within.ambient_dim != m.cols):
         raise ValueError("ambient dimension mismatch")
-    ann = _null_vectors(m.rows, s.rows)
-    entries = {(i, j): exact(x) for i, row in enumerate(ann) for j, x in row.items()}
-    return kernel_basis(RationalMatrix._canonical(len(ann), m.rows, entries).matmul(m))
+    return _preimage(m, s, within)
 
 
 def coordinates_in_span(rows: list[dict], vec: dict) -> dict[int, Fraction]:

@@ -33,7 +33,6 @@ from .exactlin import (
     extend_to_complement,
     image_subspace,
     preimage_subspace,
-    subspace_intersection,
     subspace_sum,
 )
 
@@ -164,21 +163,15 @@ class SpectralSequencePage:
 
 
 def _approx(fc: FilteredComplex, s: int, t: int, n: int) -> SubspaceBasis:
-    """{x in F^s C_n : d x in F^t C_(n-1)}; A_r(s, n) is the case t = s + r."""
+    """{x in F^s C_n : d x in F^t C_(n-1)}, the preimage under d with within = F^s C_n.
+
+    A_r(s, n) is the case t = s + r.
+    """
     key = ("approx", s, t, n)
     got = fc._cache.get(key)
-    if got is not None:
-        return got
-    dim_n = fc.dim(n)
-    if dim_n == 0:
-        out = SubspaceBasis.zero(0)
-    else:
-        pre = fc._cache.get(("pre", t, n))
-        if pre is None:
-            pre = fc._cache[("pre", t, n)] = preimage_subspace(fc.d(n), fc.level(n - 1, t))
-        out = subspace_intersection(fc.level(n, s), pre)
-    fc._cache[key] = out
-    return out
+    if got is None:
+        got = fc._cache[key] = preimage_subspace(fc.d(n), fc.level(n - 1, t), within=fc.level(n, s))
+    return got
 
 
 def page(fc: FilteredComplex, r: int) -> SpectralSequencePage:

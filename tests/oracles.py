@@ -86,6 +86,41 @@ def gauss_jordan_rref(rows, n):
     return [tuple(row) for row in done]
 
 
+def dense_null_space(rows, n):
+    """A basis of {x in Q^n : r . x = 0 for every row r}, one vector per free column."""
+    reduced = gauss_jordan_rref(rows, n)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in reduced]
+    out = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        x = [Fraction(0)] * n
+        x[f] = Fraction(1)
+        for p, row in zip(pivots, reduced):
+            x[p] = -row[f]
+        out.append(x)
+    return out
+
+
+def dense_preimage(m, cols, s, within):
+    """The RREF rows of {x in span(within) : m x in span(s)}.
+
+    m is a list of dense rows (cols columns each); s and within are lists of
+    dense vectors.  Solves sum a_i m w_i = sum c_j s_j for (a, c) and returns
+    the reduced span of the vectors sum a_i w_i.
+    """
+    def dot(u, v):
+        return sum((Fraction(x) * Fraction(y) for x, y in zip(u, v)), Fraction(0))
+
+    if not within:
+        return []
+    images = [[dot(row, w) for row in m] for w in within]
+    equations = [[img[i] for img in images] + [-Fraction(v[i]) for v in s] for i in range(len(m))]
+    solutions = dense_null_space(equations, len(within) + len(s))
+    xs = [[dot(a, col) for col in zip(*within)] for a in solutions]
+    return gauss_jordan_rref(xs, cols)
+
+
 def mobius(n):
     if n == 1:
         return 1

@@ -24,7 +24,7 @@ from formalpi.exactlin import (
     subspace_sum,
 )
 
-from oracles import dense_matmul, dense_rows, gauss_jordan_rref
+from oracles import dense_matmul, dense_preimage, dense_rows, gauss_jordan_rref
 
 
 # --- independent oracles -----------------------------------------------------
@@ -347,6 +347,52 @@ def test_kernel_is_annihilated_and_canonical(family):
         assert all(x == 0 for x in m.apply(v))
     assert SubspaceBasis.from_vectors(k.vectors, n) == k
     assert SubspaceBasis.from_vectors(list(reversed(k.vectors)), n) == k
+
+
+@st.composite
+def preimage_problems(draw):
+    """(m, s, within, case): s and within are lists of vectors, within may be None.
+
+    case "kernel" takes s = 0 (with within None half the time), "identity"
+    takes m = 1, "whole" takes within = None and "general" draws all three.
+    Entries come from rationals, so Fractions of large height appear.
+    """
+    case = draw(st.sampled_from(["general", "whole", "kernel", "identity"]))
+    cols = draw(st.integers(min_value=1, max_value=5))
+    if case == "identity":
+        rows, dense = cols, [[int(i == j) for j in range(cols)] for i in range(cols)]
+    else:
+        rows = draw(st.integers(min_value=0, max_value=5))
+        row = st.lists(rationals, min_size=cols, max_size=cols)
+        dense = draw(st.lists(row, min_size=rows, max_size=rows))
+    entries = {(i, j): x for i, r in enumerate(dense) for j, x in enumerate(r)}
+    m = RationalMatrix(rows, cols, entries)
+    images = [m.apply(v) for v in draw(vectors(cols, max_count=3))]
+    s = [] if case == "kernel" else draw(vectors(rows, base=images, max_count=4))
+    whole = case == "whole" or (case == "kernel" and draw(st.booleans()))
+    return m, s, None if whole else draw(vectors(cols, max_count=5)), case
+
+
+@settings(max_examples=200, deadline=None)
+@given(preimage_problems())
+def test_preimage_subspace_matches_dense_oracle(problem):
+    m, s_vecs, within_vecs, case = problem
+    whole = within_vecs is None
+    if whole:
+        within_vecs = [[int(i == j) for j in range(m.cols)] for i in range(m.cols)]
+    s = SubspaceBasis.from_vectors(s_vecs, m.rows)
+    within = SubspaceBasis.from_vectors(within_vecs, m.cols)
+    pre = preimage_subspace(m, s, None if whole else within)
+    expected = dense_preimage(dense_rows(m), m.cols, s_vecs, within_vecs)
+    assert pre.dim == len(expected)
+    assert list(pre.vectors) == expected
+    for v in pre.vectors:
+        assert within.contains(v) and s.contains(m.apply(v))
+    assert pre == preimage_subspace(m, s, within)
+    if case == "kernel":
+        assert pre == subspace_intersection(within, kernel_basis(m))
+    if case == "identity":
+        assert pre == subspace_intersection(within, s)
 
 
 def test_combine_is_a_shape_checked_signed_sum():

@@ -3,7 +3,6 @@ from fractions import Fraction
 
 import pytest
 
-from formalpi import ss_engine
 from formalpi.errors import InvalidInputError, OutOfRangeError
 from formalpi.exactlin import RationalMatrix, SubspaceBasis, homology_dim
 from formalpi.free_lie import dim as lie_dim
@@ -18,7 +17,7 @@ from formalpi.ss_engine import (
 )
 
 from conftest import ALL_CORPUS
-from oracles import dense_inverse, dense_rows, gauss_rank
+from oracles import dense_inverse, dense_preimage, dense_rows, gauss_rank
 
 
 def two_step_example():
@@ -361,21 +360,31 @@ def _rng_at(state):
     return rng
 
 
-def test_preimages_are_computed_once_per_stage_and_degree(corpus, monkeypatch):
-    """A_r(s, n) for every s shares one preimage of F^t C_(n-1) per (t, n)."""
-    calls = []
-    real = ss_engine.preimage_subspace
+def test_approximations_match_the_dense_oracle(corpus):
+    """Every memoized A = {x in F^s C_n : d x in F^t C_(n-1)} after pages 1-4.
 
-    def counting(m, sub):
-        calls.append((m, sub))
-        return real(m, sub)
-
-    monkeypatch.setattr(ss_engine, "preimage_subspace", counting)
-    fc = filtered_from_model(build_model(corpus["wedge_s2_s2"], 5, 5))
-    for r in (1, 2, 3, 4):
-        page(fc, r)
-    check_degeneration(fc, 2, 6)
-    requests = [key[1:] for key in fc._cache if key[0] == "approx" and fc.dim(key[3])]
-    asked = {(t, n) for _, t, n in requests}
-    assert len(asked) < len(requests)
-    assert len(calls) <= len(asked)
+    Each is one preimage under d restricted to F^s, the only subspace the
+    pages memoize; here it is compared with a dense solve of the conditions.
+    """
+    rng = random.Random(20261019)
+    complexes = [filtered_from_model(build_model(corpus["wedge_s2_s2"], 5, 5))]
+    while len(complexes) < 9:
+        fc = random_filtered_complex(rng)
+        if fc.degrees():
+            complexes.append(fc)
+    for fc in complexes:
+        for r in (1, 2, 3, 4):
+            page(fc, r)
+        assert {key[0] for key in fc._cache} == {"approx", "page"}
+        for key, got in fc._cache.items():
+            if key[0] != "approx":
+                continue
+            _, s, t, n = key
+            assert got.ambient_dim == fc.dim(n)
+            expected = dense_preimage(
+                dense_rows(fc.d(n)),
+                fc.dim(n),
+                list(fc.level(n - 1, t).vectors),
+                list(fc.level(n, s).vectors),
+            )
+            assert list(got.vectors) == expected, key
