@@ -27,7 +27,6 @@ import json
 import random
 import re
 import sys
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -158,10 +157,6 @@ def load_presentation(path) -> AlgebraPresentation:
 
 @dataclass
 class RunReport:
-    command: str
-    input_name: str
-    cutoffs: dict
-    elapsed: float = 0.0
     text: str = ""
     payload: dict | None = None
     exit_status: int = 0
@@ -481,22 +476,16 @@ def _parser() -> argparse.ArgumentParser:
 def run(argv, out=None) -> RunReport:
     """Execute one subcommand; returns the report (text already printed)."""
     out = out if out is not None else sys.stdout
-    started = time.monotonic()
     try:
         args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code if exc.code is not None else 2
-        return RunReport("?", "?", {}, 0.0, "", None, int(code))
+        return RunReport(exit_status=int(code))
     if args.max_weight is None:
         args.max_weight = args.max_degree
-    report = RunReport(
-        args.command,
-        args.input,
-        {"max_degree": args.max_degree, "max_weight": args.max_weight},
-    )
+    report = RunReport()
     try:
         pres = load_presentation(args.input)
-        report.input_name = pres.name
         _COMMANDS[args.command](pres, args, report)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
@@ -510,7 +499,6 @@ def run(argv, out=None) -> RunReport:
     except FormalpiError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         report.exit_status = 1
-    report.elapsed = time.monotonic() - started
     if report.payload is not None:
         report.text = render_json(report.payload)
     if report.text:

@@ -236,20 +236,25 @@ class DegenerationReport:
 
 
 def check_degeneration(fc: FilteredComplex, r0: int, r_max: int) -> DegenerationReport:
-    """True iff every d_r vanishes for r0 <= r <= r_max and the dims freeze."""
+    """True iff every d_r vanishes for r0 <= r <= r_max, read off two pages.
+
+    E_(r+1) = H(E_r, d_r), so at each slot dim E_(r+1) is dim E_r less the
+    ranks of d_r into and out of it: every d_r in the range vanishes exactly
+    when E_r0 and E_(r_max+1) have equal dims.  The pages between are built
+    only when they differ, to name the witness: the first r, then the first
+    slot in sorted order with d_r nonzero.
+    """
     if r0 < 1:
         raise OutOfRangeError("pages start at r = 1")
-    first_failure = None
-    for r in range(r0, r_max + 1):
-        pg = page(fc, r)
-        for slot, m in sorted(pg.differentials.items()):
-            if not m.is_zero():
-                first_failure = (r, *slot)
-                break
-        if first_failure:
-            break
-    frozen = page(fc, r0).dims == page(fc, r_max + 1).dims
-    return DegenerationReport(r0, r_max, first_failure is None and frozen, first_failure)
+    if page(fc, r0).dims == page(fc, r_max + 1).dims:
+        return DegenerationReport(r0, r_max, True, None)
+    witnesses = (
+        (r, *slot)
+        for r in range(r0, r_max + 1)
+        for slot, m in sorted(page(fc, r).differentials.items())
+        if not m.is_zero()
+    )
+    return DegenerationReport(r0, r_max, False, next(witnesses, None))
 
 
 def e_infinity(fc: FilteredComplex) -> dict[Slot, int]:

@@ -114,6 +114,7 @@ class _Truncation:
         self.index = {
             n: {m: i for i, m in enumerate(self.monomials[n])} for n in range(top + 1)
         }
+        self._d: dict[int, RationalMatrix] = {}
         self._ids_by_degree: dict[int, list[str]] = {}
         for e in p.basis:
             self._ids_by_degree.setdefault(e.degree, []).append(e.ident)
@@ -152,12 +153,15 @@ class _Truncation:
         return out
 
     def d_matrix(self, n: int) -> RationalMatrix:
-        rows, cols = self.dim(n + 1), self.dim(n)
-        entries = {}
-        for j, mono in enumerate(self.monomials[n]):
-            for m2, c in self.d_of_monomial(mono).items():
-                entries[(self.index[n + 1][m2], j)] = c
-        return RationalMatrix(rows, cols, entries)
+        """d out of degree n, built once per truncation."""
+        got = self._d.get(n)
+        if got is None:
+            entries = {}
+            for j, mono in enumerate(self.monomials[n]):
+                for m2, c in self.d_of_monomial(mono).items():
+                    entries[(self.index[n + 1][m2], j)] = c
+            got = self._d[n] = RationalMatrix(self.dim(n + 1), self.dim(n), entries)
+        return got
 
     def image_of_monomial(self, mono: Monomial) -> dict[str, Fraction]:
         acc = {self.p.unit_id: Fraction(1)}
@@ -211,8 +215,9 @@ def minimal_model(p: AlgebraPresentation, cutoff: int) -> MinimalModel:
                     image=tuple((ids[t], c) for t, c in sorted(vec.items())),
                 )
             )
-        # kill the kernel of the comparison one degree up
-        tr = _Truncation(p, tuple(gens), n + 2)
+        # kill the kernel of the comparison one degree up, on the same truncation:
+        # with no generator in degree 1, the closed generators just adjoined add
+        # no monomial and no boundary in degree n + 1
         reps = tr.cohomology_reps(n + 1)
         if reps:
             columns = {(j, i): x for i, rep in enumerate(reps) for j, x in rep.items()}

@@ -9,6 +9,7 @@ from formalpi.free_lie import dim as lie_dim
 from formalpi.free_lie import e1_index_to_lie
 from formalpi.quillen_weight import build_model, homotopy_table
 from formalpi.ss_engine import (
+    DegenerationReport,
     FilteredComplex,
     check_degeneration,
     e_infinity,
@@ -352,6 +353,53 @@ def test_pages_out_of_order_match_fresh_complexes(corpus):
             assert page(shared, r) is got
         for r0, r_max in ((2, 6), (1, 3), (2, 6)):
             assert check_degeneration(shared, r0, r_max) == check_degeneration(make(), r0, r_max)
+
+
+def scanned_degeneration(fc, r0, r_max):
+    """The verdict by scanning every d_r for r0 <= r <= r_max, then freezing the dims."""
+    first_failure = None
+    for r in range(r0, r_max + 1):
+        nonzero = [slot for slot, m in sorted(page(fc, r).differentials.items()) if not m.is_zero()]
+        if nonzero:
+            first_failure = (r, *nonzero[0])
+            break
+    frozen = page(fc, r0).dims == page(fc, r_max + 1).dims
+    return DegenerationReport(r0, r_max, first_failure is None and frozen, first_failure)
+
+
+DEGENERATION_RANGES = ((1, 3), (2, 6), (3, 5))
+
+
+def test_degeneration_verdict_equals_the_scan_of_every_differential(corpus):
+    """Two pages decide the verdict; the witness is the scan's first nonzero d_r."""
+    makers = []
+    for name in ALL_CORPUS:
+        deep = name in ("torus", "char_pair")
+        model = build_model(corpus[name], 4 if deep else 5, 3 if deep else 4)
+        makers.append(lambda model=model: filtered_from_model(model))
+    rng = random.Random(20261020)
+    while len(makers) < len(ALL_CORPUS) + 40:
+        # five levels, so that d_3 and later can be nonzero
+        state = rng.getstate()
+        if random_filtered_complex(rng, max_levels=5).degrees():
+            makers.append(
+                lambda state=state: random_filtered_complex(_rng_at(state), max_levels=5)
+            )
+    failed_ranges = set()
+    for make in makers:
+        for r0, r_max in DEGENERATION_RANGES:
+            got = check_degeneration(make(), r0, r_max)
+            assert got == scanned_degeneration(make(), r0, r_max)
+            if not got.degenerate:
+                failed_ranges.add((r0, r_max))
+    assert failed_ranges == set(DEGENERATION_RANGES)
+
+
+def test_degenerate_verdict_builds_two_pages(corpus):
+    for name in ("s2", "cp2", "wedge_s2_s2", "rand_formal_1"):
+        fc = filtered_from_model(build_model(corpus[name], 5, 4))
+        assert check_degeneration(fc, 2, 6).degenerate, name
+        assert {key[1] for key in fc._cache if key[0] == "page"} == {2, 7}, name
 
 
 def _rng_at(state):

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from formalpi import sullivan_oracle
 from formalpi.errors import (
     CutoffMismatchError,
     DegreeCutoffError,
@@ -74,6 +75,32 @@ def test_model_invariants_hold(corpus, name):
     assert model_violations(mm) == []
     for g in mm.generators:
         assert all(len(m) >= 2 for m, _ in g.differential)
+
+
+def test_one_truncation_per_degree_and_one_d_per_truncation(corpus, monkeypatch):
+    """minimal_model builds c - 1 truncations; no truncation assembles a d twice."""
+    built = []
+    assembled: dict = {}
+
+    class CountingTruncation(sullivan_oracle._Truncation):
+        def __init__(self, *args):
+            built.append(self)
+            super().__init__(*args)
+
+        def d_of_monomial(self, mono):
+            key = (id(self), mono)
+            assembled[key] = assembled.get(key, 0) + 1
+            return super().d_of_monomial(mono)
+
+    monkeypatch.setattr(sullivan_oracle, "_Truncation", CountingTruncation)
+    for name, cutoff in (("s2", 2), ("cp2", 6), ("wedge_s2_s2", 9)):
+        built.clear()
+        assembled.clear()
+        mm = minimal_model(corpus[name], cutoff)
+        assert len(built) == cutoff - 1, name
+        assert model_violations(mm) == []
+        assert len(built) == cutoff, name
+        assert set(assembled.values()) == {1}, name
 
 
 def test_compare_passes_spheres_and_plane(corpus):
