@@ -285,8 +285,9 @@ def normalize(v: CosimplicialVS) -> CochainComplex:
         cols = {}
         total = combine(v.dim(n + 1), v.dim(n), [((-1) ** i, v.coface(n, i)) for i in range(n + 2)])
         span = bases[n + 1].monic_rows()
-        for j, vec in enumerate(bases[n].monic_rows()):
-            for i, val in coordinates_in_span(span, total.matvec(vec)).items():
+        images = [total.matvec(vec) for vec in bases[n].monic_rows()]
+        for j, coords in enumerate(coordinates_in_span(span, images)):
+            for i, val in coords.items():
                 cols[(i, j)] = val
         diffs.append(RationalMatrix(dims[n + 1], dims[n], cols))
     return CochainComplex(dims, tuple(diffs))
@@ -554,23 +555,21 @@ def algebra_from_presentation(p) -> CochainAlgebra:
     from .graded_core import require_valid
 
     require_valid(p)
-    top = max(e.degree for e in p.basis)
-    by_degree: dict[int, list[str]] = {d: [] for d in range(top + 1)}
+    dims = [0] * (max(e.degree for e in p.basis) + 1)
+    slot = {}  # the position of each id among the ids of its degree
     for e in p.basis:
-        by_degree[e.degree].append(e.ident)
-    dims = tuple(len(by_degree[d]) for d in range(top + 1))
-    slot = {ident: t for d in range(top + 1) for t, ident in enumerate(by_degree[d])}
-    products = {}
-    for dp in range(top + 1):
-        for dq in range(top + 1 - dp):
-            entries = {}
-            for i, a in enumerate(by_degree[dp]):
-                for j, b in enumerate(by_degree[dq]):
-                    for t, coeff in p.product(a, b).items():
-                        entries[(slot[t], i * dims[dq] + j)] = coeff
-            if entries:
-                products[(dp, dq)] = RationalMatrix(dims[dp + dq], dims[dp] * dims[dq], entries)
-    return CochainAlgebra(CochainComplex(dims), products, (Fraction(1),))
+        slot[e.ident] = dims[e.degree]
+        dims[e.degree] += 1
+    products: dict[tuple[int, int], dict] = {}  # entries by degree pair, then the matrices
+    for a, row in p.table.items():
+        for b, ab in row.items():
+            dp, dq = p.degree(a), p.degree(b)
+            block = products.setdefault((dp, dq), {})
+            for t, coeff in ab.items():
+                block[(slot[t], slot[a] * dims[dq] + slot[b])] = coeff
+    for (dp, dq), block in products.items():
+        products[(dp, dq)] = RationalMatrix(dims[dp + dq], dims[dp] * dims[dq], block)
+    return CochainAlgebra(CochainComplex(tuple(dims)), products, (Fraction(1),))
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +608,8 @@ def random_cochain_complex(rng, max_degree: int = 4, max_dim: int = 4) -> Cochai
     for i in range(n_deg - 1):
         p, k = basis_change[i].row_dicts(), dims[i]
         # row j of P^-1 solves c P = e_j
-        p_inv = {(j, t): c for j in range(k) for t, c in coordinates_in_span(p, {j: 1}).items()}
+        units = coordinates_in_span(p, [{j: 1} for j in range(k)])
+        p_inv = {(j, t): c for j, coords in enumerate(units) for t, c in coords.items()}
         d = RationalMatrix(dims[i + 1], k, matching[i])
         diffs.append(basis_change[i + 1].matmul(d).matmul(RationalMatrix(k, k, p_inv)))
     return CochainComplex(tuple(dims), tuple(diffs))

@@ -402,21 +402,22 @@ def preimage_subspace(
     return _preimage(m, s, within)
 
 
-def coordinates_in_span(rows: list[dict], vec: dict) -> dict[int, Fraction]:
-    """The nonzero c_i with vec = sum c_i rows[i]; ValueError when vec is outside.
+def coordinates_in_span(rows: list[dict], vectors: list[dict]) -> list[dict[int, Fraction]]:
+    """For each v in vectors, the nonzero c_i with v = sum c_i rows[i].
 
-    The RREF of the augmented system [rows^T | vec] fixes the answer; with
-    dependent rows the coefficients of non-pivot rows are 0.
+    One RREF of [rows^T | v_1 ... v_m]: the rows alone fix its pivots left of
+    the vectors, non-pivot rows get 0, and a pivot right of them is a ValueError.
     """
     k = len(rows)
     equations: dict[int, dict] = {}
-    for i, row in enumerate([*rows, vec]):
+    for i, row in enumerate([*rows, *vectors]):
         for j, x in row.items():
             equations.setdefault(j, {})[i] = x
     solved = _Echelon(equations.values()).rref()
-    if k in solved:
+    if max(solved, default=-1) >= k:
         raise ValueError("vector not in span")
-    return {p: Fraction(r[k], r[p]) for p, r in solved.items() if k in r}
+    columns = range(k, k + len(vectors))
+    return [{p: Fraction(r[i], r[p]) for p, r in solved.items() if i in r} for i in columns]
 
 
 def extend_to_complement(sub: SubspaceBasis, space: SubspaceBasis) -> list[dict[int, Fraction]]:

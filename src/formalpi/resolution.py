@@ -59,7 +59,6 @@ def ext_dims(
     for e in p.basis:
         if e.degree > 0:
             positive.setdefault(e.degree, {}).setdefault(e.character, []).append(e.ident)
-    ids = p.positive_ids()
     sums: dict = {}  # memo of the lattice sums of characters
     left: dict[str, dict[int, list]] = {}  # b -> degree of a -> [(a, ab)], ab nonzero
 
@@ -67,9 +66,9 @@ def ext_dims(
         out = left.get(b)
         if out is None:
             out = left[b] = {}
-            for a in ids:
-                if ab := p.product(a, b):
-                    out.setdefault(p.degree(a), []).append((a, ab))
+            # a.b != 0 exactly when b.a != 0: row b names the a, in basis order
+            for a in sorted(p.table[b].keys() - {p.unit_id}, key=p.index.__getitem__):
+                out.setdefault(p.degree(a), []).append((a, p.table[a][b]))
         return out
 
     def pairs(gens, t) -> dict[tuple[int, ...], list[Pair]]:

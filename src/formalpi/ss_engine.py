@@ -215,8 +215,8 @@ def _compute_page(fc: FilteredComplex, r: int) -> SpectralSequencePage:
         span_rows = [*tgt_reps, *tgt_denom.rows.values()]
         entries = {}
         dmat = fc.d(n)
-        for j, v in enumerate(rows):
-            for i, c in coordinates_in_span(span_rows, dmat.matvec(v)).items():
+        for j, coords in enumerate(coordinates_in_span(span_rows, [dmat.matvec(v) for v in rows])):
+            for i, c in coords.items():
                 if i < len(tgt_reps):
                     entries[(i, j)] = c
         diffs[_publish(s, n)] = RationalMatrix(len(tgt_reps), len(rows), entries)

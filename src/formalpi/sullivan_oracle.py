@@ -95,6 +95,8 @@ class _Truncation:
         self.top = top
         self.degrees = tuple(g.degree for g in gens)
         self.parities = tuple(g.degree % 2 for g in gens)
+        if any(a > b for a, b in zip(self.degrees, self.degrees[1:])):
+            raise ValueError("generator degrees must not decrease")
         by_deg: dict[int, list[Monomial]] = {n: [] for n in range(top + 1)}
 
         def rec(start: int, mono: list[int], deg: int):
@@ -102,7 +104,7 @@ class _Truncation:
             for i in range(start, len(gens)):
                 nd = deg + self.degrees[i]
                 if nd > top:
-                    continue
+                    break  # degrees never decrease, so every later one overshoots too
                 if self.parities[i] and mono and mono[-1] == i:
                     continue
                 mono.append(i)
@@ -200,6 +202,7 @@ def minimal_model(p: AlgebraPresentation, cutoff: int) -> MinimalModel:
         raise DegreeCutoffError("cutoff must be at least 2")
     gens: list[ModelGenerator] = []
     for n in range(2, cutoff + 1):
+        first = len(gens)  # every generator of degree n is adjoined at this step
         # surject onto the target in degree n
         tr = _Truncation(p, tuple(gens), n + 2)
         comparison = tr.comparison_matrix(n)
@@ -209,7 +212,7 @@ def minimal_model(p: AlgebraPresentation, cutoff: int) -> MinimalModel:
         for vec in extend_to_complement(hit, SubspaceBasis.full(len(ids))):
             gens.append(
                 ModelGenerator(
-                    name=f"v{n}_{sum(1 for g in gens if g.degree == n)}",
+                    name=f"v{n}_{len(gens) - first}",
                     degree=n,
                     differential=(),
                     image=tuple((ids[t], c) for t, c in sorted(vec.items())),
@@ -226,7 +229,7 @@ def minimal_model(p: AlgebraPresentation, cutoff: int) -> MinimalModel:
                 cocycle = sorted(r.matvec(lam).items())  # in sorted monomial order
                 gens.append(
                     ModelGenerator(
-                        name=f"v{n}_{sum(1 for g in gens if g.degree == n)}",
+                        name=f"v{n}_{len(gens) - first}",
                         degree=n,
                         differential=tuple((tr.monomials[n + 1][i], c) for i, c in cocycle),
                         image=(),

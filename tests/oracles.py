@@ -370,3 +370,26 @@ def naive_associativity(p):
         for c in ids
         if times(p.product(a, b), {c: 1}) != times({a: 1}, p.product(b, c))
     ]
+
+
+def reference_product(p, a, b):
+    """a*b derived pair by pair from the stored half of p's product table.
+
+    The unit acts as the identity, a stored pair counts only when it is
+    listed in basis order (index[a] <= index[b]), and the other order takes
+    the Koszul sign (-1)^(|a||b|).  A zero product is {}.
+    """
+    if a == p.unit_id:
+        return {b: 1}
+    if b == p.unit_id:
+        return {a: 1}
+    if p.index[a] <= p.index[b]:
+        return dict(p.products.get((a, b), {}))
+    sign = (-1) ** (p.degree(a) * p.degree(b))
+    return {t: sign * c for t, c in p.products.get((b, a), {}).items()}
+
+
+def reference_table(p):
+    """{x: {y: x*y}} over the distinct basis ids, nonzero products only."""
+    ids = list(p.index)
+    return {x: {y: xy for y in ids if (xy := reference_product(p, x, y))} for x in ids}

@@ -248,16 +248,30 @@ def _dense(row, n):
 
 
 def test_coordinates_in_span_roundtrip():
-    rows = [(1, 0, 2), (0, 1, 1)]
-    v = (3, -2, 4)
-    c = coordinates_in_span([_sparse(r) for r in rows], _sparse(v))
-    rebuilt = [Fraction(0)] * 3
-    for i, row in enumerate(rows):
-        for j, x in enumerate(row):
-            rebuilt[j] += c.get(i, 0) * x
-    assert tuple(rebuilt) == tuple(Fraction(x) for x in v)
+    def rebuild(rows, c):
+        out = [Fraction(0)] * 3
+        for i, row in enumerate(rows):
+            for j, x in enumerate(row):
+                out[j] += c.get(i, 0) * x
+        return tuple(out)
+
+    # the third row is the sum of the first two, so it never gets a coefficient
+    rows = [(1, 0, 2), (0, 1, 1), (1, 1, 3)]
+    vectors = [(3, -2, 4), (0, 0, 0), (Fraction(1, 2), 0, 1), (1, 1, 3)]
+    sparse_rows = [_sparse(r) for r in rows]
+    coords = coordinates_in_span(sparse_rows, [_sparse(v) for v in vectors])
+    assert len(coords) == len(vectors)
+    for v, c in zip(vectors, coords):
+        assert 2 not in c
+        assert rebuild(rows, c) == tuple(Fraction(x) for x in v)
+        # one vector at a time gives the same coefficients
+        assert [c] == coordinates_in_span(sparse_rows, [_sparse(v)])
+    assert coords[1] == {}
+    assert coordinates_in_span(sparse_rows, []) == []
     with pytest.raises(ValueError):
-        coordinates_in_span([_sparse(r) for r in rows], _sparse((0, 0, 1)))
+        coordinates_in_span(sparse_rows, [_sparse((3, -2, 4)), _sparse((0, 0, 1))])
+    with pytest.raises(ValueError):
+        coordinates_in_span(sparse_rows, [_sparse((0, 0, 1)), _sparse((0, 0, 1))])
 
 
 # --- echelon kernel properties (rational entries, large heights) --------------

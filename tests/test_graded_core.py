@@ -1,12 +1,17 @@
 from __future__ import annotations
 
+import json
+import sys
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from formalpi.cli import parse_presentation
+from formalpi.dold_kan import algebra_from_presentation
 from formalpi.errors import InvalidInputError
 from formalpi.graded_core import (
     AlgebraPresentation,
@@ -15,8 +20,12 @@ from formalpi.graded_core import (
     is_simply_connected_type,
     validate_algebra,
 )
+from formalpi.resolution import ext_dims
 
-from oracles import naive_associativity
+from oracles import naive_associativity, reference_table
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import bench_gen  # noqa: E402
 
 
 def make(name, basis, products, unit="e0", lattice=None):
@@ -346,3 +355,60 @@ def test_small_algebras_are_valid(name):
     basis, prods = SMALL_ALGEBRAS[name]()
     assert validate_algebra(make(name, basis, prods)).ok
     assert naive_associativity(make(name, basis, prods)) == []
+
+
+# --- the full product table ---------------------------------------------------
+
+
+def generated():
+    """Every bench_gen family and two rational variants of each, seed 7."""
+    tokens = [f"{fam}{variant}" for fam in bench_gen.FAMILIES for variant in ("", "~r1", "~r2")]
+    return {token: parse_presentation(json.loads(bench_gen.make(token, 7))) for token in tokens}
+
+
+# presentations that fail validation but still have a well-defined table
+FAULTY = {
+    "duplicate_id": lambda: make(
+        "dup",
+        [("e0", 0), ("a", 2), ("b", 4), ("d", 8), ("a", 2)],
+        {("a", "a"): {"b": Fraction(1)}, ("b", "b"): {"d": Fraction(1)}},
+    ),
+    "listed_unit_product": lambda: make(
+        "unit",
+        [("e0", 0), ("x", 2), ("x2", 4)],
+        {("e0", "x"): {"x": Fraction(2)}, ("x", "x"): {"x2": Fraction(1)}},
+    ),
+    "odd_pairs": lambda: make(
+        "odd",
+        [("e0", 0), ("e1", 1), ("f1", 1), ("t2", 2)],
+        {("e1", "f1"): {"t2": Fraction(1, 2)}, ("e1", "e1"): {"t2": Fraction(3)}},
+    ),
+}
+
+
+def test_table_matches_per_pair_reference(corpus):
+    cases = {**corpus, **generated(), **{name: build() for name, build in FAULTY.items()}}
+    for name, p in cases.items():
+        assert p.table == reference_table(p), name
+    for name in FAULTY:
+        assert not validate_algebra(cases[name]).ok, name
+    odd = cases["odd_pairs"]
+    assert odd.product("f1", "e1") == {"t2": Fraction(-1, 2)}
+    assert odd.product("e1", "e1") == {"t2": 3}
+    assert cases["listed_unit_product"].product("e0", "x") == {"x": 1}
+
+
+def test_consumers_read_only_the_table(corpus, monkeypatch):
+    cases = {**corpus, **generated()}
+    for p in cases.values():
+        p.table
+
+    def no_product(self, a, b):
+        raise AssertionError("product() called after the table was built")
+
+    monkeypatch.setattr(AlgebraPresentation, "product", no_product)
+    for name, p in cases.items():
+        assert validate_algebra(p).ok, name
+        dualize(p)
+        ext_dims(p, 2, 2)
+        algebra_from_presentation(p)

@@ -1,6 +1,7 @@
 """Minimal model construction and the two-machinery comparison."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -101,6 +102,26 @@ def test_one_truncation_per_degree_and_one_d_per_truncation(corpus, monkeypatch)
         assert model_violations(mm) == []
         assert len(built) == cutoff, name
         assert set(assembled.values()) == {1}, name
+
+
+def test_truncation_monomials_and_decreasing_degrees(corpus):
+    """The monomial walk stops at the first generator that overshoots the bound,
+    which is exact only for degrees that never decrease; others are refused."""
+    p = corpus["wedge_s2_s2"]
+    gens = minimal_model(p, 6).generators
+    top = 9
+    tr = sullivan_oracle._Truncation(p, gens, top)
+    degrees = [g.degree for g in gens]
+    want = {n: [] for n in range(top + 1)}
+    for length in range(top // 2 + 1):
+        for mono in combinations_with_replacement(range(len(gens)), length):
+            deg = sum(degrees[i] for i in mono)
+            odd_repeat = any(a == b and degrees[a] % 2 for a, b in zip(mono, mono[1:]))
+            if deg <= top and not odd_repeat:
+                want[deg].append(mono)
+    assert tr.monomials == {n: tuple(sorted(ms)) for n, ms in want.items()}
+    with pytest.raises(ValueError):
+        sullivan_oracle._Truncation(p, gens[::-1], top)
 
 
 def test_compare_passes_spheres_and_plane(corpus):
