@@ -29,6 +29,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .errors import (
@@ -451,7 +452,13 @@ _COMMANDS = {
 }
 
 
+@cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared afterwards.
+
+    It holds no stream: argparse looks up sys.stdout and sys.stderr when it
+    prints usage, help or an error, so redirecting them later still works.
+    """
     ap = argparse.ArgumentParser(
         prog="formalpi",
         description="Weight-graded rational homotopy of formal spaces.",

@@ -123,6 +123,29 @@ def _epi_mono(phi: tuple[int, ...]):
     return tuple(rank[v] for v in phi), tuple(image)
 
 
+@lru_cache(maxsize=None)
+def _plan(dims: tuple[int, ...], alpha: tuple[int, ...], src_level: int, tgt_level: int):
+    """Where D(alpha) has nonzero blocks; depends on dims and alpha, never on d.
+
+    Returns (src_dim, tgt_dim, identity, diff): identity holds
+    (row_off, col_off, size) for each identity block and diff holds
+    (row_off, col_off, k, sign) for each block sign * d^k.
+    """
+    src_dim, _, src_lookup = _layout(dims, src_level)
+    tgt_dim, tgt_entries, _ = _layout(dims, tgt_level)
+    identity, diff = [], []
+    for eta, k, row_off in tgt_entries:
+        epi, image = _epi_mono(tuple(eta[a] for a in alpha))
+        hit = src_lookup.get(epi)
+        if hit is None:
+            continue
+        if image == tuple(range(k + 1)):
+            identity.append((row_off, hit[1], dims[k]))
+        elif image == tuple(range(k)):
+            diff.append((row_off, hit[1], k - 1, -1 if k % 2 else 1))
+    return src_dim, tgt_dim, tuple(identity), tuple(diff)
+
+
 def structure_matrix(
     c: CochainComplex, alpha: tuple[int, ...], src_level: int, tgt_level: int
 ) -> RationalMatrix:
@@ -133,27 +156,14 @@ def structure_matrix(
         raise ValueError("alpha is not order-preserving")
     if alpha and not (0 <= alpha[0] and alpha[-1] <= tgt_level):
         raise ValueError("alpha is out of range")
-    src_dim, _, src_lookup = _layout(c.dims, src_level)
-    tgt_dim, tgt_entries, _ = _layout(c.dims, tgt_level)
+    src_dim, tgt_dim, identity, diff = _plan(c.dims, alpha, src_level, tgt_level)
     entries = {}
-    for eta, k, row_off in tgt_entries:
-        phi = tuple(eta[a] for a in alpha)
-        epi, image = _epi_mono(phi)
-        if image == tuple(range(k + 1)):
-            hit = src_lookup.get(epi)
-            if hit is None:
-                continue
-            _, col_off = hit
-            for t in range(c.dim(k)):
-                entries[(row_off + t, col_off + t)] = 1
-        elif image == tuple(range(k)):
-            hit = src_lookup.get(epi)
-            if hit is None:
-                continue
-            _, col_off = hit
-            sign = -1 if k % 2 else 1
-            for (i, j), val in c.d(k - 1).entries.items():
-                entries[(row_off + i, col_off + j)] = sign * val
+    for row_off, col_off, size in identity:
+        for t in range(size):
+            entries[(row_off + t, col_off + t)] = 1
+    for row_off, col_off, k, sign in diff:
+        for (i, j), val in c.d(k).entries.items():
+            entries[(row_off + i, col_off + j)] = sign * val
     return RationalMatrix._canonical(tgt_dim, src_dim, entries)
 
 
@@ -241,6 +251,7 @@ def check_cosimplicial_identities(v: CosimplicialVS) -> list[str]:
                 rhs = v.codegeneracy(n - 1, i).matmul(v.codegeneracy(n, j + 1))
                 eq(lhs, rhs, f"s^{j} s^{i} != s^{i} s^{j+1} at level {n}")
     for n in range(m):
+        identity = RationalMatrix.identity(v.dim(n))
         for j in range(n + 1):
             for i in range(n + 2):
                 lhs = v.codegeneracy(n + 1, j).matmul(v.coface(n, i))
@@ -248,8 +259,7 @@ def check_cosimplicial_identities(v: CosimplicialVS) -> list[str]:
                     rhs = v.coface(n - 1, i).matmul(v.codegeneracy(n, j - 1))
                     eq(lhs, rhs, f"s^{j} d^{i} != d^{i} s^{j-1} at level {n}")
                 elif i in (j, j + 1):
-                    rhs = RationalMatrix.identity(v.dim(n))
-                    eq(lhs, rhs, f"s^{j} d^{i} != id at level {n}")
+                    eq(lhs, identity, f"s^{j} d^{i} != id at level {n}")
                 else:
                     rhs = v.coface(n - 1, i - 1).matmul(v.codegeneracy(n, j))
                     eq(lhs, rhs, f"s^{j} d^{i} != d^{i-1} s^{j} at level {n}")

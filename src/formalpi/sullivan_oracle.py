@@ -26,6 +26,7 @@ from .errors import CutoffMismatchError, DegreeCutoffError, NotSimplyConnectedEr
 from .exactlin import (
     RationalMatrix,
     SubspaceBasis,
+    exact,
     extend_to_complement,
     image_subspace,
     kernel_basis,
@@ -39,8 +40,9 @@ Monomial = tuple[int, ...]  # sorted generator indices; odd indices never repeat
 class ModelGenerator:
     name: str
     degree: int
-    # decomposable polynomial in earlier generators, {} for closed generators
-    differential: tuple[tuple[Monomial, Fraction], ...]
+    # decomposable polynomial in earlier generators, {} for closed generators;
+    # coefficients in exact normal form (an int when integral)
+    differential: tuple[tuple[Monomial, int | Fraction], ...]
     # image in the target algebra as (basis id, coeff) pairs
     image: tuple[tuple[str, Fraction], ...]
 
@@ -130,14 +132,16 @@ class _Truncation:
     def target_dim(self, n: int) -> int:
         return len(self.target_ids(n))
 
-    def d_of_monomial(self, mono: Monomial) -> dict[Monomial, Fraction]:
-        out: dict[Monomial, Fraction] = {}
+    def d_of_monomial(self, mono: Monomial) -> dict[Monomial, int | Fraction]:
+        out: dict[Monomial, int | Fraction] = {}
+        odd = 0  # parity of the degrees of mono[:j]
         for j, gi in enumerate(mono):
             terms = self.gens[gi].differential
+            base = -1 if odd else 1
+            odd ^= self.parities[gi]
             if not terms:
                 continue
             pre, suf = mono[:j], mono[j + 1 :]
-            base = -1 if sum(self.degrees[t] for t in pre) % 2 else 1
             for dm, coeff in terms:
                 first = _merge(pre, dm, self.parities)
                 if first is None:
@@ -147,7 +151,7 @@ class _Truncation:
                 if second is None:
                     continue
                 s2, m2 = second
-                acc = out.get(m2, Fraction(0)) + base * s1 * s2 * coeff
+                acc = out.get(m2, 0) + base * s1 * s2 * coeff
                 if acc:
                     out[m2] = acc
                 else:
@@ -231,7 +235,7 @@ def minimal_model(p: AlgebraPresentation, cutoff: int) -> MinimalModel:
                     ModelGenerator(
                         name=f"v{n}_{len(gens) - first}",
                         degree=n,
-                        differential=tuple((tr.monomials[n + 1][i], c) for i, c in cocycle),
+                        differential=tuple((tr.monomials[n + 1][i], exact(c)) for i, c in cocycle),
                         image=(),
                     )
                 )

@@ -393,3 +393,51 @@ def reference_table(p):
     """{x: {y: x*y}} over the distinct basis ids, nonzero products only."""
     ids = list(p.index)
     return {x: {y: xy for y in ids if (xy := reference_product(p, x, y))} for x in ids}
+
+
+def reference_structure_matrix(c, alpha, src_level, tgt_level):
+    """D(alpha) for the denormalization of c, summand by summand.
+
+    Level n is the direct sum, in lex order of eta, of one copy of C^k for
+    each surjection eta: [n] ->> [k] with dim C^k > 0.  For every target
+    summand eta the epi-mono factorization of eta o alpha is taken afresh:
+    with mono part the identity of [k] the block is the identity from the
+    source summand named by the epi part, with mono part [k-1] -> [k] it is
+    (-1)^k d^(k-1), and otherwise it is zero.  Reads only c.dims and
+    c.d(i).entries; returns (rows, cols, entries).
+    """
+
+    def layout(n):
+        summands = []
+        for steps in product((0, 1), repeat=n):
+            eta = [0]
+            for s in steps:
+                eta.append(eta[-1] + s)
+            k = eta[-1]
+            if k < len(c.dims) and c.dims[k]:
+                summands.append((tuple(eta), k))
+        summands.sort()
+        offsets, at = {}, 0
+        for eta, k in summands:
+            offsets[eta] = at
+            at += c.dims[k]
+        return at, summands, offsets
+
+    src_dim, _, src_offsets = layout(src_level)
+    tgt_dim, tgt_summands, tgt_offsets = layout(tgt_level)
+    entries = {}
+    for eta, k in tgt_summands:
+        row_off = tgt_offsets[eta]
+        phi = [eta[a] for a in alpha]
+        image = sorted(set(phi))
+        epi = tuple(image.index(v) for v in phi)
+        if epi not in src_offsets:
+            continue
+        col_off = src_offsets[epi]
+        if image == list(range(k + 1)):
+            for t in range(c.dims[k]):
+                entries[(row_off + t, col_off + t)] = 1
+        elif image == list(range(k)):
+            for (i, j), val in c.d(k - 1).entries.items():
+                entries[(row_off + i, col_off + j)] = (-1) ** k * val
+    return tgt_dim, src_dim, entries

@@ -1,11 +1,13 @@
 """Command line behavior: tables, JSON payloads, exit codes, determinism."""
 
+import argparse
 import io
 import json
 from itertools import combinations
 
 import pytest
 
+from formalpi import cli
 from formalpi.cli import render_json, run
 
 from conftest import ALL_CORPUS, SIMPLY_CONNECTED, corpus_path
@@ -294,6 +296,50 @@ def test_argparse_exits():
     assert status == 2
     status, _ = invoke(["--help"])
     assert status == 0
+
+
+@pytest.fixture
+def fresh_parser():
+    """Forget the shared parser before and after the test."""
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def test_parser_tree_is_built_once_per_process(monkeypatch, fresh_parser):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert invoke(["validate", str(corpus_path("s2"))]) == (0, "OK\n")
+    status, text = invoke(["pi", str(corpus_path("s2")), "--max-degree", "3"])
+    assert status == 0 and text.startswith("m\ttotal\tweights\n")
+    # one root and one subparser per command, all from the first call
+    assert built.count("formalpi") == 1
+    assert len(built) == 1 + len(cli._COMMANDS)
+
+
+def test_shared_parser_prints_on_the_current_streams(capsys, fresh_parser):
+    with capsys.disabled():  # the parser is built while other streams are current
+        assert invoke(["validate", str(corpus_path("s2"))]) == (0, "OK\n")
+    assert invoke(["no-such-command", "x.json"]) == (2, "")
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("usage: formalpi [-h]")
+    assert "invalid choice: 'no-such-command'" in err
+    assert invoke(["--help"]) == (0, "")
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: formalpi [-h]")
+    assert "Weight-graded rational homotopy of formal spaces." in out
+    assert err == ""
+    assert invoke(["doldkan", "--help"]) == (0, "")
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: formalpi doldkan [-h]") and "--fuzz FUZZ" in out
+    assert err == ""
 
 
 def test_hurewicz_refuses_incomplete_input_before_building(monkeypatch, capsys):

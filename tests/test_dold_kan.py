@@ -22,6 +22,7 @@ from formalpi.dold_kan import (
     normalize,
     random_cochain_complex,
     structure_map_violations,
+    structure_matrix,
     surjections,
     validate_cdga,
 )
@@ -31,7 +32,9 @@ from formalpi.errors import (
     NotACdgaError,
     SimplicialIdentityError,
 )
-from formalpi.exactlin import RationalMatrix
+from formalpi.exactlin import RationalMatrix, combine
+
+from oracles import reference_structure_matrix
 
 ONE = RationalMatrix.from_rows([[1]])
 
@@ -109,6 +112,63 @@ def test_denormalize_satisfies_all_cosimplicial_identities():
     ]
     for c in cases:
         assert check_cosimplicial_identities(denormalize(c, 4)) == []
+
+
+monotone_maps = st.integers(min_value=0, max_value=5).flatmap(
+    lambda tgt: st.tuples(
+        st.lists(st.integers(min_value=0, max_value=tgt), min_size=1, max_size=6).map(
+            lambda values: tuple(sorted(values))
+        ),
+        st.just(tgt),
+    )
+)
+
+
+@given(
+    st.integers(min_value=0, max_value=10**6),
+    st.sampled_from([0, 2, -1, Fraction(1, 3)]),
+    monotone_maps,
+)
+@settings(max_examples=150, deadline=None)
+def test_structure_matrix_matches_the_per_summand_reference(seed, factor, alpha_tgt):
+    """Two complexes with equal dims and different d read the same cached plan."""
+    alpha, tgt = alpha_tgt
+    c = random_cochain_complex(random.Random(seed), max_degree=4, max_dim=3)
+    scaled = CochainComplex(
+        c.dims, tuple(combine(m.rows, m.cols, [(factor, m)]) for m in c.differentials)
+    )
+    for cx in (c, scaled):
+        got = structure_matrix(cx, alpha, len(alpha) - 1, tgt)
+        assert (got.rows, got.cols, got.entries) == reference_structure_matrix(
+            cx, alpha, len(alpha) - 1, tgt
+        )
+
+
+def test_structure_matrix_keeps_each_complexs_differential():
+    """A coface with a d block, on complexes that share dims but not d."""
+    for factor in (1, -2, 0):
+        d0 = RationalMatrix.from_rows([[factor], [-factor]])
+        d1 = RationalMatrix.from_rows([[1, 1]]) if factor else RationalMatrix.zero(1, 2)
+        c = CochainComplex((1, 2, 1), (d0, d1))
+        for n in range(3):
+            for i in range(n + 2):
+                alpha = tuple(t if t < i else t + 1 for t in range(n + 1))
+                got = structure_matrix(c, alpha, n, n + 1)
+                assert (got.rows, got.cols, got.entries) == reference_structure_matrix(
+                    c, alpha, n, n + 1
+                )
+
+
+def test_structure_matrix_rejects_maps_that_are_not_monotone_into_range():
+    c = three_term()
+    with pytest.raises(ValueError, match="arity"):
+        structure_matrix(c, (0, 1), 2, 2)
+    with pytest.raises(ValueError, match="order-preserving"):
+        structure_matrix(c, (1, 0), 1, 1)
+    with pytest.raises(ValueError, match="out of range"):
+        structure_matrix(c, (0, 3), 1, 2)
+    with pytest.raises(ValueError, match="out of range"):
+        structure_matrix(c, (-1, 0), 1, 2)
 
 
 # ---------------------------------------------------------------------------
