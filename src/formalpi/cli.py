@@ -27,6 +27,7 @@ import json
 import random
 import re
 import sys
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -66,9 +67,10 @@ def _is_int(x) -> bool:
 def parse_coeff(s) -> Fraction:
     if _is_int(s):
         return Fraction(s)
-    if not isinstance(s, str) or not _COEFF_RE.match(s):
-        _fail(f"coefficient {s!r} is not of the form 'p/q' or 'n'")
-    return Fraction(s)
+    if isinstance(s, str) and _COEFF_RE.match(s):
+        with suppress(ValueError):  # a numeral past the interpreter's digit limit
+            return Fraction(s)
+    _fail(f"coefficient {s!r} is not of the form 'p/q' or 'n'")
 
 
 def parse_presentation(doc: dict, name_hint: str = "input") -> AlgebraPresentation:
@@ -147,7 +149,7 @@ def load_presentation(path) -> AlgebraPresentation:
         raise SchemaError(f"{p}: not UTF-8: {exc}") from exc
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # nesting or a numeral past the limits
         raise SchemaError(f"{p}: not valid JSON: {exc}") from exc
     return parse_presentation(doc, name_hint=p.stem)
 

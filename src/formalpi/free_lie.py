@@ -37,9 +37,8 @@ bottom-up through it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .errors import CutoffTooSmallError, NegativeDimensionError, OutOfRangeError
 from .graded_core import CharacterLattice, lincomb
@@ -97,13 +96,9 @@ class GeneratorSet:
         )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class BracketWord:
-    """A fully parenthesized bracket expression with cached gradings.
-
-    The hash is computed once, from the subtrees' cached hashes, so dict
-    lookups cost O(1) instead of a walk of the whole tree.
-    """
+    """A fully parenthesized bracket expression with cached gradings."""
 
     gen: str | None
     left: "BracketWord | None"
@@ -111,14 +106,6 @@ class BracketWord:
     reduced_degree: int
     weight: int
     character: tuple[int, ...]
-    _hash: int = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        key = (self.gen, self.left, self.right, self.reduced_degree, self.weight, self.character)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __hash__(self):
-        return self._hash
 
     @property
     def is_leaf(self) -> bool:
@@ -471,13 +458,11 @@ def expand(expr, b: FreeLieBasis) -> tuple[Fraction, ...]:
             (cx * cy, b.bracket(x, y)) for x, cx in fold(bw.left).items() for y, cy in right.items()
         )
 
-    # one common denominator: the fold runs on integer numerators over den
-    den = lcm(*(Fraction(c).denominator for c in expr.values()))
-    total = lincomb((int(Fraction(c) * den), fold(bw)) for bw, c in expr.items())
+    total = lincomb((Fraction(c), fold(bw)) for bw, c in expr.items())
     pos = b.positions(key)
     dense = [_ZERO] * len(pos)
-    for word, n in total.items():
-        dense[pos[word]] = Fraction(n, den)
+    for word, c in total.items():
+        dense[pos[word]] = c
     return tuple(dense)
 
 

@@ -81,7 +81,6 @@ class FormalLieModel:
     differential: dict[SlotKey, RationalMatrix]
     d_den: int  # d_word values are integer numerators over d_den
     _d_cache: dict[Word, dict[Word, int]] = field(repr=False)
-    _table_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def complete(self) -> bool:
@@ -260,11 +259,6 @@ def homotopy_table(
         )
     complete = model.complete
     _check_complete_window(complete, max_m, max_w)
-    cache_key = (max_m, max_w)
-    cached = model._table_cache.get(cache_key)
-    if cached is not None:
-        return cached
-
     entries: dict[tuple[int, int, tuple[int, ...]], int] = {}
     for m in range(2, max_m + 1):
         r = m - 1
@@ -282,9 +276,7 @@ def homotopy_table(
             if h:
                 pi1[(w, char)] = h
 
-    table = HomotopyTable(max_m, max_w, complete, entries, pi1)
-    model._table_cache[cache_key] = table
-    return table
+    return HomotopyTable(max_m, max_w, complete, entries, pi1)
 
 
 def supports(model: FormalLieModel, m: int) -> frozenset[tuple[int, ...]]:

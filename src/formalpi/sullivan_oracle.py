@@ -63,29 +63,14 @@ class MinimalModel:
         return out
 
 
-def _merge(a: Monomial, b: Monomial, parities) -> tuple[int, Monomial] | None:
-    """Sorted merge with the Koszul sign; None when an odd index repeats."""
-    sign = 1
-    out = []
-    ia, ib = 0, 0
-    # parity of the tail a[ia:], updated as we consume a
-    odd_tail = sum(parities[x] for x in a)
-    while ia < len(a) and ib < len(b):
-        if a[ia] <= b[ib]:
-            odd_tail -= parities[a[ia]]
-            out.append(a[ia])
-            ia += 1
-        else:
-            if parities[b[ib]] and odd_tail % 2:
-                sign = -sign
-            out.append(b[ib])
-            ib += 1
-    out.extend(a[ia:])
-    out.extend(b[ib:])
-    for t in range(len(out) - 1):
-        if out[t] == out[t + 1] and parities[out[t]]:
-            return None
-    return sign, tuple(out)
+def _signed_sort(t: Monomial, parities) -> tuple[int, Monomial] | None:
+    """t sorted, signed by the parity of its inversions among odd-degree indices;
+    None when an odd index repeats."""
+    odd = [x for x in t if parities[x]]
+    if len(set(odd)) < len(odd):
+        return None
+    inversions = sum(a > b for i, a in enumerate(odd) for b in odd[i + 1 :])
+    return -1 if inversions % 2 else 1, tuple(sorted(t))
 
 
 class _Truncation:
@@ -143,15 +128,11 @@ class _Truncation:
                 continue
             pre, suf = mono[:j], mono[j + 1 :]
             for dm, coeff in terms:
-                first = _merge(pre, dm, self.parities)
-                if first is None:
+                signed = _signed_sort(pre + dm + suf, self.parities)
+                if signed is None:
                     continue
-                s1, m1 = first
-                second = _merge(m1, suf, self.parities)
-                if second is None:
-                    continue
-                s2, m2 = second
-                acc = out.get(m2, 0) + base * s1 * s2 * coeff
+                sign, m2 = signed
+                acc = out.get(m2, 0) + base * sign * coeff
                 if acc:
                     out[m2] = acc
                 else:

@@ -395,6 +395,24 @@ def reference_table(p):
     return {x: {y: xy for y in ids if (xy := reference_product(p, x, y))} for x in ids}
 
 
+def koszul_sort(t, parities):
+    """(sign, sorted t) in the free graded-commutative algebra, or None.
+
+    Bubble sort, one adjacent swap at a time; a swap of two odd indices
+    flips the sign.  A repeated odd index squares to zero: None.
+    """
+    t, sign = list(t), 1
+    for end in range(len(t) - 1, 0, -1):
+        for i in range(end):
+            if t[i] > t[i + 1]:
+                t[i], t[i + 1] = t[i + 1], t[i]
+                if parities[t[i]] and parities[t[i + 1]]:
+                    sign = -sign
+    if any(a == b and parities[a] for a, b in zip(t, t[1:])):
+        return None
+    return sign, tuple(t)
+
+
 def reference_structure_matrix(c, alpha, src_level, tgt_level):
     """D(alpha) for the denormalization of c, summand by summand.
 

@@ -3,12 +3,16 @@
 import argparse
 import io
 import json
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from formalpi import cli
-from formalpi.cli import render_json, run
+from formalpi.cli import parse_presentation, render_json, run
+from formalpi.sullivan_oracle import minimal_model, model_violations
 
 from conftest import ALL_CORPUS, SIMPLY_CONNECTED, corpus_path
 from oracles import necklace_numbers, surface_group_ranks, torus_pi1_weights
@@ -577,3 +581,199 @@ def test_supports_refuses_a_weight_cutoff_below_the_degree(capsys):
     assert status == 3 and text == ""
     err = capsys.readouterr().err
     assert err.startswith("cutoff exceeded: a complete table to degree 5 needs weights to 4")
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: a new basis of the same algebra leaves every table unchanged
+
+REBASED_COMMANDS = ["pi", "supports", "hurewicz", "minimal-model"]
+
+
+def rebased(doc, order, scale):
+    """doc in a new basis: the ids in ``order`` (a reordering within each
+    degree), class x replaced by scale[x] * x.  A product stored against the
+    new order is stored the other way round, with the Koszul sign."""
+    degree = {e["id"]: e["degree"] for e in doc["basis"]}
+    entry = {e["id"]: e for e in doc["basis"]}
+    index = {x: i for i, x in enumerate(order)}
+    products = []
+    for row in doc.get("products", []):
+        a, b, sign = row["left"], row["right"], 1
+        if index[a] > index[b]:
+            a, b, sign = b, a, (-1) ** (degree[a] * degree[b])
+        result = []
+        for term in row["result"]:
+            t = term["id"]
+            coeff = sign * Fraction(term["coeff"]) * scale[a] * scale[b] / scale[t]
+            result.append({"id": t, "coeff": str(coeff)})
+        products.append({"left": a, "right": b, "result": result})
+    return {**doc, "basis": [entry[x] for x in order], "products": products}
+
+
+@st.composite
+def rebasings(draw, doc):
+    """A permutation of the basis within each degree and a nonzero rational
+    per class; the unit keeps scale 1."""
+    by_degree = {}
+    for e in doc["basis"]:
+        by_degree.setdefault(e["degree"], []).append(e["id"])
+    shuffled = {d: iter(draw(st.permutations(ids))) for d, ids in by_degree.items()}
+    order = [next(shuffled[e["degree"]]) for e in doc["basis"]]
+    nonzero = st.fractions(-4, 4, max_denominator=5).filter(bool)
+    scale = {x: Fraction(1) if x == doc["unit"] else draw(nonzero) for x in order}
+    return order, scale
+
+
+def exterior(k):
+    """H*(T^k): the exterior algebra on k classes of degree 1, every product odd."""
+    subsets = [s for n in range(k + 1) for s in combinations(range(k), n)]
+    ident = {s: "e" + "".join(map(str, s)) for s in subsets}
+    products = []
+    for i, a in enumerate(subsets[1:], 1):
+        for b in subsets[i:]:
+            if not set(a) & set(b):
+                ab = a + b
+                sign = (-1) ** sum(x > y for n, x in enumerate(ab) for y in ab[n + 1 :])
+                result = [{"id": ident[tuple(sorted(ab))], "coeff": sign}]
+                products.append({"left": ident[a], "right": ident[b], "result": result})
+    basis = [{"id": ident[s], "degree": len(s)} for s in subsets]
+    return {"name": f"t{k}", "basis": basis, "unit": ident[()], "products": products}
+
+
+def _tables(path, doc) -> tuple:
+    path.write_text(json.dumps(doc))
+    return tuple(invoke([cmd, str(path), "--max-degree", "6"]) for cmd in REBASED_COMMANDS)
+
+
+@pytest.mark.parametrize("name", ALL_CORPUS + ["t3"])
+@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_tables_ignore_the_order_and_scale_of_the_basis(tmp_path, name, data):
+    """pi, supports, hurewicz and minimal-model print the same bytes; the
+    minimal model of the new basis orders its monomials anew, and passes
+    its exact checks."""
+    doc = exterior(3) if name == "t3" else json.loads(corpus_path(name).read_text())
+    new = rebased(doc, *data.draw(rebasings(doc)))
+    assert _tables(tmp_path / "new.json", new) == _tables(tmp_path / "old.json", doc)
+    if name in SIMPLY_CONNECTED:
+        assert model_violations(minimal_model(parse_presentation(new), 6)) == []
+
+
+# ---------------------------------------------------------------------------
+# fuzz: malformed input exits 1, 2 or 3 with no traceback, stdout empty on 2
+
+_S2 = {"basis": [{"id": "e", "degree": 0}, {"id": "a", "degree": 2}], "unit": "e"}
+
+
+def _square(coeff, target="a"):
+    """a * a = coeff * target; a has degree 2, so a valid target has degree 4."""
+    return {**_S2, "products": [{"left": "a", "right": "a", "result": [{"id": target, "coeff": coeff}]}]}
+
+
+MALFORMED = {
+    "empty": b"",
+    "garbled": b"{not json",
+    "truncated": b'{"name": "x", "basis": [',
+    "top_level_list": b"[]",
+    "null": b"null",
+    "deep_nesting": b"[" * 100_000,
+    "long_numeral": b'{"basis": [{"id": "e", "degree": 1' + b"0" * 5000 + b'}], "unit": "e"}',
+    "non_utf8": '{"name": "caf\u00e9", "basis": [], "unit": "e"}'.encode("latin-1"),
+    "binary": bytes(range(256)),
+    "empty_basis": {"basis": [], "unit": "e"},
+    "basis_entry_not_object": {"basis": [1], "unit": "e"},
+    "degree_string": {"basis": [{"id": "e", "degree": "0"}], "unit": "e"},
+    "degree_float": {"basis": [{"id": "e", "degree": 0.0}], "unit": "e"},
+    "degree_negative": {"basis": [{"id": "e", "degree": -1}], "unit": "e"},
+    "id_not_string": {"basis": [{"id": 0, "degree": 0}], "unit": "e"},
+    "unit_missing": {"basis": _S2["basis"]},
+    "unknown_key": {**_S2, "extra": 1},
+    "negative_rank": {**_S2, "characters": {"free_rank": -1, "torsion": []}},
+    "char_wrong_length": {
+        "characters": {"free_rank": 1},
+        "basis": [{"id": "e", "degree": 0, "char": [0, 0]}],
+        "unit": "e",
+    },
+    "products_not_list": {**_S2, "products": {}},
+    "coeff_decimal": _square("0.5"),
+    "coeff_zero_denominator": _square("1/0"),
+    "coeff_long": _square("1" + "0" * 5000),
+    "unknown_target": _square("1", target="z"),
+    "degree_mismatch": _square("1"),
+}
+
+FLAG_SETS = [
+    [],
+    ["--json"],
+    ["--max-degree", "0"],
+    ["--max-degree", "-1"],
+    ["--max-weight", "0"],
+    ["--page", "0"],
+    ["--fuzz", "-1"],
+    ["--level", "-1"],
+    ["--max-degree", "x"],
+]
+
+# out-of-range flags on valid input, for each command that reads them
+_WEIGHTED = ["pi", "supports", "hurewicz", "ss", "lie-dims"]
+OUT_OF_RANGE = [
+    *[[cmd, "--max-degree", "0"] for cmd in _WEIGHTED + ["minimal-model"]],
+    *[[cmd, "--max-weight", "0"] for cmd in _WEIGHTED],
+    ["ss", "--page", "0"],
+    ["doldkan", "--fuzz", "-1"],
+    ["doldkan", "--level", "-1"],
+]
+
+
+def assert_refused(argv, capsys, statuses=(1, 2, 3)):
+    """run() returns (no exception) one of ``statuses``, prints no traceback,
+    and prints nothing on stdout with a schema error."""
+    buf = io.StringIO()
+    status = run(argv, out=buf).exit_status
+    captured = capsys.readouterr()
+    assert status in statuses, argv
+    assert "Traceback" not in captured.err, argv
+    if status == 2:
+        assert buf.getvalue() == captured.out == "", argv
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_malformed_input_is_refused_cleanly(tmp_path, capsys, name):
+    body = MALFORMED[name]
+    path = tmp_path / "doc.json"
+    path.write_bytes(body if isinstance(body, bytes) else json.dumps(body).encode())
+    for cmd in cli._COMMANDS:
+        for flags in FLAG_SETS:
+            assert_refused([cmd, str(path), *flags], capsys)
+
+
+@pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=" ".join)
+def test_out_of_range_flags_are_refused_cleanly(capsys, argv):
+    assert_refused([argv[0], str(corpus_path("s2")), *argv[1:]], capsys)
+
+
+_SCHEMA_KEYS = ["name", "characters", "basis", "unit", "products", "id", "degree", "char"]
+_SCHEMA_KEYS += ["left", "right", "result", "coeff", "free_rank", "torsion"]
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 12)
+    | st.floats()
+    | st.sampled_from(["e", "a", "1", "1/2", "-1", ""]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_SCHEMA_KEYS) | st.text(max_size=2), inner, max_size=5),
+    max_leaves=20,
+)
+_json_docs = st.fixed_dictionaries(
+    {"basis": st.lists(_json_values, max_size=4), "unit": _json_values},
+    optional={"products": _json_values, "characters": _json_values, "name": _json_values},
+)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(doc=_json_docs | _json_values, cmd=st.sampled_from(sorted(cli._COMMANDS)))
+def test_random_json_never_escapes_as_a_traceback(tmp_path, capsys, doc, cmd):
+    """Random JSON, now and then a valid algebra, at a small cutoff."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    assert_refused([cmd, str(path), "--max-degree", "4"], capsys, statuses=(0, 1, 2, 3))

@@ -79,6 +79,16 @@ def test_cli_output_matches_golden(argv):
     assert digest(argv) == _golden()[_key(argv)]
 
 
+def test_minimal_model_signs_above_the_grid():
+    """The grid stops at degree 5; the wedge's 131 generators through degree
+    10, many of them odd, pin the Koszul signs of longer monomial products."""
+    argv = ["minimal-model", "corpus/wedge_s2_s2.json", "--max-degree", "10", "--json"]
+    assert digest(argv) == {
+        "exit": 0,
+        "sha256": "6ae0ea967cb9217a015050be564df71f2718e63701289ec8c83b5d97774d1da7",
+    }
+
+
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     table = {_key(a): digest(a) for a in commands()}

@@ -4,6 +4,8 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formalpi import sullivan_oracle
 from formalpi.errors import (
@@ -21,6 +23,7 @@ from formalpi.sullivan_oracle import (
 )
 
 from conftest import SIMPLY_CONNECTED
+from oracles import koszul_sort
 
 SC_WITH_CHARACTERS = SIMPLY_CONNECTED + ["char_even", "char_torsion"]
 
@@ -102,6 +105,16 @@ def test_one_truncation_per_degree_and_one_d_per_truncation(corpus, monkeypatch)
         assert model_violations(mm) == []
         assert len(built) == cutoff, name
         assert set(assembled.values()) == {1}, name
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(0, 5), max_size=8),
+    st.lists(st.integers(0, 1), min_size=6, max_size=6),
+)
+def test_signed_sort_matches_bubble_sort_oracle(t, parities):
+    """The product of monomials is one sort whose sign counts odd inversions."""
+    assert sullivan_oracle._signed_sort(tuple(t), parities) == koszul_sort(t, parities)
 
 
 def test_truncation_monomials_and_decreasing_degrees(corpus):
