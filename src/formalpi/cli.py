@@ -377,18 +377,17 @@ def _cmd_doldkan(pres, args, report: RunReport):
         random_cochain_complex,
     )
     from .errors import SimplicialIdentityError
-    from .exactlin import RationalMatrix
 
+    # an invalid input is reported ahead of the fuzz-count refusal
+    require_valid(pres)
     if args.fuzz < 0:
         raise InvalidInputError("fuzz count must be >= 0")
-    require_valid(pres)
     lines = []
     payload: dict = {"command": "doldkan", "input": pres.name, "level": args.level}
+    # D(C) through level L reads C only in degrees <= L; d = 0 is not stored
     dims_by_degree = pres.dims_by_degree()
-    top = max(dims_by_degree)
-    dims = [dims_by_degree.get(n, 0) for n in range(top + 1)]
-    diffs = [RationalMatrix.zero(dims[n + 1], dims[n]) for n in range(top)]
-    c = CochainComplex(tuple(dims), tuple(diffs))
+    top = min(max(dims_by_degree), args.level)
+    c = CochainComplex(tuple(dims_by_degree.get(n, 0) for n in range(top + 1)))
     v = denormalize(c, args.level)
     # normalize raises SimplicialIdentityError, naming the identity, on a violation
     ok = complexes_agree(c, normalize(v), args.level)

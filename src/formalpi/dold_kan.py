@@ -233,7 +233,7 @@ def check_cosimplicial_identities(v: CosimplicialVS) -> list[str]:
     m = v.level_count
 
     def eq(a, b, label):
-        if a.entries != b.entries or (a.rows, a.cols) != (b.rows, b.cols):
+        if a != b:
             bad.append(label)
 
     for n in range(m - 1):
@@ -307,19 +307,11 @@ def complexes_agree(a: CochainComplex, b: CochainComplex, up_to: int) -> bool:
     for i in range(up_to + 1):
         if a.dim(i) != b.dim(i):
             return False
-    for i in range(up_to):
-        if a.d(i).entries != b.d(i).entries:
-            return False
-    return True
+    return all(a.d(i) == b.d(i) for i in range(up_to))
 
 
 # ---------------------------------------------------------------------------
 # algebras
-
-
-def _unit(i: int, n: int) -> tuple[Fraction, ...]:
-    """The i-th standard basis vector of Q^n."""
-    return tuple(Fraction(1 if t == i else 0) for t in range(n))
 
 
 def _tensor(x, y) -> list[Fraction]:
@@ -364,6 +356,32 @@ def kron(a: RationalMatrix, b: RationalMatrix) -> RationalMatrix:
     return RationalMatrix(a.rows * b.rows, a.cols * b.cols, entries)
 
 
+def _column(vec) -> RationalMatrix:
+    """A vector as a one-column matrix."""
+    return RationalMatrix(len(vec), 1, {(i, 0): x for i, x in enumerate(vec)})
+
+
+def _swap(p: int, q: int) -> RationalMatrix:
+    """tau: Q^p (x) Q^q -> Q^q (x) Q^p, e_i (x) e_j -> e_j (x) e_i."""
+    return RationalMatrix._canonical(
+        p * q, p * q, {(j * p + i, i * q + j): 1 for i in range(p) for j in range(q)}
+    )
+
+
+def _differing_columns(a: RationalMatrix, b: RationalMatrix) -> list[int]:
+    """The sorted indices of the columns in which a and b (of one shape) differ."""
+    return sorted({j for _, j in combine(a.rows, a.cols, [(1, a), (-1, b)]).entries})
+
+
+def _unit_failures(left: RationalMatrix, right: RationalMatrix, unit) -> tuple[set[int], set[int]]:
+    """The indices j with left(u (x) e_j) != e_j, and those with right(e_j (x) u) != e_j."""
+    u, one = _column(unit), RationalMatrix.identity(left.rows)
+    return (
+        set(_differing_columns(left.matmul(kron(u, one)), one)),
+        set(_differing_columns(right.matmul(kron(one, u)), one)),
+    )
+
+
 def validate_cdga(a: CochainAlgebra) -> None:
     c = a.complex
     if c.dim(0) == 0:
@@ -373,54 +391,42 @@ def validate_cdga(a: CochainAlgebra) -> None:
     if any(x for x in c.d(0).apply(a.unit)):
         raise NotACdgaError("unit is not a cocycle")
     top = c.top_degree
+    one = [RationalMatrix.identity(c.dim(p)) for p in range(top + 1)]
     for p in range(top + 1):
         for q in range(top + 1):
             m = a.product(p, q)
             if (m.rows, m.cols) != (c.dim(p + q), c.dim(p) * c.dim(q)):
                 raise NotACdgaError(f"product ({p},{q}) has the wrong shape")
-    # unit acts as identity
+    # unit acts as identity; the first failing basis index names the side
     for p in range(top + 1):
-        for j in range(c.dim(p)):
-            basis = _unit(j, c.dim(p))
-            if a.multiply(0, a.unit, p, basis) != basis:
-                raise NotACdgaError(f"unit fails on the left in degree {p}")
-            if a.multiply(p, basis, 0, a.unit) != basis:
-                raise NotACdgaError(f"unit fails on the right in degree {p}")
+        left, right = _unit_failures(a.product(0, p), a.product(p, 0), a.unit)
+        if left or right:
+            side = "left" if min(left | right) in left else "right"
+            raise NotACdgaError(f"unit fails on the {side} in degree {p}")
     for p in range(top + 1):
         for q in range(top + 1 - p):
             # d(xy) - (dx)y - (-1)^p x(dy)
             lhs = c.d(p + q).matmul(a.product(p, q))
-            rhs = a.product(p + 1, q).matmul(kron(c.d(p), RationalMatrix.identity(c.dim(q))))
-            second = a.product(p, q + 1).matmul(kron(RationalMatrix.identity(c.dim(p)), c.d(q)))
+            rhs = a.product(p + 1, q).matmul(kron(c.d(p), one[q]))
+            second = a.product(p, q + 1).matmul(kron(one[p], c.d(q)))
             terms = [(1, lhs), (-1, rhs), (-((-1) ** p), second)]
             if not combine(lhs.rows, lhs.cols, terms).is_zero():
                 raise NotACdgaError(f"Leibniz fails on degrees ({p},{q})")
+    # mu_pq = (-1)^(pq) mu_qp tau
     for p in range(top + 1):
         for q in range(top + 1 - p):
-            mpq, mqp = a.product(p, q), a.product(q, p)
-            sgn = -1 if (p % 2 and q % 2) else 1
-            for i in range(c.dim(p)):
-                for j in range(c.dim(q)):
-                    col_pq = {r: v for (r, cc), v in mpq.entries.items() if cc == i * c.dim(q) + j}
-                    col_qp = {r: v for (r, cc), v in mqp.entries.items() if cc == j * c.dim(p) + i}
-                    if col_qp != {r: sgn * v for r, v in col_pq.items()}:
-                        raise NotACdgaError(f"commutativity fails on degrees ({p},{q})")
+            mpq, sgn = a.product(p, q), -1 if (p % 2 and q % 2) else 1
+            swapped = a.product(q, p).matmul(_swap(c.dim(p), c.dim(q)))
+            if swapped != combine(mpq.rows, mpq.cols, [(sgn, mpq)]):
+                raise NotACdgaError(f"commutativity fails on degrees ({p},{q})")
+    # mu (mu (x) 1) = mu (1 (x) mu)
     for p in range(top + 1):
         for q in range(top + 1 - p):
             for s in range(top + 1 - p - q):
-                for i in range(c.dim(p)):
-                    ei = _unit(i, c.dim(p))
-                    for j in range(c.dim(q)):
-                        ej = _unit(j, c.dim(q))
-                        ij = a.multiply(p, ei, q, ej)
-                        for t in range(c.dim(s)):
-                            et = _unit(t, c.dim(s))
-                            left = a.multiply(p + q, ij, s, et)
-                            right = a.multiply(p, ei, q + s, a.multiply(q, ej, s, et))
-                            if left != right:
-                                raise NotACdgaError(
-                                    f"associativity fails on degrees ({p},{q},{s})"
-                                )
+                left = a.product(p + q, s).matmul(kron(a.product(p, q), one[s]))
+                right = a.product(p, q + s).matmul(kron(one[p], a.product(q, s)))
+                if left != right:
+                    raise NotACdgaError(f"associativity fails on degrees ({p},{q},{s})")
 
 
 @dataclass
@@ -430,9 +436,6 @@ class CosimplicialAlgebra:
     vs: CosimplicialVS
     level_products: tuple[RationalMatrix, ...]  # level n: D^n (x) D^n -> D^n
     level_units: tuple[tuple[Fraction, ...], ...]
-
-    def multiply(self, n: int, x, y):
-        return self.level_products[n].apply(_tensor(x, y))
 
 
 def _shuffles(p: int, q: int):
@@ -513,26 +516,21 @@ def denormalize_algebra(a: CochainAlgebra, m: int) -> CosimplicialAlgebra:
 
 
 def levelwise_algebra_violations(ca: CosimplicialAlgebra) -> list[str]:
-    """Exhaustive unit, commutativity and associativity checks per level."""
+    """Unit, commutativity and associativity per level, each one matrix identity
+    whose failing columns name the basis elements."""
     bad = []
     for n in range(ca.vs.level_count + 1):
-        d = ca.vs.dim(n)
-        basis = [_unit(i, d) for i in range(d)]
-        u = ca.level_units[n]
-        for i, e in enumerate(basis):
-            if ca.multiply(n, u, e) != e or ca.multiply(n, e, u) != e:
-                bad.append(f"unit fails at level {n} on basis {i}")
-        for i, x in enumerate(basis):
-            for j in range(i, d):
-                y = basis[j]
-                if ca.multiply(n, x, y) != ca.multiply(n, y, x):
-                    bad.append(f"commutativity fails at level {n} on ({i},{j})")
-        for i, x in enumerate(basis):
-            for j, y in enumerate(basis):
-                xy = ca.multiply(n, x, y)
-                for t, z in enumerate(basis):
-                    if ca.multiply(n, xy, z) != ca.multiply(n, x, ca.multiply(n, y, z)):
-                        bad.append(f"associativity fails at level {n} on ({i},{j},{t})")
+        d, mu = ca.vs.dim(n), ca.level_products[n]
+        one = RationalMatrix.identity(d)
+        left, right = _unit_failures(mu, mu, ca.level_units[n])
+        bad += [f"unit fails at level {n} on basis {i}" for i in sorted(left | right)]
+        for col in _differing_columns(mu, mu.matmul(_swap(d, d))):
+            i, j = divmod(col, d)
+            if i < j:
+                bad.append(f"commutativity fails at level {n} on ({i},{j})")
+        for col in _differing_columns(mu.matmul(kron(mu, one)), mu.matmul(kron(one, mu))):
+            i, j, t = col // (d * d), col // d % d, col % d
+            bad.append(f"associativity fails at level {n} on ({i},{j},{t})")
     return bad
 
 
@@ -541,18 +539,17 @@ def structure_map_violations(ca: CosimplicialAlgebra) -> list[str]:
     bad = []
     vs = ca.vs
 
-    def check(label, n_src, n_tgt, matrix):
-        d = vs.dim(n_src)
-        basis = [_unit(i, d) for i in range(d)]
-        if tuple(matrix.apply(ca.level_units[n_src])) != ca.level_units[n_tgt]:
+    def check(label, n_src, n_tgt, f):
+        # f(u) = u' and f mu = mu' (f (x) f)
+        if f.matmul(_column(ca.level_units[n_src])) != _column(ca.level_units[n_tgt]):
             bad.append(f"{label} does not preserve the unit")
-        for i, x in enumerate(basis):
-            for j in range(i, d):
-                y = basis[j]
-                lhs = matrix.apply(ca.multiply(n_src, x, y))
-                rhs = ca.multiply(n_tgt, matrix.apply(x), matrix.apply(y))
-                if tuple(lhs) != tuple(rhs):
-                    bad.append(f"{label} is not multiplicative on ({i},{j})")
+        lhs = f.matmul(ca.level_products[n_src])
+        rhs = ca.level_products[n_tgt].matmul(kron(f, f))
+        d = vs.dim(n_src)
+        for col in _differing_columns(lhs, rhs):
+            i, j = divmod(col, d)
+            if i <= j:
+                bad.append(f"{label} is not multiplicative on ({i},{j})")
     for (n, i), mat in sorted(vs.cofaces.items()):
         check(f"coface d^{i} at level {n}", n, n + 1, mat)
     for (n, i), mat in sorted(vs.codegeneracies.items()):

@@ -101,8 +101,6 @@ def ext_dims(
             # a.dg, visiting only the nonzero products a.b of its terms b (x) h
             columns: dict[Pair, dict[int, int]] = {}
             for g, (tg, _, dg) in enumerate(gens):
-                if tg >= t:
-                    break
                 for b, terms in dg.items():
                     for a, ab in multipliers(b).get(t - tg, ()):
                         col = columns.setdefault((g, a), {})

@@ -278,8 +278,6 @@ def filtered_from_model(model) -> FilteredComplex:
     w_top = model.max_w + 1
     layout: dict[int, list[tuple[int, tuple, int]]] = {}
     for (r, w, char) in b.slot_keys():
-        if w > w_top:
-            continue
         layout.setdefault(r, []).append((w, char, b.slot_dim(r, w, char)))
     for blocks in layout.values():
         blocks.sort(key=lambda t: (t[0], t[1]))

@@ -29,6 +29,7 @@ from formalpi.free_lie import Generator, GeneratorSet, basis as lie_basis
 from formalpi.free_lie import dim as lie_dim
 from formalpi.free_lie import e1_index_to_lie, translate_index
 from formalpi.quillen_weight import (
+    _slot_homology,
     build_model,
     homotopy_table,
     hurewicz_rank,
@@ -40,6 +41,7 @@ from formalpi.sullivan_oracle import compare, minimal_model
 from conftest import ALL_CORPUS, CHARACTER_CORPUS, SIMPLY_CONNECTED
 from oracles import brute_lie_slot_rank, dense_rows, divisors, gauss_rank, mobius
 from test_quillen_weight import derivation_samples
+from test_resolution import GENERATED, generated
 from test_ss_engine import assert_ss_invariants, random_filtered_complex
 
 _MODELS: dict = {}
@@ -117,6 +119,32 @@ def test_c03_degeneration_and_second_page_dims(corpus):
             if p <= model.max_w and q - p <= model.max_m - 1
         }
         assert {k: v for k, v in seen.items() if v} == published, name
+
+
+
+# the generated families; (S^2)^4 and its two variants at degree 5 and weight 4
+GENERATED_WINDOWS = [(t, 5, 4) if t.startswith("s2^4") else (t, m, w) for t, m, w in GENERATED]
+
+
+@pytest.mark.parametrize("token,max_m,max_w", GENERATED_WINDOWS)
+def test_c03_pages_are_read_off_the_model_on_generated_inputs(token, max_m, max_w):
+    """Summed over characters, E_1 is the slot dims and E_2 = E_3 the slot homology."""
+    model = build_model(generated(token), max_m, max_w)
+    fc = filtered_from_model(model)
+    assert check_degeneration(fc, 2, 6).degenerate
+    window = [(r, w, c) for r, w, c in model.basis.slot_keys() if w <= max_w and r <= max_m - 1]
+    for r_page in (1, 2, 3):
+        read: dict = {}
+        for r, w, char in window:
+            if r_page == 1:
+                d = model.basis.slot_dim(r, w, char)
+            else:
+                d = _slot_homology(model, r, w, char)
+            read[(w, w + r)] = read.get((w, w + r), 0) + d
+        published = {
+            (p, q): d for (p, q), d in page(fc, r_page).dims.items() if p <= max_w and q - p <= max_m - 1
+        }
+        assert published == {k: v for k, v in read.items() if v}, r_page
 
 
 # -- 4: index translations and first-page dimensions ---------------------------

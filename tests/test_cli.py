@@ -526,6 +526,14 @@ def test_doldkan_refuses_a_negative_fuzz_count_before_any_work(monkeypatch):
     assert invoke(argv + ["--json"]) == (1, "fuzz count must be >= 0\n")
 
 
+def test_doldkan_reports_invalid_input_ahead_of_a_negative_fuzz_count(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(INVALID_DEGREE_TWO))
+    status, text = invoke(["doldkan", str(bad), "--fuzz", "-1"])
+    assert status == 1
+    assert "DEGREE_MISMATCH" in text and "fuzz" not in text
+
+
 @pytest.mark.parametrize(
     "extra, status, err",
     [
@@ -670,6 +678,29 @@ def _square(coeff, target="a"):
     return {**_S2, "products": [{"left": "a", "right": "a", "result": [{"id": target, "coeff": coeff}]}]}
 
 
+# one document per malformed product entry, with the schema error it gives
+_SQUARE = {"left": "a", "right": "a", "result": [{"id": "a", "coeff": "1"}]}
+_BAD_PRODUCTS = {
+    "missing_result": (
+        [{"left": "a", "right": "a"}],
+        "product entry {'left': 'a', 'right': 'a'} needs 'left', 'right', 'result'",
+    ),
+    "result_not_list": (
+        [{"left": "a", "right": "a", "result": {}}],
+        "product entry {'left': 'a', 'right': 'a', 'result': {}}: bad field types",
+    ),
+    "listed_twice": ([_SQUARE, _SQUARE], "product (a,a) listed twice"),
+    "term_without_coeff": (
+        [{"left": "a", "right": "a", "result": [{"id": "a"}]}],
+        "product term {'id': 'a'} needs 'id' and 'coeff'",
+    ),
+    "repeated_target": (
+        [{"left": "a", "right": "a", "result": [{"id": "a", "coeff": "1"}, {"id": "a", "coeff": "2"}]}],
+        "product (a,a) repeats target 'a'",
+    ),
+}
+
+
 MALFORMED = {
     "empty": b"",
     "garbled": b"{not json",
@@ -695,6 +726,7 @@ MALFORMED = {
         "unit": "e",
     },
     "products_not_list": {**_S2, "products": {}},
+    **{f"product_{name}": {**_S2, "products": rows} for name, (rows, _) in _BAD_PRODUCTS.items()},
     "coeff_decimal": _square("0.5"),
     "coeff_zero_denominator": _square("1/0"),
     "coeff_long": _square("1" + "0" * 5000),
@@ -745,6 +777,15 @@ def test_malformed_input_is_refused_cleanly(tmp_path, capsys, name):
     for cmd in cli._COMMANDS:
         for flags in FLAG_SETS:
             assert_refused([cmd, str(path), *flags], capsys)
+
+
+@pytest.mark.parametrize("name", _BAD_PRODUCTS)
+def test_malformed_product_entries_are_schema_errors_naming_the_entry(tmp_path, capsys, name):
+    rows, message = _BAD_PRODUCTS[name]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({**_S2, "products": rows}))
+    assert invoke(["validate", str(path)]) == (2, "")
+    assert capsys.readouterr() == ("", f"schema error: {message}\n")
 
 
 @pytest.mark.parametrize("argv", OUT_OF_RANGE, ids=" ".join)

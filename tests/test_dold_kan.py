@@ -1,5 +1,6 @@
 """Denormalization, normalization and the levelwise shuffle product."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -321,6 +322,65 @@ def test_validate_cdga_rejects_bad_inputs():
         validate_cdga(leib)
 
 
+def with_products(a, changes):
+    return dataclasses.replace(a, products={**a.products, **changes})
+
+
+def non_associative_algebra():
+    """x, y in degree 2 with xy = u, u x = t and every other product zero: (xx)y = 0 != x(xy) = t."""
+    dims = (1, 0, 2, 0, 1, 0, 1)
+    prods = {(0, 0): ONE, (2, 2): RationalMatrix(1, 4, {(0, 1): 1, (0, 2): 1})}
+    for k in (2, 4, 6):
+        prods[(0, k)] = prods[(k, 0)] = RationalMatrix.identity(dims[k])
+    prods[(4, 2)] = prods[(2, 4)] = RationalMatrix(1, 2, {(0, 0): 1})
+    return CochainAlgebra(CochainComplex(dims), prods, (Fraction(1),))
+
+
+def diagonal(*values):
+    return RationalMatrix(len(values), len(values), {(i, i): v for i, v in enumerate(values)})
+
+
+REFUSED_CDGAS = {
+    "no degree-0 part to host a unit": lambda: CochainAlgebra(CochainComplex((0, 1)), {}, ()),
+    "unit vector has the wrong length": lambda: dataclasses.replace(
+        torus_algebra(), unit=(Fraction(1), Fraction(0))
+    ),
+    "unit is not a cocycle": lambda: CochainAlgebra(
+        CochainComplex((1, 1), (ONE,)), {(0, 0): ONE, (0, 1): ONE, (1, 0): ONE}, (Fraction(1),)
+    ),
+    "product (1,1) has the wrong shape": lambda: with_products(
+        torus_algebra(), {(1, 1): RationalMatrix.zero(1, 3)}
+    ),
+    "unit fails on the left in degree 0": lambda: with_products(
+        torus_algebra(), {(0, 0): diagonal(2)}
+    ),
+    "unit fails on the left in degree 1": lambda: with_products(
+        torus_algebra(), {(0, 1): diagonal(1, 2), (1, 0): diagonal(1, 2)}
+    ),
+    # the first failing index decides: index 0 fails on the right only
+    "unit fails on the right in degree 1": lambda: with_products(
+        torus_algebra(), {(0, 1): diagonal(1, 2), (1, 0): diagonal(2, 1)}
+    ),
+    "Leibniz fails on degrees (1,1)": lambda: CochainAlgebra(
+        CochainComplex((1, 1, 1, 1), (RationalMatrix.zero(1, 1), ONE, RationalMatrix.zero(1, 1))),
+        {
+            (0, 0): ONE, (0, 1): ONE, (1, 0): ONE, (0, 2): ONE, (2, 0): ONE,
+            (0, 3): ONE, (3, 0): ONE, (2, 1): ONE,
+        },
+        (Fraction(1),),
+    ),
+    "commutativity fails on degrees (1,1)": lambda: torus_algebra(sign=1),
+    "associativity fails on degrees (2,2,2)": non_associative_algebra,
+}
+
+
+@pytest.mark.parametrize("message", REFUSED_CDGAS)
+def test_validate_cdga_names_each_refusal_exactly(message):
+    with pytest.raises(NotACdgaError) as exc:
+        validate_cdga(REFUSED_CDGAS[message]())
+    assert str(exc.value) == message
+
+
 @pytest.mark.parametrize(
     "builder",
     [truncated_polynomial_algebra, torus_algebra, two_stage_algebra],
@@ -331,6 +391,120 @@ def test_denormalized_algebra_laws_hold_exhaustively(builder):
     assert check_cosimplicial_identities(ca.vs) == []
     assert levelwise_algebra_violations(ca) == []
     assert structure_map_violations(ca) == []
+
+
+def exterior_algebra():
+    """Lambda(x) with |x| = 1: level n of its cosimplicial algebra has dimension n + 1."""
+    return CochainAlgebra(CochainComplex((1, 1)), {(0, 0): ONE, (0, 1): ONE, (1, 0): ONE}, (Fraction(1),))
+
+
+def edited(m, key, value):
+    return RationalMatrix(m.rows, m.cols, {**m.entries, key: value})
+
+
+def perturb_level_product(ca):
+    products = list(ca.level_products)
+    products[2] = edited(products[2], (0, 5), 1)  # e1 e2 = e0, while e2 e1 = 0
+    ca.level_products = tuple(products)
+
+
+def perturb_level_unit(ca):
+    units = list(ca.level_units)
+    units[1] = (Fraction(1), Fraction(1))
+    ca.level_units = tuple(units)
+
+
+def perturb_coface(key, entry, value):
+    def perturb(ca):
+        ca.vs.cofaces[key] = edited(ca.vs.cofaces[key], entry, value)
+
+    return perturb
+
+
+def perturb_codegeneracy(key, entry, value):
+    def perturb(ca):
+        ca.vs.codegeneracies[key] = edited(ca.vs.codegeneracies[key], entry, value)
+
+    return perturb
+
+
+LAW_BREAKS = {
+    "level product": (
+        exterior_algebra,
+        perturb_level_product,
+        [
+            "commutativity fails at level 2 on (1,2)",
+            "associativity fails at level 2 on (1,1,2)",
+            "associativity fails at level 2 on (1,2,1)",
+            "associativity fails at level 2 on (1,2,2)",
+            "associativity fails at level 2 on (2,1,2)",
+        ],
+        [
+            "coface d^1 at level 1 is not multiplicative on (1,1)",
+            "codegeneracy s^0 at level 2 is not multiplicative on (1,2)",
+            "codegeneracy s^1 at level 2 is not multiplicative on (1,2)",
+        ],
+    ),
+    "level unit": (
+        exterior_algebra,
+        perturb_level_unit,
+        ["unit fails at level 1 on basis 0"],
+        [
+            "coface d^0 at level 0 does not preserve the unit",
+            "coface d^1 at level 0 does not preserve the unit",
+            "coface d^0 at level 1 does not preserve the unit",
+            "coface d^1 at level 1 does not preserve the unit",
+            "coface d^2 at level 1 does not preserve the unit",
+            "codegeneracy s^0 at level 2 does not preserve the unit",
+            "codegeneracy s^1 at level 2 does not preserve the unit",
+        ],
+    ),
+    "coface on the unit": (
+        exterior_algebra,
+        perturb_coface((0, 0), (1, 0), 1),
+        [],
+        [
+            "coface d^0 at level 0 does not preserve the unit",
+            "coface d^0 at level 0 is not multiplicative on (0,0)",
+        ],
+    ),
+    "coface off the unit": (
+        torus_algebra,
+        perturb_coface((1, 1), (3, 1), 2),
+        [],
+        ["coface d^1 at level 1 is not multiplicative on (1,2)"],
+    ),
+    "codegeneracy": (
+        torus_algebra,
+        perturb_codegeneracy((2, 1), (0, 0), 2),
+        [],
+        [
+            "codegeneracy s^1 at level 2 does not preserve the unit",
+            "codegeneracy s^1 at level 2 is not multiplicative on (0,0)",
+            "codegeneracy s^1 at level 2 is not multiplicative on (0,3)",
+            "codegeneracy s^1 at level 2 is not multiplicative on (0,4)",
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", LAW_BREAKS)
+def test_each_broken_law_is_named_with_its_witness(case):
+    builder, perturb, levelwise, structure = LAW_BREAKS[case]
+    ca = denormalize_algebra(builder(), 2)
+    perturb(ca)
+    assert levelwise_algebra_violations(ca) == levelwise
+    assert structure_map_violations(ca) == structure
+
+
+def test_complexes_agree_compares_dims_then_differentials():
+    c = three_term()
+    assert complexes_agree(c, three_term(), 2)
+    assert not complexes_agree(c, CochainComplex((1, 2, 2)), 2)
+    assert not complexes_agree(c, CochainComplex((1, 2, 2)), 1)  # equal dims, d^0 differs
+    scaled = CochainComplex((1, 2, 1), (combine(2, 1, [(2, c.d(0))]), c.d(1)))
+    assert not complexes_agree(c, scaled, 2)
+    assert complexes_agree(c, scaled, 0)
 
 
 def test_truncated_polynomial_level_dims():

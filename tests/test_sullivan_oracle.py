@@ -1,5 +1,6 @@
 """Minimal model construction and the two-machinery comparison."""
 
+import dataclasses
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -80,6 +81,52 @@ def test_model_invariants_hold(corpus, name):
     for g in mm.generators:
         assert all(len(m) >= 2 for m, _ in g.differential)
 
+
+
+# (input, cutoff, generator, changed field, exact violations)
+BROKEN_MODELS = {
+    "image of the fundamental class set to zero": (
+        "s2", 4, 0, {"image": (("x2", Fraction(0)),)},
+        ["comparison map is not injective on H^2", "comparison map is not surjective onto degree 2"],
+    ),
+    "closed generator given a differential": (
+        "rand_formal_1", 5, 1, {"differential": (((0, 0), 1),)},
+        [
+            "comparison map is not a chain map in degree 4",
+            "comparison map is not surjective onto degree 3",
+            "comparison map is not surjective onto degree 4",
+            "comparison map is not surjective onto degree 5",
+        ],
+    ),
+    "differential coefficient doubled": (
+        "wedge_s2_s2", 4, 5, {"differential": (((0, 3), 2), ((1, 2), -1))},
+        ["d squared is nonzero out of degree 4", "comparison map is not injective on H^5"],
+    ),
+    "linear differential term": (
+        "wedge_s2_s2", 4, 2, {"differential": (((5,), 1),)},
+        [
+            "generator v3_0 has a linear differential term",
+            "d squared is nonzero out of degree 3",
+            "d squared is nonzero out of degree 4",
+            "comparison map is not injective on H^4",
+        ],
+    ),
+    # the square of an odd generator is zero in the free algebra, so only the
+    # degree check sees this term
+    "inhomogeneous differential term": (
+        "s2", 4, 0, {"differential": (((1, 1), 1),)},
+        ["generator v2_0 has an inhomogeneous differential"],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", BROKEN_MODELS)
+def test_model_violations_name_each_broken_invariant(corpus, case):
+    name, cutoff, k, change, want = BROKEN_MODELS[case]
+    mm = minimal_model(corpus[name], cutoff)
+    gens = list(mm.generators)
+    gens[k] = dataclasses.replace(gens[k], **change)
+    assert model_violations(dataclasses.replace(mm, generators=tuple(gens))) == want
 
 def test_one_truncation_per_degree_and_one_d_per_truncation(corpus, monkeypatch):
     """minimal_model builds c - 1 truncations; no truncation assembles a d twice."""
