@@ -235,19 +235,18 @@ def test_invariants_on_worked_examples(cp2_setup):
 # -- random filtered complexes ------------------------------------------------
 
 
-def random_filtered_complex(rng, max_degree=3, max_dim=4, max_levels=3):
-    """A valid random filtered complex with a non-coordinate filtration.
+def random_matching(rng, max_degree=3, max_dim=4, max_levels=3):
+    """Random levelled coordinates and a matching differential on them.
 
-    Starts from a matching differential on levelled coordinates (source level
-    <= target level, every vector in at most one pair, so d^2 = 0 and the
-    coordinate filtration is preserved), then conjugates by a level-unipotent
-    change of basis to exercise genuine subspace arithmetic.
+    Returns (dims, levels, pairs): levels[n][i] < max_levels is the level of
+    basis vector i of C_n, and each (n, i, j) in pairs sends vector i of C_n
+    to vector j of C_(n-1), of no lower level.  Every vector is in at most one
+    pair, so d^2 = 0 and the coordinate filtration is preserved.
     """
     degrees = list(range(0, max_degree + 1))
     dims = {n: rng.randint(0, max_dim) for n in degrees}
     levels = {n: [rng.randrange(max_levels) for _ in range(dims[n])] for n in degrees}
 
-    coeff = lambda: Fraction(rng.choice([1, -1, 2, -2, 3]), rng.choice([1, 1, 2]))
     used = {n: set() for n in degrees}
     pairs = []
     for n in degrees:
@@ -267,7 +266,19 @@ def random_filtered_complex(rng, max_degree=3, max_dim=4, max_levels=3):
             used[n].add(i)
             used[n - 1].add(j)
             pairs.append((n, i, j))
+    return dims, levels, pairs
 
+
+def conjugated_complex(rng, dims, levels, pairs):
+    """The matching complex with random coefficients, in a random adapted basis.
+
+    d sends each pair's source to a random multiple of its target; then both
+    d and the basis change by a level-unipotent matrix (identity plus entries
+    from lower to higher levels), which fixes every F^s.  So the filtration
+    stays the coordinate one of levels while d is no longer a matching.
+    """
+    degrees = list(dims)
+    coeff = lambda: Fraction(rng.choice([1, -1, 2, -2, 3]), rng.choice([1, 1, 2]))
     diff_rows = {
         n: [[Fraction(0)] * dims[n] for _ in range(dims.get(n - 1, 0))] for n in degrees
     }
@@ -300,6 +311,7 @@ def random_filtered_complex(rng, max_degree=3, max_dim=4, max_levels=3):
         )
         differentials[n] = RationalMatrix.from_rows(rows)
 
+    max_levels = 1 + max((l for lv in levels.values() for l in lv), default=0)
     filtration = {}
     for n in degrees:
         if dims[n] == 0:
@@ -316,6 +328,48 @@ def random_filtered_complex(rng, max_degree=3, max_dim=4, max_levels=3):
         filtration[n] = tuple(stages)
 
     return FilteredComplex(dims, differentials, filtration)
+
+
+def random_filtered_complex(rng, max_degree=3, max_dim=4, max_levels=3):
+    """A valid random filtered complex: a conjugated random matching."""
+    return conjugated_complex(rng, *random_matching(rng, max_degree, max_dim, max_levels))
+
+
+def matching_page_dims(levels, pairs, r):
+    """dim E_r of a matching complex, by slot, in closed form.
+
+    A pair x -> y with level gap g = level(y) - level(x) is present in E_r, at
+    both ends, exactly for r <= g; an unmatched vector lives on every page.
+    """
+    dims = {}
+
+    def count(n, level):
+        slot = (level + 1, level + 1 + n)
+        dims[slot] = dims.get(slot, 0) + 1
+
+    matched = {(n, i) for n, i, _ in pairs} | {(n - 1, j) for n, _, j in pairs}
+    for n, lv in levels.items():
+        for i, level in enumerate(lv):
+            if (n, i) not in matched:
+                count(n, level)
+    for n, i, j in pairs:
+        if levels[n - 1][j] - levels[n][i] >= r:
+            count(n, levels[n][i])
+            count(n - 1, levels[n - 1][j])
+    return dims
+
+
+def test_pages_of_conjugated_matchings_have_closed_form():
+    rng = random.Random(20261021)
+    built = 0
+    while built < 200:
+        dims, levels, pairs = random_matching(rng, max_levels=5)
+        if not any(dims.values()):
+            continue
+        fc = conjugated_complex(rng, dims, levels, pairs)
+        for r in range(1, 7):
+            assert page(fc, r).dims == matching_page_dims(levels, pairs, r), (built, r)
+        built += 1
 
 
 def test_random_filtered_complexes_smoke():
