@@ -327,9 +327,6 @@ class SubspaceBasis:
         """Membership of vec, a sparse dict or a dense sequence."""
         return not _reduce(self.rows, _primitive(_sparse(vec, self.ambient_dim)))
 
-    def contains_subspace(self, other: "SubspaceBasis") -> bool:
-        return all(self.contains(r) for r in other.rows.values())
-
 
 def _preimage(m: RationalMatrix, s: SubspaceBasis, within: SubspaceBasis | None) -> SubspaceBasis:
     """{x in within : m x in s}, within None for all of Q^cols (Zassenhaus).
@@ -393,13 +390,11 @@ def image_subspace(m: RationalMatrix, s: SubspaceBasis) -> SubspaceBasis:
     return SubspaceBasis(m.rows, _Echelon(m.matvec(r) for r in s.rows.values()).rref())
 
 
-def preimage_subspace(
-    m: RationalMatrix, s: SubspaceBasis, within: SubspaceBasis | None = None
-) -> SubspaceBasis:
-    """{x in within : m x in s} inside Q^cols; within None stands for all of Q^cols."""
-    if m.rows != s.ambient_dim or (within is not None and within.ambient_dim != m.cols):
+def preimage_subspace(m: RationalMatrix, s: SubspaceBasis) -> SubspaceBasis:
+    """{x : m x in s} inside Q^cols."""
+    if m.rows != s.ambient_dim:
         raise ValueError("ambient dimension mismatch")
-    return _preimage(m, s, within)
+    return _preimage(m, s, None)
 
 
 def coordinates_in_span(rows: list[dict], vectors: list[dict]) -> list[dict[int, Fraction]]:

@@ -465,28 +465,3 @@ def expand(expr, b: FreeLieBasis) -> tuple[Fraction, ...]:
         dense[pos[word]] = c
     return tuple(dense)
 
-
-def dim(p: int, q: int, b: FreeLieBasis) -> int:
-    """Dimension of the piece with total unreduced degree p, bracket length q.
-
-    Each generator contributes its reduced degree plus one to p, so the slot
-    of reduced degree r and weight w sits at (p, q) = (r + w, w).
-    """
-    if q < 1:
-        raise OutOfRangeError("bracket length must be >= 1")
-    if p < q:
-        return 0
-    r = p - q
-    if r > b.max_r or q > b.max_w:
-        raise OutOfRangeError(f"(p={p}, q={q}) beyond cutoffs ({b.max_r}, {b.max_w})")
-    return sum(len(words) for (rr, ww, _), words in b.slots.items() if rr == r and ww == q)
-
-
-def translate_index(m: int, i: int) -> tuple[int, int]:
-    """Bigraded address of the weight i+1 piece of the degree-m homotopy group."""
-    return (m + i, i + 1)
-
-
-def e1_index_to_lie(p: int, q: int) -> tuple[int, int]:
-    """First-page slot (p, q) of the weight tower corresponds to piece (q-1, p)."""
-    return (q - 1, p)

@@ -2,7 +2,9 @@
 
 Input: a homologically graded complex (d lowers degree by one) with a
 decreasing filtration C = F^0 >= F^1 >= ... >= F^L = 0 per degree, preserved
-by d.  Pages are computed from the chain-level approximation subspaces
+by d and given by a level for each basis vector: F^s is spanned by the basis
+vectors of level >= s.  Pages are computed from the chain-level approximation
+subspaces
 
     A_r(s, n) = {x in F^s C_n : d x in F^(s+r) C_(n-1)},
     E_r(s, n) = A_r(s, n) / (A_(r-1)(s+1, n) + d {x in F^(s-r+1) : d x in F^s}),
@@ -32,7 +34,7 @@ from .exactlin import (
     coordinates_in_span,
     extend_to_complement,
     image_subspace,
-    preimage_subspace,
+    kernel_basis,
     subspace_sum,
 )
 
@@ -44,8 +46,10 @@ class FilteredComplex:
     """Finite filtered chain complex; validated on construction.
 
     dims[n] is the dimension of C_n; differentials[n] is d_n : C_n -> C_(n-1);
-    filtration[n] lists F^0 >= F^1 >= ... ending with the zero subspace.
-    Missing filtration entries default to the two-step (full, zero).
+    levels[n][i] >= 0 is the filtration degree of basis vector i of C_n, so
+    F^s C_n is spanned by the basis vectors of level >= s.  Missing degrees
+    default to level 0, the trivial filtration.  Over a field every finite
+    filtration has such an adapted basis.
 
     A complex is immutable after construction: pages and the approximation
     subspaces they are built from are memoized in _cache.
@@ -53,7 +57,7 @@ class FilteredComplex:
 
     dims: dict[int, int]
     differentials: dict[int, RationalMatrix]
-    filtration: dict[int, tuple[SubspaceBasis, ...]] = field(default_factory=dict)
+    levels: dict[int, tuple[int, ...]] = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
@@ -61,14 +65,14 @@ class FilteredComplex:
         for n, d in self.dims.items():
             if d < 0:
                 raise InvalidInputError(f"negative dimension at degree {n}")
-        for n in list(self.filtration):
-            self.filtration[n] = tuple(self.filtration[n])
-        for n in self.dims:
-            if n not in self.filtration:
-                self.filtration[n] = (
-                    SubspaceBasis.full(self.dims[n]),
-                    SubspaceBasis.zero(self.dims[n]),
+        for n, lv in self.levels.items():
+            if len(lv) != self.dim(n):
+                raise InvalidInputError(
+                    f"levels at degree {n} has {len(lv)} entries, expected {self.dim(n)}"
                 )
+            if any(level < 0 for level in lv):
+                raise InvalidInputError(f"negative level at degree {n}")
+        self.levels = {n: tuple(self.levels.get(n, (0,) * d)) for n, d in self.dims.items()}
         self._validate()
 
     # -- accessors ------------------------------------------------------------
@@ -82,26 +86,12 @@ class FilteredComplex:
             return RationalMatrix.zero(self.dim(n - 1), self.dim(n))
         return m
 
-    def level(self, n: int, s: int) -> SubspaceBasis:
-        """F^s C_n, clamped: full below 0, zero beyond the recorded length."""
-        if self.dim(n) == 0:
-            return SubspaceBasis.zero(0)
-        levels = self.filtration[n]
-        if s <= 0:
-            return levels[0]
-        if s >= len(levels):
-            return SubspaceBasis.zero(self.dim(n))
-        return levels[s]
-
     def degrees(self) -> list[int]:
         return sorted(self.dims)
 
     @property
     def max_level(self) -> int:
-        longest = 1
-        for n in self.dims:
-            longest = max(longest, len(self.filtration[n]) - 1)
-        return longest
+        return max((max(lv) for lv in self.levels.values()), default=0) + 1
 
     # -- validation -------------------------------------------------------------
 
@@ -116,27 +106,13 @@ class FilteredComplex:
             if not self.d(n - 1).matmul(self.d(n)).is_zero():
                 raise InvalidInputError(f"d squared is nonzero out of degree {n}")
         for n in self.dims:
-            levels = self.filtration[n]
-            if len(levels) < 2:
-                raise InvalidInputError(f"filtration at degree {n} too short")
-            if levels[0].dim != self.dim(n):
-                raise InvalidInputError(f"filtration at degree {n} does not start full")
-            if levels[-1].dim != 0:
-                raise InvalidInputError(f"filtration at degree {n} does not end at zero")
-            for s in range(1, len(levels)):
-                if not levels[s - 1].contains_subspace(levels[s]):
-                    raise InvalidInputError(
-                        f"filtration at degree {n} is not nested at stage {s}"
-                    )
-        for n in self.dims:
-            dmat = self.d(n)
-            for s in range(1, len(self.filtration[n])):
-                tgt = self.level(n - 1, s)
-                for row in self.level(n, s).rows.values():
-                    if not tgt.contains(dmat.matvec(row)):
-                        raise InvalidInputError(
-                            f"differential does not preserve F^{s} at degree {n}"
-                        )
+            src, tgt = self.levels[n], self.levels.get(n - 1, ())
+            # entry (i, j) takes F^s into F^s exactly when tgt[i] >= src[j]
+            low = [tgt[i] + 1 for i, j in self.d(n).entries if tgt[i] < src[j]]
+            if low:
+                raise InvalidInputError(
+                    f"differential does not preserve F^{min(low)} at degree {n}"
+                )
 
 
 @dataclass
@@ -163,14 +139,31 @@ class SpectralSequencePage:
 
 
 def _approx(fc: FilteredComplex, s: int, t: int, n: int) -> SubspaceBasis:
-    """{x in F^s C_n : d x in F^t C_(n-1)}, the preimage under d with within = F^s C_n.
+    """{x in F^s C_n : d x in F^t C_(n-1)}: one kernel of a submatrix of d.
 
-    A_r(s, n) is the case t = s + r.
+    The submatrix keeps the columns of level >= s and the rows of level < t.
+    Its kernel's columns map back through the increasing list of kept
+    columns, which leaves the canonical rows canonical.  A_r(s, n) is the
+    case t = s + r.
     """
     key = ("approx", s, t, n)
     got = fc._cache.get(key)
     if got is None:
-        got = fc._cache[key] = preimage_subspace(fc.d(n), fc.level(n - 1, t), within=fc.level(n, s))
+        cols = [j for j, level in enumerate(fc.levels.get(n, ())) if level >= s]
+        below = (i for i, level in enumerate(fc.levels.get(n - 1, ())) if level < t)
+        rows = {i: k for k, i in enumerate(below)}
+        columns = fc.d(n)._columns
+        entries = {
+            (rows[i], k): v
+            for k, j in enumerate(cols)
+            for i, v in columns.get(j, {}).items()
+            if i in rows
+        }
+        kernel = kernel_basis(RationalMatrix._canonical(len(rows), len(cols), entries))
+        got = fc._cache[key] = SubspaceBasis(
+            fc.dim(n),
+            {cols[p]: {cols[j]: x for j, x in row.items()} for p, row in kernel.rows.items()},
+        )
     return got
 
 
@@ -188,7 +181,7 @@ def _compute_page(fc: FilteredComplex, r: int) -> SpectralSequencePage:
     denominators: dict[Slot, SubspaceBasis] = {}
     reps: dict[Slot, list] = {}
     for n in fc.degrees():
-        for s in range(0, len(fc.filtration[n]) - 1):
+        for s in range(max(fc.levels[n]) + 1):
             z = _approx(fc, s, s + r, n)
             d1 = _approx(fc, s + 1, s + r, n)
             # boundary sources sit r-1 stages up; below stage 0 the source
@@ -307,14 +300,8 @@ def filtered_from_model(model) -> FilteredComplex:
                 entries[(tgt_off + i, col_off + j)] = val
         differentials[n] = RationalMatrix(dims[n - 1], dims[n], entries)
 
-    # blocks run in weight order, so F^p is spanned by the unit rows of a
-    # final run of coordinates: those from the first block of weight > p
-    filtration: dict[int, tuple[SubspaceBasis, ...]] = {}
-    for n, blocks in layout.items():
-        levels = []
-        for p in range(0, w_top + 1):
-            start = next((offsets[(n, w, char)] for w, char, _ in blocks if w > p), dims[n])
-            levels.append(SubspaceBasis(dims[n], {i: {i: 1} for i in range(start, dims[n])}))
-        filtration[n] = tuple(levels)
-
-    return FilteredComplex(dims, differentials, filtration)
+    # a word of weight w lies in F^p exactly for p < w
+    levels = {
+        n: tuple(w - 1 for w, _, k in blocks for _ in range(k)) for n, blocks in layout.items()
+    }
+    return FilteredComplex(dims, differentials, levels)

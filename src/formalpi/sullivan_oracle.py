@@ -228,16 +228,21 @@ def model_violations(mm: MinimalModel) -> list[str]:
 
     The comparison map must be an isomorphism on cohomology through the
     cutoff and injective one degree above; returns human-readable failures.
+    A differential of the wrong degree ends the checks after the
+    per-generator ones.
     """
     bad = []
     p, cutoff = mm.presentation, mm.cutoff
     tr = _Truncation(p, mm.generators, cutoff + 2)
+    graded = True
     for g in mm.generators:
         if any(len(m) < 2 for m, _ in g.differential):
             bad.append(f"generator {g.name} has a linear differential term")
-        for m, _ in g.differential:
-            if sum(tr.degrees[t] for t in m) != g.degree + 1:
-                bad.append(f"generator {g.name} has an inhomogeneous differential")
+        if any(sum(tr.degrees[t] for t in m) != g.degree + 1 for m, _ in g.differential):
+            bad.append(f"generator {g.name} has an inhomogeneous differential")
+            graded = False
+    if not graded:
+        return bad  # d is not a graded map, so it has no matrix by degree
     for n in range(cutoff + 1):
         if not tr.d_matrix(n + 1).matmul(tr.d_matrix(n)).is_zero():
             bad.append(f"d squared is nonzero out of degree {n}")

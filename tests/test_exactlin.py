@@ -12,6 +12,7 @@ from formalpi.errors import CompositionNonzeroError
 from formalpi.exactlin import (
     RationalMatrix,
     SubspaceBasis,
+    _preimage,
     combine,
     coordinates_in_span,
     extend_to_complement,
@@ -390,19 +391,21 @@ def preimage_problems(draw):
 @settings(max_examples=200, deadline=None)
 @given(preimage_problems())
 def test_preimage_subspace_matches_dense_oracle(problem):
+    """_preimage, the echelon under preimage_subspace, kernel_basis and
+    subspace_intersection, against a dense solve."""
     m, s_vecs, within_vecs, case = problem
     whole = within_vecs is None
     if whole:
         within_vecs = [[int(i == j) for j in range(m.cols)] for i in range(m.cols)]
     s = SubspaceBasis.from_vectors(s_vecs, m.rows)
     within = SubspaceBasis.from_vectors(within_vecs, m.cols)
-    pre = preimage_subspace(m, s, None if whole else within)
+    pre = preimage_subspace(m, s) if whole else _preimage(m, s, within)
     expected = dense_preimage(dense_rows(m), m.cols, s_vecs, within_vecs)
     assert pre.dim == len(expected)
     assert list(pre.vectors) == expected
     for v in pre.vectors:
         assert within.contains(v) and s.contains(m.apply(v))
-    assert pre == preimage_subspace(m, s, within)
+    assert pre == _preimage(m, s, within)
     if case == "kernel":
         assert pre == subspace_intersection(within, kernel_basis(m))
     if case == "identity":

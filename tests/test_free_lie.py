@@ -9,13 +9,10 @@ from formalpi.free_lie import (
     Generator,
     GeneratorSet,
     basis,
-    dim,
-    e1_index_to_lie,
     expand,
     lyndon_words,
     slot_dims,
     standard_factorization,
-    translate_index,
 )
 from formalpi.graded_core import CharacterLattice
 from formalpi.quillen_weight import model_generators
@@ -91,7 +88,7 @@ def test_expand_jacobi_kills_triple_odd_square():
     x = g.leaf("g0")
     expr = g.bracket(x, g.bracket(x, x))
     assert expand(expr, b) == ()
-    assert dim(3 + 3, 3, b) == 0
+    assert b.slot_dim(3, 3) == 0
 
 
 def test_expand_antisymmetry_even_generators():
@@ -112,45 +109,11 @@ def test_empty_generator_set():
     g = GeneratorSet(())
     b = basis(g, max_r=5, max_w=5)
     assert b.slots == {}
-    assert dim(3, 2, b) == 0
-
-
-def test_dim_s2_examples():
-    g = gens_of(1)
-    b = basis(g, max_r=10, max_w=10)
-    assert dim(2, 1, b) == 1
-    assert dim(4, 2, b) == 1
-
-
-def test_dim_zero_below_diagonal_and_range_errors():
-    g = gens_of(1, 2)
-    b = basis(g, max_r=4, max_w=3)
-    assert dim(2, 3, b) == 0
-    with pytest.raises(OutOfRangeError):
-        dim(9, 4, b)  # weight beyond cutoff
-    with pytest.raises(OutOfRangeError):
-        dim(8, 2, b)  # reduced degree 6 beyond cutoff
-    with pytest.raises(OutOfRangeError):
-        dim(3, 0, b)
 
 
 def test_cutoff_too_small():
     with pytest.raises(CutoffTooSmallError):
         basis(gens_of(1), max_r=3, max_w=0)
-
-
-def test_translate_index_pinned():
-    assert translate_index(3, 1) == (4, 2)
-    assert translate_index(2, 0) == (2, 1)
-    assert e1_index_to_lie(2, 5) == (4, 2)
-
-
-@given(st.integers(1, 40), st.integers(0, 40))
-def test_translate_index_consistency(m, i):
-    p, q = translate_index(m, i)
-    assert (p, q) == (m + i, i + 1)
-    # the first-page address (P, Q) = (q, p + 1) names the same slot
-    assert e1_index_to_lie(q, p + 1) == (p, q)
 
 
 WITT_CASES = [

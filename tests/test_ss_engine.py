@@ -5,8 +5,7 @@ import pytest
 
 from formalpi.errors import InvalidInputError, OutOfRangeError
 from formalpi.exactlin import RationalMatrix, SubspaceBasis, homology_dim
-from formalpi.free_lie import dim as lie_dim
-from formalpi.free_lie import e1_index_to_lie
+from formalpi.free_lie import slot_dims
 from formalpi.quillen_weight import build_model, homotopy_table
 from formalpi.ss_engine import (
     DegenerationReport,
@@ -24,11 +23,7 @@ from oracles import dense_inverse, dense_preimage, dense_rows, gauss_rank
 def two_step_example():
     dims = {1: 1, 0: 1}
     diffs = {1: RationalMatrix.from_rows([[1]])}
-    filtration = {
-        1: (SubspaceBasis.full(1), SubspaceBasis.zero(1)),
-        0: (SubspaceBasis.full(1), SubspaceBasis.full(1), SubspaceBasis.zero(1)),
-    }
-    return FilteredComplex(dims, diffs, filtration)
+    return FilteredComplex(dims, diffs, {1: (0,), 0: (1,)})
 
 
 def test_two_step_example_pages():
@@ -65,25 +60,16 @@ def test_validation_rejects_bad_input():
     with pytest.raises(InvalidInputError):
         FilteredComplex({1: 1, 0: 1}, {1: RationalMatrix.from_rows([[1], [0]])})
     good = RationalMatrix.from_rows([[1]])
-    with pytest.raises(InvalidInputError):
-        FilteredComplex(
-            {1: 1, 0: 1},
-            {1: good},
-            {
-                1: (SubspaceBasis.full(1), SubspaceBasis.zero(1)),
-                0: (SubspaceBasis.zero(1), SubspaceBasis.zero(1)),
-            },
-        )
+    with pytest.raises(InvalidInputError, match="negative level at degree 0"):
+        FilteredComplex({1: 1, 0: 1}, {1: good}, {1: (0,), 0: (-1,)})
+    with pytest.raises(InvalidInputError, match="levels at degree 1 has 2 entries"):
+        FilteredComplex({1: 1, 0: 1}, {1: good}, {1: (0, 0)})
     # d(F^1) must stay inside F^1: here F^1 in degree 0 is zero while d is onto
-    with pytest.raises(InvalidInputError):
-        FilteredComplex(
-            {1: 1, 0: 1},
-            {1: good},
-            {
-                1: (SubspaceBasis.full(1), SubspaceBasis.full(1), SubspaceBasis.zero(1)),
-                0: (SubspaceBasis.full(1), SubspaceBasis.zero(1), SubspaceBasis.zero(1)),
-            },
-        )
+    with pytest.raises(InvalidInputError, match=r"does not preserve F\^1 at degree 1"):
+        FilteredComplex({1: 1, 0: 1}, {1: good}, {1: (1,), 0: (0,)})
+    # the first stage that d leaves: F^2, since d F^1 = d F^3 lands in F^1
+    with pytest.raises(InvalidInputError, match=r"does not preserve F\^2 at degree 1"):
+        FilteredComplex({1: 1, 0: 1}, {1: good}, {1: (3,), 0: (1,)})
     # d^2 = 0 enforced
     two = RationalMatrix.from_rows([[1]])
     with pytest.raises(InvalidInputError):
@@ -141,22 +127,31 @@ def dense_unit_filtration(model):
     return out
 
 
+def stage(fc, n, s):
+    """F^s C_n of fc, spanned by the unit vectors of the basis vectors of level >= s."""
+    units = [{i: 1} for i, level in enumerate(fc.levels.get(n, ())) if level >= s]
+    return SubspaceBasis.from_vectors(units, fc.dim(n))
+
+
 @pytest.mark.parametrize("name", ALL_CORPUS)
 def test_model_filtration_equals_dense_unit_vector_construction(corpus, name):
     model = build_model(corpus[name], 5, 4)
-    assert filtered_from_model(model).filtration == dense_unit_filtration(model)
+    fc = filtered_from_model(model)
+    expected = dense_unit_filtration(model)
+    assert set(fc.degrees()) == set(expected)
+    for n, stages in expected.items():
+        assert tuple(stage(fc, n, p) for p in range(len(stages))) == stages, n
 
 
 def test_model_e1_is_free_lie_dims(cp2_setup):
+    """E_1 at (p, q) = (w, w + r) is the free Lie slot of weight w and reduced degree r."""
     model, fc = cp2_setup
-    p1 = page(fc, 1)
-    for (p, q), d in p1.dims.items():
-        r, w = q - p, p  # reduced degree and weight of the slot
-        if w > model.max_w:
-            continue
-        total_degree, length = e1_index_to_lie(p, q + 1)
-        assert (total_degree, length) == (r + w, w)
-        assert d == lie_dim(total_degree, length, model.basis)
+    b = model.basis
+    expected = {}
+    for (r, w, _), d in slot_dims(b.gens, b.max_r, model.max_w).items():
+        expected[(w, w + r)] = expected.get((w, w + r), 0) + d
+    got = {(p, q): d for (p, q), d in page(fc, 1).dims.items() if p <= model.max_w}
+    assert got == {k: v for k, v in expected.items() if v}
 
 
 def test_model_d1_transports_differential(cp2_setup):
@@ -272,10 +267,10 @@ def random_matching(rng, max_degree=3, max_dim=4, max_levels=3):
 def conjugated_complex(rng, dims, levels, pairs):
     """The matching complex with random coefficients, in a random adapted basis.
 
-    d sends each pair's source to a random multiple of its target; then both
-    d and the basis change by a level-unipotent matrix (identity plus entries
-    from lower to higher levels), which fixes every F^s.  So the filtration
-    stays the coordinate one of levels while d is no longer a matching.
+    d sends each pair's source to a random multiple of its target; then d is
+    conjugated by a level-unipotent change of basis, which adds to each basis
+    vector only coordinates of higher level and so fixes every F^s.  The
+    filtration stays the coordinate one of levels; d is no longer a matching.
     """
     degrees = list(dims)
     coeff = lambda: Fraction(rng.choice([1, -1, 2, -2, 3]), rng.choice([1, 1, 2]))
@@ -311,23 +306,7 @@ def conjugated_complex(rng, dims, levels, pairs):
         )
         differentials[n] = RationalMatrix.from_rows(rows)
 
-    max_levels = 1 + max((l for lv in levels.values() for l in lv), default=0)
-    filtration = {}
-    for n in degrees:
-        if dims[n] == 0:
-            continue
-        cols = basis_change[n]
-        stages = []
-        for s in range(max_levels + 1):
-            vecs = [
-                tuple(cols[t][v] for t in range(dims[n]))
-                for v in range(dims[n])
-                if levels[n][v] >= s
-            ]
-            stages.append(SubspaceBasis.from_vectors(vecs, dims[n]))
-        filtration[n] = tuple(stages)
-
-    return FilteredComplex(dims, differentials, filtration)
+    return FilteredComplex(dims, differentials, levels)
 
 
 def random_filtered_complex(rng, max_degree=3, max_dim=4, max_levels=3):
@@ -465,8 +444,9 @@ def _rng_at(state):
 def test_approximations_match_the_dense_oracle(corpus):
     """Every memoized A = {x in F^s C_n : d x in F^t C_(n-1)} after pages 1-4.
 
-    Each is one preimage under d restricted to F^s, the only subspace the
-    pages memoize; here it is compared with a dense solve of the conditions.
+    Each is one kernel of a submatrix of d, the only subspace the pages
+    memoize; here it is compared with a dense solve of the conditions, with
+    F^s and F^t built from the levels.
     """
     rng = random.Random(20261019)
     complexes = [filtered_from_model(build_model(corpus["wedge_s2_s2"], 5, 5))]
@@ -486,7 +466,7 @@ def test_approximations_match_the_dense_oracle(corpus):
             expected = dense_preimage(
                 dense_rows(fc.d(n)),
                 fc.dim(n),
-                list(fc.level(n - 1, t).vectors),
-                list(fc.level(n, s).vectors),
+                list(stage(fc, n - 1, t).vectors),
+                list(stage(fc, n, s).vectors),
             )
             assert list(got.vectors) == expected, key

@@ -117,6 +117,19 @@ BROKEN_MODELS = {
         "s2", 4, 0, {"differential": (((1, 1), 1),)},
         ["generator v2_0 has an inhomogeneous differential"],
     ),
+    # a live term of the wrong degree: d has no matrix by degree, so the
+    # per-generator messages are all there is to report
+    "linear inhomogeneous term": (
+        "s2", 4, 1, {"differential": (((0, 0), 1), ((1,), 1))},
+        [
+            "generator v3_0 has a linear differential term",
+            "generator v3_0 has an inhomogeneous differential",
+        ],
+    ),
+    "quadratic inhomogeneous term": (
+        "s2", 4, 1, {"differential": (((0, 0), 1), ((0, 1), 1))},
+        ["generator v3_0 has an inhomogeneous differential"],
+    ),
 }
 
 
