@@ -158,7 +158,7 @@ SLOW_TRANSLATIONS = {("t3", 6, 5), ("t3", 4, 6), ("sigma2_chi", 4, 6)}
 
 def test_c04_index_translations(tmp_path):
     """ss page 1 at (p, q) = (w, w + r) is lie-dims at (r + w, w): p and q swap."""
-    inputs = {name: str(corpus_path(name)) for name in ALL_CORPUS}
+    inputs = {name: corpus_path(name) for name in ALL_CORPUS}
     for token in ("t3", "sigma2_chi", "t2_chi", "wedge_2233", "cp2xcp2"):
         inputs[token] = tmp_path / f"{token}.json"
         inputs[token].write_text(bench_gen.make(token, 7))
