@@ -111,6 +111,30 @@ def test_empty_generator_set():
     assert b.slots == {}
 
 
+def test_slot_dim_s2_examples():
+    # S^2: one generator of reduced degree 1; x and [x, x] span weights 1 and 2.
+    g = gens_of(1)
+    b = basis(g, max_r=10, max_w=10)
+    assert b.slot_dim(1, 1) == 1
+    assert b.slot_dim(2, 2) == 1
+    assert b.slot_dim(3, 3) == 0
+    counted = slot_dims(g, max_r=10, max_w=10)
+    assert {key: len(words) for key, words in b.slots.items()} == counted
+
+
+def test_in_range_bounds_the_slots():
+    g = gens_of(1, 2)
+    b = basis(g, max_r=4, max_w=3)
+    assert b.in_range(0, 1) and b.in_range(4, 3)
+    assert not b.in_range(-1, 3)  # below the diagonal
+    assert not b.in_range(5, 2)  # reduced degree beyond the cutoff
+    assert not b.in_range(4, 4)  # weight beyond the cutoff
+    assert not b.in_range(3, 0)  # bracket length 0
+    assert b.slot_dim(-1, 3) == 0
+    assert b.slots and all(b.in_range(r, w) for r, w, _ in b.slots)
+    assert all(b.in_range(r, w) for r, w, _ in slot_dims(g, max_r=4, max_w=3))
+
+
 def test_cutoff_too_small():
     with pytest.raises(CutoffTooSmallError):
         basis(gens_of(1), max_r=3, max_w=0)
