@@ -34,12 +34,23 @@ the boundaries of A+.F in degree t, so no cycle has a term 1 (x) g.  A cycle
 of F_(s-1) in degree t therefore lives on pairs a (x) g' with a in A+ and
 t_g' < t, so t_g' - (s - 1) <= t - s: generators inside the window of level
 s - 1.  A pair 1 (x) g with t_g = t is never needed.
+
+The arithmetic is integral.  The resolution reads only products of two
+positive classes, and for L the lcm of their denominators, x -> x / L is an
+isomorphism of augmented algebras from (A+, mu) onto (A+, L mu), since
+L mu(x / L, y / L) = mu(x, y) / L.  So Ext is that of the table L mu, which
+has integer entries: the a.dg columns are sums of int products, and the
+kernel and complement rows that become new dg are the coprime integer rows
+of a SubspaceBasis.  Every block matrix, image, kernel and d d check runs on
+ints, never on Fractions.  An integral table has L = 1 and is read as it is.
 """
 
 from __future__ import annotations
 
+from math import lcm
+
 from .errors import DSquaredNonzeroError
-from .exactlin import RationalMatrix, SubspaceBasis, exact, extend_to_complement, kernel_basis
+from .exactlin import RationalMatrix, SubspaceBasis, extend_to_complement, kernel_basis
 from .graded_core import AlgebraPresentation
 
 Pair = tuple[int, str]  # a (x) g: generator index in its level, basis id of a in A+
@@ -60,15 +71,22 @@ def ext_dims(
         if e.degree > 0:
             positive.setdefault(e.degree, {}).setdefault(e.character, []).append(e.ident)
     sums: dict = {}  # memo of the lattice sums of characters
-    left: dict[str, dict[int, list]] = {}  # b -> degree of a -> [(a, ab)], ab nonzero
+    left: dict[str, dict[int, list]] = {}  # b -> degree of a -> [(a, L ab)], ab nonzero
+    unit, table = p.unit_id, p.table
+    # L clears the denominators of A+ x A+; L = 1 keeps an integral table as it is
+    L = lcm(*(c.denominator for a, row in table.items() if a != unit
+              for b, ab in row.items() if b != unit for c in ab.values()))
 
     def multipliers(b: str) -> dict[int, list]:
         out = left.get(b)
         if out is None:
             out = left[b] = {}
             # a.b != 0 exactly when b.a != 0: row b names the a, in basis order
-            for a in sorted(p.table[b].keys() - {p.unit_id}, key=p.index.__getitem__):
-                out.setdefault(p.degree(a), []).append((a, p.table[a][b]))
+            for a in sorted(table[b].keys() - {unit}, key=p.index.__getitem__):
+                ab = table[a][b]
+                if L > 1:
+                    ab = {k: x.numerator * (L // x.denominator) for k, x in ab.items()}
+                out.setdefault(p.degree(a), []).append((a, ab))
         return out
 
     def pairs(gens, t) -> dict[tuple[int, ...], list[Pair]]:
@@ -108,9 +126,7 @@ def ext_dims(
                             for k, x in ab.items():
                                 i = index[(h, k)]
                                 col[i] = col.get(i, 0) + c * x
-            columns = {
-                pair: {i: exact(x) for i, x in col.items() if x} for pair, col in columns.items()
-            }
+            columns = {pair: {i: x for i, x in col.items() if x} for pair, col in columns.items()}
             blocks[t] = pairs(gens, t)
             for chi, block in blocks[t].items():
                 n = len(rows.get(chi, ()))

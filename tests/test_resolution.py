@@ -3,6 +3,7 @@ check, and the homotopy tables it gives against the Lie model's."""
 
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,38 @@ def test_corrupted_boundary_fails_the_d_squared_check(monkeypatch):
     assert str(err.value) == "d squared is nonzero on the resolution at (s=2, t=3, char=())"
 
 
+def test_corrupted_boundary_fails_the_d_squared_check_on_a_rational_table(monkeypatch):
+    # the corruption above, on T^3 with its classes rescaled, x -> x / (index + 1),
+    # so that its structure constants have denominators
+    t3 = bench_gen.power(lambda i: bench_gen.sphere(1, i), 3)
+    scale = {ident: Fraction(1, i + 1) for i, (ident, _, _) in enumerate(t3["basis"])}
+    t3["products"] = {
+        (a, b): {t: scale[a] * scale[b] / scale[t] * c for t, c in terms.items()}
+        for (a, b), terms in t3["products"].items()
+    }
+    p = parsed(t3)
+    assert any(type(c) is Fraction for terms in p.products.values() for c in terms.values())
+
+    real = resolution.kernel_basis
+    corrupted = []
+
+    def kernel_basis(m):
+        k = real(m)
+        if corrupted or not k.dim or k.dim == k.ambient_dim:
+            return k
+        pivot, row = next(iter(k.rows.items()))
+        j = next(j for j in range(pivot + 1, m.cols) if not k.contains({j: 1}))
+        corrupted.append(j)
+        return SubspaceBasis(k.ambient_dim, {**k.rows, pivot: {**row, j: row.get(j, 0) + 1}})
+
+    monkeypatch.setattr(resolution, "kernel_basis", kernel_basis)
+    with pytest.raises(DSquaredNonzeroError) as err:
+        ext_dims(p, 3, 3)
+    assert corrupted == [1]
+    assert err.value.witness == (2, 3, ())
+    assert str(err.value) == "d squared is nonzero on the resolution at (s=2, t=3, char=())"
+
+
 # ---------------------------------------------------------------------------
 # PBW inversion
 
@@ -180,3 +213,44 @@ def test_resolution_table_refuses_like_the_lie_model(corpus):
     with pytest.raises(CutoffExceededError):
         ext_table(corpus["s2"], 6, 4)
     assert not ext_table(corpus["torus"], 6, 2).complete
+
+
+# ---------------------------------------------------------------------------
+# Ext of a rescaled product
+
+
+def scaled(p, factor):
+    """p with every product of two positive classes multiplied by factor.
+
+    x -> x / factor is an isomorphism of augmented algebras onto it, so Ext
+    does not change.
+    """
+    products = {
+        (a, b): terms if p.unit_id in (a, b) else {t: factor * c for t, c in terms.items()}
+        for (a, b), terms in p.products.items()
+    }
+    basis = [(e.ident, e.degree, e.character) for e in p.basis]
+    return AlgebraPresentation(p.name, basis, p.unit_id, products, p.lattice)
+
+
+def assert_ext_unchanged_by_scaling(p, max_m, max_w):
+    dims = ext_dims(p, max_m - 1, max_w)
+    for factor in [2, Fraction(-1, 3), Fraction(7, 5), Fraction(1, 725760)]:
+        assert ext_dims(scaled(p, factor), max_m - 1, max_w) == dims
+
+
+@pytest.mark.parametrize("name,max_m,max_w", list(corpus_cases()))
+def test_ext_is_unchanged_by_scaling_the_products_on_corpus(corpus, name, max_m, max_w):
+    assert_ext_unchanged_by_scaling(corpus[name], max_m, max_w)
+
+
+@pytest.mark.parametrize("token,max_m,max_w", GENERATED)
+def test_ext_is_unchanged_by_scaling_the_products_on_generated(token, max_m, max_w):
+    assert_ext_unchanged_by_scaling(generated(token), max_m, max_w)
+
+
+def test_ext_of_rational_variants_equals_the_unit_basis():
+    dims = ext_dims(generated("s2^4"), 5, 5)
+    assert dims
+    assert ext_dims(generated("s2^4~r0"), 5, 5) == dims
+    assert ext_dims(generated("s2^4~r1"), 5, 5) == dims
