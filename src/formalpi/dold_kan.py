@@ -14,7 +14,11 @@ mono part is the top-missing inclusion [k-1] -> [k], and zero otherwise.
 The sign is forced by requiring normalize(denormalize(c)) = c on the nose.
 
 normalize recovers the complex as the joint kernel of the codegeneracies
-with the alternating sum of cofaces as differential.
+with the alternating sum of cofaces as differential.  Every call first
+checks all the cosimplicial identities on the stored levels, none skipped
+and none trusted to denormalize: each side is one raw sparse product of
+the stored matrices (the kernel of RationalMatrix.matmul, without its
+normal form), and the two sides are compared by value.
 
 For a commutative differential graded algebra the levelwise product is the
 transpose of the Eilenberg-Zilber coproduct on the dual simplicial side:
@@ -228,41 +232,42 @@ def denormalize(c: CochainComplex, m: int) -> CosimplicialVS:
 
 
 def check_cosimplicial_identities(v: CosimplicialVS) -> list[str]:
-    """All violated identities on the stored levels, empty when consistent."""
+    """All violated identities on the stored levels, empty when consistent.
+
+    Each side is one sparse product, compared by value and shape to the
+    other side; no matrix object is built.
+    """
     bad = []
     m = v.level_count
+    d, s = v.cofaces, v.codegeneracies
 
-    def eq(a, b, label):
-        if a != b:
-            bad.append(label)
+    def product(a: RationalMatrix, b: RationalMatrix):
+        return a.rows, b.cols, a._product(b)
 
     for n in range(m - 1):
         for i in range(n + 2):
             for j in range(i + 1, n + 3):
-                # d^j d^i = d^i d^(j-1)
-                lhs = v.coface(n + 1, j).matmul(v.coface(n, i))
-                rhs = v.coface(n + 1, i).matmul(v.coface(n, j - 1))
-                eq(lhs, rhs, f"d^{j} d^{i} != d^{i} d^{j-1} at level {n}")
+                if product(d[n + 1, j], d[n, i]) != product(d[n + 1, i], d[n, j - 1]):
+                    bad.append(f"d^{j} d^{i} != d^{i} d^{j-1} at level {n}")
     for n in range(2, m + 1):
         for i in range(n - 1):
             for j in range(i, n - 1):
-                # s^j s^i = s^i s^(j+1)
-                lhs = v.codegeneracy(n - 1, j).matmul(v.codegeneracy(n, i))
-                rhs = v.codegeneracy(n - 1, i).matmul(v.codegeneracy(n, j + 1))
-                eq(lhs, rhs, f"s^{j} s^{i} != s^{i} s^{j+1} at level {n}")
+                if product(s[n - 1, j], s[n, i]) != product(s[n - 1, i], s[n, j + 1]):
+                    bad.append(f"s^{j} s^{i} != s^{i} s^{j+1} at level {n}")
     for n in range(m):
-        identity = RationalMatrix.identity(v.dim(n))
+        size = v.dim(n)
+        identity = (size, size, {(t, t): 1 for t in range(size)})
         for j in range(n + 1):
             for i in range(n + 2):
-                lhs = v.codegeneracy(n + 1, j).matmul(v.coface(n, i))
+                lhs = product(s[n + 1, j], d[n, i])
                 if i < j:
-                    rhs = v.coface(n - 1, i).matmul(v.codegeneracy(n, j - 1))
-                    eq(lhs, rhs, f"s^{j} d^{i} != d^{i} s^{j-1} at level {n}")
+                    if lhs != product(d[n - 1, i], s[n, j - 1]):
+                        bad.append(f"s^{j} d^{i} != d^{i} s^{j-1} at level {n}")
                 elif i in (j, j + 1):
-                    eq(lhs, identity, f"s^{j} d^{i} != id at level {n}")
-                else:
-                    rhs = v.coface(n - 1, i - 1).matmul(v.codegeneracy(n, j))
-                    eq(lhs, rhs, f"s^{j} d^{i} != d^{i-1} s^{j} at level {n}")
+                    if lhs != identity:
+                        bad.append(f"s^{j} d^{i} != id at level {n}")
+                elif lhs != product(d[n - 1, i - 1], s[n, j]):
+                    bad.append(f"s^{j} d^{i} != d^{i-1} s^{j} at level {n}")
     return bad
 
 
@@ -288,7 +293,7 @@ def normalize(v: CosimplicialVS) -> CochainComplex:
             for (r, cidx), val in s.entries.items():
                 stacked[(row_at + r, cidx)] = val
             row_at += s.rows
-        bases.append(kernel_basis(RationalMatrix(row_at, v.dim(n), stacked)))
+        bases.append(kernel_basis(RationalMatrix._canonical(row_at, v.dim(n), stacked)))
     dims = tuple(b.dim for b in bases)
     diffs = []
     for n in range(m):
@@ -391,42 +396,46 @@ def validate_cdga(a: CochainAlgebra) -> None:
     if any(x for x in c.d(0).apply(a.unit)):
         raise NotACdgaError("unit is not a cocycle")
     top = c.top_degree
-    one = [RationalMatrix.identity(c.dim(p)) for p in range(top + 1)]
-    for p in range(top + 1):
-        for q in range(top + 1):
-            m = a.product(p, q)
-            if (m.rows, m.cols) != (c.dim(p + q), c.dim(p) * c.dim(q)):
-                raise NotACdgaError(f"product ({p},{q}) has the wrong shape")
+    # a missing product is the zero matrix of the right shape
+    for p, q in sorted(a.products):
+        m = a.products[p, q]
+        shape = (c.dim(p + q), c.dim(p) * c.dim(q))
+        if 0 <= p <= top and 0 <= q <= top and (m.rows, m.cols) != shape:
+            raise NotACdgaError(f"product ({p},{q}) has the wrong shape")
+    # every law below compares maps out of a tensor product of degrees, which
+    # has no columns when a factor has dimension 0: only live degrees can fail
+    live = [p for p in range(top + 1) if c.dim(p)]
+    one = {p: RationalMatrix.identity(c.dim(p)) for p in live}
+    pairs = [(p, q) for p in live for q in live if p + q <= top]
     # unit acts as identity; the first failing basis index names the side
-    for p in range(top + 1):
+    for p in live:
         left, right = _unit_failures(a.product(0, p), a.product(p, 0), a.unit)
         if left or right:
             side = "left" if min(left | right) in left else "right"
             raise NotACdgaError(f"unit fails on the {side} in degree {p}")
-    for p in range(top + 1):
-        for q in range(top + 1 - p):
-            # d(xy) - (dx)y - (-1)^p x(dy)
-            lhs = c.d(p + q).matmul(a.product(p, q))
-            rhs = a.product(p + 1, q).matmul(kron(c.d(p), one[q]))
-            second = a.product(p, q + 1).matmul(kron(one[p], c.d(q)))
-            terms = [(1, lhs), (-1, rhs), (-((-1) ** p), second)]
-            if not combine(lhs.rows, lhs.cols, terms).is_zero():
-                raise NotACdgaError(f"Leibniz fails on degrees ({p},{q})")
+    for p, q in pairs:
+        # d(xy) - (dx)y - (-1)^p x(dy)
+        lhs = c.d(p + q).matmul(a.product(p, q))
+        rhs = a.product(p + 1, q).matmul(kron(c.d(p), one[q]))
+        second = a.product(p, q + 1).matmul(kron(one[p], c.d(q)))
+        terms = [(1, lhs), (-1, rhs), (-((-1) ** p), second)]
+        if not combine(lhs.rows, lhs.cols, terms).is_zero():
+            raise NotACdgaError(f"Leibniz fails on degrees ({p},{q})")
     # mu_pq = (-1)^(pq) mu_qp tau
-    for p in range(top + 1):
-        for q in range(top + 1 - p):
-            mpq, sgn = a.product(p, q), -1 if (p % 2 and q % 2) else 1
-            swapped = a.product(q, p).matmul(_swap(c.dim(p), c.dim(q)))
-            if swapped != combine(mpq.rows, mpq.cols, [(sgn, mpq)]):
-                raise NotACdgaError(f"commutativity fails on degrees ({p},{q})")
+    for p, q in pairs:
+        mpq, sgn = a.product(p, q), -1 if (p % 2 and q % 2) else 1
+        swapped = a.product(q, p).matmul(_swap(c.dim(p), c.dim(q)))
+        if swapped != combine(mpq.rows, mpq.cols, [(sgn, mpq)]):
+            raise NotACdgaError(f"commutativity fails on degrees ({p},{q})")
     # mu (mu (x) 1) = mu (1 (x) mu)
-    for p in range(top + 1):
-        for q in range(top + 1 - p):
-            for s in range(top + 1 - p - q):
-                left = a.product(p + q, s).matmul(kron(a.product(p, q), one[s]))
-                right = a.product(p, q + s).matmul(kron(one[p], a.product(q, s)))
-                if left != right:
-                    raise NotACdgaError(f"associativity fails on degrees ({p},{q},{s})")
+    for p, q in pairs:
+        for s in live:
+            if p + q + s > top:
+                break
+            left = a.product(p + q, s).matmul(kron(a.product(p, q), one[s]))
+            right = a.product(p, q + s).matmul(kron(one[p], a.product(q, s)))
+            if left != right:
+                raise NotACdgaError(f"associativity fails on degrees ({p},{q},{s})")
 
 
 @dataclass
@@ -610,13 +619,23 @@ def random_cochain_complex(rng, max_degree: int = 4, max_dim: int = 4) -> Cochai
                     entries[(a, b)] = Fraction(rng.choice([1, -1, 2]), rng.choice([1, 2]))
         return RationalMatrix(k, k, entries)
 
+    def inverse(p: RationalMatrix) -> RationalMatrix:
+        # back substitution: row a of P^-1 is e_a - sum over b > a of P[a, b] (row b of P^-1)
+        k, rows = p.rows, p.row_dicts()
+        inv: list[dict] = [{}] * k
+        for a in reversed(range(k)):
+            out = {a: 1}
+            for b, x in rows[a].items():
+                if b != a:
+                    for t, y in inv[b].items():
+                        out[t] = out.get(t, 0) - x * y
+            inv[a] = out
+        entries = {(a, t): y for a, out in enumerate(inv) for t, y in out.items()}
+        return RationalMatrix(k, k, entries)
+
     basis_change = [unipotent(k) for k in dims]
     diffs = []
     for i in range(n_deg - 1):
-        p, k = basis_change[i].row_dicts(), dims[i]
-        # row j of P^-1 solves c P = e_j
-        units = coordinates_in_span(p, [{j: 1} for j in range(k)])
-        p_inv = {(j, t): c for j, coords in enumerate(units) for t, c in coords.items()}
-        d = RationalMatrix(dims[i + 1], k, matching[i])
-        diffs.append(basis_change[i + 1].matmul(d).matmul(RationalMatrix(k, k, p_inv)))
+        d = RationalMatrix(dims[i + 1], dims[i], matching[i])
+        diffs.append(basis_change[i + 1].matmul(d).matmul(inverse(basis_change[i])))
     return CochainComplex(tuple(dims), tuple(diffs))

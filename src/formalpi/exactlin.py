@@ -29,7 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, lcm
 
 from .errors import CompositionNonzeroError
@@ -118,17 +117,36 @@ class RationalMatrix:
             self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
         )
 
-    def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
+    def _product(self, other: "RationalMatrix") -> dict[Entry, int | Fraction]:
+        """The nonzero entries of self @ other, equal by value to those of matmul.
+
+        A new dict, not in normal form: an integral sum of Fraction terms
+        stays a Fraction.  Comparing two such dicts compares the products by
+        value.
+        """
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         columns = self._columns
         acc: dict[Entry, int | Fraction] = {}
         for (k, j), y in other.entries.items():
-            for i, x in columns.get(k, {}).items():
-                acc[i, j] = acc.get((i, j), 0) + x * y
-        return RationalMatrix._canonical(
-            self.rows, other.cols, {key: exact(v) for key, v in acc.items() if v}
-        )
+            column = columns.get(k)
+            if column:
+                for i, x in column.items():
+                    key = (i, j)
+                    if key in acc:
+                        acc[key] += x * y
+                    else:
+                        acc[key] = x * y
+        for key in [key for key, v in acc.items() if not v]:
+            del acc[key]
+        return acc
+
+    def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
+        entries = self._product(other)
+        for key, v in entries.items():
+            if type(v) is not int:
+                entries[key] = exact(v)
+        return RationalMatrix._canonical(self.rows, other.cols, entries)
 
     def apply(self, vec: tuple) -> tuple[Fraction, ...]:
         """Matrix times a dense column vector."""
@@ -140,12 +158,19 @@ class RationalMatrix:
                 out[i] += v * exact(vec[j])
         return tuple(out)
 
-    @cached_property
+    @property
     def _columns(self) -> dict[int, dict[int, int | Fraction]]:
-        """The nonzero columns, as sparse vectors."""
-        cols: dict[int, dict[int, int | Fraction]] = {}
-        for (i, j), v in self.entries.items():
-            cols.setdefault(j, {})[i] = v
+        """The nonzero columns, as sparse vectors; built on first use and kept.
+
+        Stored in the instance dict directly: functools.cached_property takes
+        a lock on first access on Python 3.10 and 3.11.
+        """
+        cols = self.__dict__.get("_column_index")
+        if cols is None:
+            cols = {}
+            for (i, j), v in self.entries.items():
+                cols.setdefault(j, {})[i] = v
+            self.__dict__["_column_index"] = cols
         return cols
 
     def matvec(self, vec: dict) -> dict[int, int | Fraction]:

@@ -459,3 +459,51 @@ def reference_structure_matrix(c, alpha, src_level, tgt_level):
             for (i, j), val in c.d(k - 1).entries.items():
                 entries[(row_off + i, col_off + j)] = (-1) ** k * val
     return tgt_dim, src_dim, entries
+
+
+def cosimplicial_identity_violations(v):
+    """The violated cosimplicial identities of v, by whole matrix products.
+
+    The check that dold_kan ran before it compared raw sparse products: each
+    side of each identity is a matrix from ``matmul``, compared with ``==``
+    (shape and entries), and s^j d^i = id is compared with the identity
+    matrix of the level.  Labels and their order are those of
+    ``check_cosimplicial_identities``.  The products themselves are held to
+    ``dense_matmul`` in test_exactlin.
+    """
+    bad = []
+    m = v.level_count
+
+    def eq(a, b, label):
+        if a != b:
+            bad.append(label)
+
+    def is_identity(a, n):
+        return (a.rows, a.cols) == (n, n) and a.entries == {(t, t): 1 for t in range(n)}
+
+    for n in range(m - 1):
+        for i in range(n + 2):
+            for j in range(i + 1, n + 3):
+                lhs = v.coface(n + 1, j).matmul(v.coface(n, i))
+                rhs = v.coface(n + 1, i).matmul(v.coface(n, j - 1))
+                eq(lhs, rhs, f"d^{j} d^{i} != d^{i} d^{j-1} at level {n}")
+    for n in range(2, m + 1):
+        for i in range(n - 1):
+            for j in range(i, n - 1):
+                lhs = v.codegeneracy(n - 1, j).matmul(v.codegeneracy(n, i))
+                rhs = v.codegeneracy(n - 1, i).matmul(v.codegeneracy(n, j + 1))
+                eq(lhs, rhs, f"s^{j} s^{i} != s^{i} s^{j+1} at level {n}")
+    for n in range(m):
+        for j in range(n + 1):
+            for i in range(n + 2):
+                lhs = v.codegeneracy(n + 1, j).matmul(v.coface(n, i))
+                if i < j:
+                    rhs = v.coface(n - 1, i).matmul(v.codegeneracy(n, j - 1))
+                    eq(lhs, rhs, f"s^{j} d^{i} != d^{i} s^{j-1} at level {n}")
+                elif i in (j, j + 1):
+                    if not is_identity(lhs, v.dim(n)):
+                        bad.append(f"s^{j} d^{i} != id at level {n}")
+                else:
+                    rhs = v.coface(n - 1, i - 1).matmul(v.codegeneracy(n, j))
+                    eq(lhs, rhs, f"s^{j} d^{i} != d^{i-1} s^{j} at level {n}")
+    return bad

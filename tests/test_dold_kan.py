@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from formalpi.cli import parse_presentation
 from formalpi.dold_kan import (
     CochainAlgebra,
     CochainComplex,
@@ -35,7 +36,8 @@ from formalpi.errors import (
 )
 from formalpi.exactlin import RationalMatrix, combine
 
-from oracles import reference_structure_matrix
+from conftest import ALL_CORPUS
+from oracles import cosimplicial_identity_violations, reference_structure_matrix
 
 ONE = RationalMatrix.from_rows([[1]])
 
@@ -240,6 +242,68 @@ def test_normalize_reports_failing_identity_by_name():
     assert str(exc.value) == "d^1 d^0 != d^0 d^0 at level 0"
 
 
+def nonempty_maps(v):
+    """(family, key) for each coface and codegeneracy of v with at least one entry slot."""
+    return [
+        (maps, key)
+        for maps in (v.cofaces, v.codegeneracies)
+        for key, m in sorted(maps.items())
+        if m.rows and m.cols
+    ]
+
+
+def corrupted(v, rng):
+    """v with one entry of one coface or codegeneracy moved by an int or Fraction delta.
+
+    A third of the time the delta cancels a stored entry, so the entry drops out.
+    """
+    maps, key = rng.choice(nonempty_maps(v))
+    m = maps[key]
+    if m.entries and rng.random() < 1 / 3:
+        entry = rng.choice(sorted(m.entries))
+        delta = -m.entries[entry]
+    else:
+        entry = (rng.randrange(m.rows), rng.randrange(m.cols))
+        delta = rng.choice([1, -2, Fraction(1, 2), Fraction(-2, 3)])
+    value = m.entries.get(entry, 0) + delta
+    changed = {**maps, key: RationalMatrix(m.rows, m.cols, {**m.entries, entry: value})}
+    if maps is v.cofaces:
+        return CosimplicialVS(v.dims, changed, v.codegeneracies)
+    return CosimplicialVS(v.dims, v.cofaces, changed)
+
+
+def identity_check_inputs(corpus):
+    """Clean and one-entry-corrupted cosimplicial spaces for the identity check.
+
+    Seeded random complexes at levels 2-5, the d = 0 complexes of the corpus
+    at level 7 (as `doldkan --level 7` builds them), and two corruptions of
+    each that has a nonempty map.
+    """
+    clean = []
+    for seed in range(40):
+        c = random_cochain_complex(random.Random(seed), max_degree=3, max_dim=3)
+        clean.append(denormalize(c, 2 + seed % 4))
+    for name in ALL_CORPUS:
+        dims = corpus[name].dims_by_degree()
+        clean.append(denormalize(CochainComplex(tuple(dims.get(n, 0) for n in range(8))), 7))
+    rng = random.Random(20)
+    broken = [corrupted(v, rng) for v in clean for _ in range(2) if nonempty_maps(v)]
+    return clean, broken
+
+
+def test_identity_check_matches_the_matrix_product_oracle(corpus):
+    """Same labels, in the same order, as comparing whole matmul products."""
+    clean, broken = identity_check_inputs(corpus)
+    for v in clean:
+        assert check_cosimplicial_identities(v) == cosimplicial_identity_violations(v) == []
+    violating = 0
+    for v in broken:
+        want = cosimplicial_identity_violations(v)
+        assert check_cosimplicial_identities(v) == want
+        violating += bool(want)
+    assert violating >= len(broken) // 2
+
+
 def test_complex_validation():
     with pytest.raises(InvalidInputError):
         CochainComplex((1, 1), (RationalMatrix.zero(2, 1),))
@@ -379,6 +443,40 @@ def test_validate_cdga_names_each_refusal_exactly(message):
     with pytest.raises(NotACdgaError) as exc:
         validate_cdga(REFUSED_CDGAS[message]())
     assert str(exc.value) == message
+
+
+def unit_and_one_class(degree):
+    """The algebra of a unit e and one class x in the given degree, from the schema."""
+    doc = {"basis": [{"id": "e", "degree": 0}, {"id": "x", "degree": degree}], "unit": "e"}
+    return algebra_from_presentation(parse_presentation(doc))
+
+
+def test_validate_cdga_work_follows_the_degrees_of_positive_dimension(monkeypatch):
+    """Degrees of dimension 0 cost nothing: a class in degree 80 costs what one in degree 2 does."""
+    calls = []
+    matmul = RationalMatrix.matmul
+
+    def counted(self, other):
+        calls.append(1)
+        return matmul(self, other)
+
+    monkeypatch.setattr(RationalMatrix, "matmul", counted)
+    counts = []
+    for degree in (2, 80):
+        calls.clear()
+        validate_cdga(unit_and_one_class(degree))
+        counts.append(len(calls))
+    assert counts[0] == counts[1] > 0
+    a = unit_and_one_class(80)
+    refusals = {
+        "unit fails on the left in degree 80": {(0, 80): diagonal(2)},
+        "product (80,80) has the wrong shape": {(80, 80): RationalMatrix.zero(1, 1)},
+        "unit fails on the right in degree 80": {(80, 0): diagonal(2)},
+    }
+    for message, changes in refusals.items():
+        with pytest.raises(NotACdgaError) as exc:
+            validate_cdga(with_products(a, changes))
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize(

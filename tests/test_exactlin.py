@@ -461,6 +461,39 @@ def test_matmul_and_combine_match_dense_oracle_in_normal_form(data):
         assert _in_normal_form(mat)
 
 
+def test_matmul_returns_normal_form_from_the_raw_product():
+    half = RationalMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [1, -1]])
+    b = RationalMatrix.from_rows([[2, Fraction(2, 3)], [3, Fraction(2, 3)]])
+    raw = half._product(b)
+    # 1/2*2 + 1/3*3 = 2 and 1/2*2/3 + 1/3*2/3 = 5/9; 1*2 - 1*3 = -1 and 2/3 - 2/3 = 0
+    assert raw == {(0, 0): 2, (0, 1): Fraction(5, 9), (1, 0): -1}
+    prod = half.matmul(b)
+    assert prod.entries == raw
+    assert type(prod.entries[0, 0]) is int and type(prod.entries[1, 0]) is int
+    assert _in_normal_form(prod)
+    halves = RationalMatrix.from_rows([[Fraction(1, 2)], [Fraction(-1, 2)]])
+    cancel = RationalMatrix.from_rows([[1, 1]]).matmul(halves)
+    assert cancel.entries == {} and cancel == RationalMatrix.zero(1, 1)
+    with pytest.raises(ValueError, match="shape mismatch"):
+        half._product(RationalMatrix.zero(3, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_columns_are_built_once_and_match_entries(data):
+    rows, cols = (data.draw(st.integers(min_value=1, max_value=5)) for _ in range(2))
+    m = RationalMatrix.from_rows(_dense_matrix(data.draw, rows, cols))
+    columns = m._columns
+    assert m._columns is columns
+    assert {(i, j): v for j, col in columns.items() for i, v in col.items()} == m.entries
+    assert all(col for col in columns.values())
+    t = m.transpose()
+    assert t._columns is not columns and t._columns is t._columns
+    m.matmul(t)
+    m.matvec({0: 1})
+    assert m._columns is columns
+
+
 @settings(max_examples=150, deadline=None)
 @given(vector_families(), st.data())
 def test_subspace_operations_leave_their_arguments_rows_unchanged(family, data):
