@@ -14,7 +14,13 @@ instead, and the tests hold the two tables equal), and agreement of the
 two machineries is the point of this module.
 
 All computations happen in the free graded-commutative algebra truncated
-just above the cutoff, so every step is finite exact linear algebra.
+just above the cutoff, so every step is finite exact linear algebra.  One
+truncation grows with the construction: at degree n it holds every
+generator adjoined so far and every monomial through degree n + 2.  A
+monomial's d and image never change once computed.  With no generator in
+degree 1, the generators of degree n - 1 add no monomial of degree n, so
+the cycles of degree n, taken at step n - 1, serve step n too: each
+degree's cycle space is eliminated once.
 """
 
 from __future__ import annotations
@@ -28,7 +34,6 @@ from .exactlin import (
     SubspaceBasis,
     exact,
     extend_to_complement,
-    image_subspace,
     kernel_basis,
 )
 from .graded_core import AlgebraPresentation, is_simply_connected_type, require_valid
@@ -74,39 +79,68 @@ def _signed_sort(t: Monomial, parities) -> tuple[int, Monomial] | None:
 
 
 class _Truncation:
-    """Monomial bases, differential and comparison matrices through a bound."""
+    """Monomial bases, differential and comparison matrices through a bound.
 
-    def __init__(self, p: AlgebraPresentation, gens: tuple[ModelGenerator, ...], top: int):
+    One truncation serves a whole construction: ``extend`` appends
+    generators and raises the bound in place.  A monomial's d and image
+    depend only on its own generators, which never change once appended, so
+    each is computed once.  Matrices and cycle spaces are kept until a
+    monomial list they are indexed by changes.
+    """
+
+    def __init__(self, p: AlgebraPresentation, gens: tuple[ModelGenerator, ...] = (), top: int = 0):
         self.p = p
-        self.gens = gens
-        self.top = top
-        self.degrees = tuple(g.degree for g in gens)
-        self.parities = tuple(g.degree % 2 for g in gens)
-        if any(a > b for a, b in zip(self.degrees, self.degrees[1:])):
-            raise ValueError("generator degrees must not decrease")
-        by_deg: dict[int, list[Monomial]] = {n: [] for n in range(top + 1)}
-
-        def rec(start: int, mono: list[int], deg: int):
-            by_deg[deg].append(tuple(mono))
-            for i in range(start, len(gens)):
-                nd = deg + self.degrees[i]
-                if nd > top:
-                    break  # degrees never decrease, so every later one overshoots too
-                if self.parities[i] and mono and mono[-1] == i:
-                    continue
-                mono.append(i)
-                rec(i, mono, nd)
-                mono.pop()
-
-        rec(0, [], 0)
-        self.monomials = {n: tuple(sorted(by_deg[n])) for n in range(top + 1)}
-        self.index = {
-            n: {m: i for i, m in enumerate(self.monomials[n])} for n in range(top + 1)
-        }
+        self.gens: tuple[ModelGenerator, ...] = ()
+        self.degrees: tuple[int, ...] = ()
+        self.parities: tuple[int, ...] = ()
+        self.top = 0
+        self.monomials: dict[int, tuple[Monomial, ...]] = {0: ((),)}
+        self.index: dict[int, dict[Monomial, int]] = {0: {(): 0}}
+        self._d_of: dict[Monomial, dict[Monomial, int | Fraction]] = {}
+        self._image_of: dict[Monomial, dict[str, Fraction]] = {(): {p.unit_id: Fraction(1)}}
         self._d: dict[int, RationalMatrix] = {}
+        self._comparison: dict[int, RationalMatrix] = {}
+        self._cycles: dict[int, SubspaceBasis] = {}
         self._ids_by_degree: dict[int, list[str]] = {}
         for e in p.basis:
             self._ids_by_degree.setdefault(e.degree, []).append(e.ident)
+        self.extend(gens, top)
+
+    def extend(self, added, top: int) -> None:
+        """Appends the generators added and raises the bound to top.
+
+        A monomial of degree n is one of degree n - |g| followed by its last
+        generator g, the one of largest index.  It is new when g is new or
+        when n exceeds the old bound, so only those are enumerated.
+        """
+        degrees = self.degrees + tuple(g.degree for g in added)
+        if any(a > b for a, b in zip(degrees, degrees[1:])):
+            raise ValueError("generator degrees must not decrease")
+        if top < self.top:
+            raise ValueError("the bound of a truncation never falls")
+        first, old_top = len(self.gens), self.top
+        self.gens += tuple(added)
+        self.degrees, self.top = degrees, top
+        self.parities = parities = tuple(d % 2 for d in degrees)
+        for n in range(1, top + 1):
+            new = []
+            for i in range(0 if n > old_top else first, len(degrees)):
+                if degrees[i] > n:
+                    break
+                odd = parities[i]
+                new += [
+                    m + (i,)
+                    for m in self.monomials[n - degrees[i]]
+                    if not m or m[-1] < i or (m[-1] == i and not odd)
+                ]
+            if new or n > old_top:
+                self.monomials[n] = ms = tuple(sorted(self.monomials.get(n, ()) + tuple(new)))
+                self.index[n] = {m: j for j, m in enumerate(ms)}
+                # d out of n - 1 gains rows; the cycles of n - 1 stay valid
+                self._d.pop(n - 1, None)
+                self._d.pop(n, None)
+                self._comparison.pop(n, None)
+                self._cycles.pop(n, None)
 
     def dim(self, n: int) -> int:
         return len(self.monomials.get(n, ()))
@@ -140,39 +174,56 @@ class _Truncation:
         return out
 
     def d_matrix(self, n: int) -> RationalMatrix:
-        """d out of degree n, built once per truncation."""
+        """d out of degree n, kept until degree n or n + 1 changes."""
         got = self._d.get(n)
         if got is None:
+            index, memo = self.index[n + 1], self._d_of
             entries = {}
             for j, mono in enumerate(self.monomials[n]):
-                for m2, c in self.d_of_monomial(mono).items():
-                    entries[(self.index[n + 1][m2], j)] = c
-            got = self._d[n] = RationalMatrix(self.dim(n + 1), self.dim(n), entries)
+                d = memo.get(mono)
+                if d is None:
+                    d = memo[mono] = self.d_of_monomial(mono)
+                for m2, c in d.items():
+                    entries[(index[m2], j)] = exact(c)
+            got = self._d[n] = RationalMatrix._canonical(self.dim(n + 1), self.dim(n), entries)
         return got
 
     def image_of_monomial(self, mono: Monomial) -> dict[str, Fraction]:
-        acc = {self.p.unit_id: Fraction(1)}
-        for gi in mono:
-            vec = dict(self.gens[gi].image)
-            acc = self.p.multiply_vectors(acc, vec)
-            if not acc:
-                return {}
-        return acc
+        """The image of mono's prefix times the image of its last generator."""
+        acc = self._image(mono[:-1])
+        return self.p.multiply_vectors(acc, dict(self.gens[mono[-1]].image)) if acc else {}
+
+    def _image(self, mono: Monomial) -> dict[str, Fraction]:
+        got = self._image_of.get(mono)
+        if got is None:
+            got = self._image_of[mono] = self.image_of_monomial(mono)
+        return got
 
     def comparison_matrix(self, n: int) -> RationalMatrix:
         """Monomials of degree n mapped into the target degree-n basis."""
-        ids = self.target_ids(n)
-        pos = {ident: i for i, ident in enumerate(ids)}
-        entries = {}
-        for j, mono in enumerate(self.monomials[n]):
-            for ident, c in self.image_of_monomial(mono).items():
-                entries[(pos[ident], j)] = c
-        return RationalMatrix(len(ids), self.dim(n), entries)
+        got = self._comparison.get(n)
+        if got is None:
+            ids = self.target_ids(n)
+            pos = {ident: i for i, ident in enumerate(ids)}
+            entries = {}
+            for j, mono in enumerate(self.monomials[n]):
+                for ident, c in self._image(mono).items():
+                    entries[(pos[ident], j)] = c
+            got = self._comparison[n] = RationalMatrix(len(ids), self.dim(n), entries)
+        return got
+
+    def cycles(self, n: int) -> SubspaceBasis:
+        """ker d out of degree n, kept until degree n changes (degree n + 1 may grow)."""
+        got = self._cycles.get(n)
+        if got is None:
+            got = self._cycles[n] = kernel_basis(self.d_matrix(n))
+        return got
 
     def cohomology_reps(self, n: int) -> list[dict[int, Fraction]]:
         """Monic echelon rows representing H^n (n >= 1), first-in-basis-order choices."""
-        boundaries = image_subspace(self.d_matrix(n - 1), SubspaceBasis.full(self.dim(n - 1)))
-        return extend_to_complement(boundaries, kernel_basis(self.d_matrix(n)))
+        d = self.d_matrix(n - 1)
+        boundaries = SubspaceBasis.from_vectors(d._columns.values(), d.rows)
+        return extend_to_complement(boundaries, self.cycles(n))
 
 
 def minimal_model(p: AlgebraPresentation, cutoff: int) -> MinimalModel:
@@ -186,10 +237,11 @@ def minimal_model(p: AlgebraPresentation, cutoff: int) -> MinimalModel:
     if cutoff < 2:
         raise DegreeCutoffError("cutoff must be at least 2")
     gens: list[ModelGenerator] = []
+    tr = _Truncation(p)
     for n in range(2, cutoff + 1):
         first = len(gens)  # every generator of degree n is adjoined at this step
+        tr.extend(gens[len(tr.gens) :], n + 2)
         # surject onto the target in degree n
-        tr = _Truncation(p, tuple(gens), n + 2)
         comparison = tr.comparison_matrix(n)
         images = [comparison.matvec(r) for r in tr.cohomology_reps(n)]
         ids = tr.target_ids(n)

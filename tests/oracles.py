@@ -3,7 +3,11 @@
 Everything in here is deliberately naive and self-contained: dense Gaussian
 elimination, direct Moebius sums, and exhaustive enumeration of bracketings
 with a hand-rolled associative expansion.  Nothing imports the package's own
-linear algebra or Lie machinery, so agreement is meaningful.
+linear algebra or Lie machinery, so agreement is meaningful.  The exceptions
+are earlier designs kept as references for the code that replaced them
+(``cosimplicial_identity_violations``, ``per_degree_minimal_model``): they
+run on the package's matrices, and what they pin is that the new design
+makes the same choices.
 """
 
 from fractions import Fraction
@@ -507,3 +511,112 @@ def cosimplicial_identity_violations(v):
                     rhs = v.coface(n - 1, i - 1).matmul(v.codegeneracy(n, j))
                     eq(lhs, rhs, f"s^{j} d^{i} != d^{i-1} s^{j} at level {n}")
     return bad
+
+
+def per_degree_minimal_model(p, cutoff):
+    """The generators of the Sullivan minimal model, one truncation per degree.
+
+    The construction that ``sullivan_oracle.minimal_model`` ran before it
+    grew one truncation for the whole run: at each degree n it enumerates
+    every monomial through degree n + 2 afresh and assembles every d, image
+    and cycle space again.  Products of generators are signed by
+    ``koszul_sort``.  The linear algebra is the package's own, so the two
+    agree on every first-in-basis-order choice and the generators must be
+    equal name by name.
+    """
+    from formalpi.exactlin import (
+        RationalMatrix,
+        SubspaceBasis,
+        exact,
+        extend_to_complement,
+        image_subspace,
+        kernel_basis,
+    )
+    from formalpi.sullivan_oracle import ModelGenerator
+
+    ids_by_degree = {}
+    for e in p.basis:
+        ids_by_degree.setdefault(e.degree, []).append(e.ident)
+
+    class Truncation:
+        def __init__(self, gens, top):
+            self.gens = gens
+            self.parities = tuple(g.degree % 2 for g in gens)
+            by_deg = {n: [] for n in range(top + 1)}
+
+            def rec(start, mono, deg):
+                by_deg[deg].append(tuple(mono))
+                for i in range(start, len(gens)):
+                    nd = deg + gens[i].degree
+                    if nd > top:
+                        break
+                    if self.parities[i] and mono and mono[-1] == i:
+                        continue
+                    mono.append(i)
+                    rec(i, mono, nd)
+                    mono.pop()
+
+            rec(0, [], 0)
+            self.monomials = {n: tuple(sorted(by_deg[n])) for n in range(top + 1)}
+            self.index = {n: {m: i for i, m in enumerate(ms)} for n, ms in self.monomials.items()}
+            self.d = {}
+
+        def d_of_monomial(self, mono):
+            out = {}
+            odd = 0
+            for j, gi in enumerate(mono):
+                base = -1 if odd else 1
+                odd ^= self.parities[gi]
+                for dm, coeff in self.gens[gi].differential:
+                    signed = koszul_sort(mono[:j] + dm + mono[j + 1 :], self.parities)
+                    if signed is not None:
+                        sign, m2 = signed
+                        out[m2] = out.get(m2, 0) + base * sign * coeff
+            return out
+
+        def d_matrix(self, n):
+            if n not in self.d:
+                entries = {}
+                for j, mono in enumerate(self.monomials[n]):
+                    for m2, c in self.d_of_monomial(mono).items():
+                        entries[(self.index[n + 1][m2], j)] = c
+                self.d[n] = RationalMatrix(len(self.monomials[n + 1]), len(self.monomials[n]), entries)
+            return self.d[n]
+
+        def comparison_matrix(self, n):
+            ids = ids_by_degree.get(n, [])
+            pos = {ident: i for i, ident in enumerate(ids)}
+            entries = {}
+            for j, mono in enumerate(self.monomials[n]):
+                acc = {p.unit_id: Fraction(1)}
+                for gi in mono:
+                    acc = p.multiply_vectors(acc, dict(self.gens[gi].image))
+                for ident, c in acc.items():
+                    entries[(pos[ident], j)] = c
+            return RationalMatrix(len(ids), len(self.monomials[n]), entries)
+
+        def cohomology_reps(self, n):
+            full = SubspaceBasis.full(len(self.monomials[n - 1]))
+            boundaries = image_subspace(self.d_matrix(n - 1), full)
+            return extend_to_complement(boundaries, kernel_basis(self.d_matrix(n)))
+
+    gens = []
+    for n in range(2, cutoff + 1):
+        first = len(gens)
+        tr = Truncation(tuple(gens), n + 2)
+        comparison = tr.comparison_matrix(n)
+        images = [comparison.matvec(r) for r in tr.cohomology_reps(n)]
+        ids = ids_by_degree.get(n, [])
+        hit = SubspaceBasis.from_vectors(images, len(ids))
+        for vec in extend_to_complement(hit, SubspaceBasis.full(len(ids))):
+            image = tuple((ids[t], c) for t, c in sorted(vec.items()))
+            gens.append(ModelGenerator(f"v{n}_{len(gens) - first}", n, (), image))
+        reps = tr.cohomology_reps(n + 1)
+        if reps:
+            columns = {(j, i): x for i, rep in enumerate(reps) for j, x in rep.items()}
+            r = RationalMatrix(len(tr.monomials[n + 1]), len(reps), columns)
+            for lam in kernel_basis(tr.comparison_matrix(n + 1).matmul(r)).monic_rows():
+                cocycle = sorted(r.matvec(lam).items())
+                differential = tuple((tr.monomials[n + 1][i], exact(c)) for i, c in cocycle)
+                gens.append(ModelGenerator(f"v{n}_{len(gens) - first}", n, differential, ()))
+    return tuple(gens)

@@ -31,6 +31,23 @@ def test_every_corpus_file_validates(name):
     assert text == "OK\n"
 
 
+def test_a_listed_unit_product_changes_no_output(tmp_path):
+    """cp2 with the product e0 h2 = h2 written out prints what cp2 prints:
+    the unit's products are not products of two positive-degree classes."""
+    doc = json.loads(corpus_path("cp2").read_text())
+    doc["products"].append({"left": "e0", "right": "h2", "result": [{"id": "h2", "coeff": "1"}]})
+    listed = tmp_path / "cp2.json"
+    listed.write_text(json.dumps(doc))
+    for argv in (
+        ["validate"],
+        ["hurewicz", "--max-degree", "4"],
+        ["pi", "--max-degree", "4"],
+        ["minimal-model", "--max-degree", "5"],
+    ):
+        got = invoke([argv[0], str(listed), *argv[1:]])
+        assert got == invoke([argv[0], str(corpus_path("cp2")), *argv[1:]]), argv[0]
+
+
 def test_pi_table_for_two_sphere_golden_bytes():
     status, text = invoke(["pi", str(corpus_path("s2")), "--max-degree", "10"])
     assert status == 0

@@ -479,6 +479,15 @@ def test_validate_cdga_work_follows_the_degrees_of_positive_dimension(monkeypatc
         assert str(exc.value) == message
 
 
+def test_validate_cdga_checks_the_shape_of_products_past_the_top_degree():
+    """The Leibniz check reads product (p + 1, q), which may lie past the top
+    degree: a stored one of the wrong shape is refused by name."""
+    a = with_products(unit_and_one_class(80), {(81, 0): RationalMatrix.zero(2, 2)})
+    with pytest.raises(NotACdgaError) as exc:
+        validate_cdga(a)
+    assert str(exc.value) == "product (81,0) has the wrong shape"
+
+
 @pytest.mark.parametrize(
     "builder",
     [truncated_polynomial_algebra, torus_algebra, two_stage_algebra],

@@ -1,6 +1,7 @@
 """Minimal model construction and the two-machinery comparison."""
 
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -15,7 +16,7 @@ from formalpi.errors import (
     InvalidInputError,
     NotSimplyConnectedError,
 )
-from formalpi.graded_core import AlgebraPresentation
+from formalpi.graded_core import AlgebraPresentation, is_simply_connected_type
 from formalpi.quillen_weight import HomotopyTable, build_model, homotopy_table
 from formalpi.sullivan_oracle import (
     compare,
@@ -24,9 +25,11 @@ from formalpi.sullivan_oracle import (
 )
 
 from conftest import SIMPLY_CONNECTED
-from oracles import koszul_sort
+from oracles import koszul_sort, per_degree_minimal_model
+from test_resolution import GENERATED, generated
 
 SC_WITH_CHARACTERS = SIMPLY_CONNECTED + ["char_even", "char_torsion"]
+SC_GENERATED = [t for t, _, _ in GENERATED if is_simply_connected_type(generated(t))]
 
 
 def test_two_sphere_golden_model(corpus):
@@ -141,10 +144,12 @@ def test_model_violations_name_each_broken_invariant(corpus, case):
     gens[k] = dataclasses.replace(gens[k], **change)
     assert model_violations(dataclasses.replace(mm, generators=tuple(gens))) == want
 
-def test_one_truncation_per_degree_and_one_d_per_truncation(corpus, monkeypatch):
-    """minimal_model builds c - 1 truncations; no truncation assembles a d twice."""
+def test_one_truncation_each_d_and_image_once_each_cycle_space_once(corpus, monkeypatch):
+    """One call grows one truncation: no monomial's d or image is computed
+    twice, and the cycle space of each degree 2..c + 1 is eliminated once."""
     built = []
-    assembled: dict = {}
+    d_calls, image_calls, kernels = Counter(), Counter(), Counter()
+    d_degrees = {}  # id of each assembled d -> (d, its source degree)
 
     class CountingTruncation(sullivan_oracle._Truncation):
         def __init__(self, *args):
@@ -152,19 +157,40 @@ def test_one_truncation_per_degree_and_one_d_per_truncation(corpus, monkeypatch)
             super().__init__(*args)
 
         def d_of_monomial(self, mono):
-            key = (id(self), mono)
-            assembled[key] = assembled.get(key, 0) + 1
+            d_calls[mono] += 1
             return super().d_of_monomial(mono)
 
+        def image_of_monomial(self, mono):
+            image_calls[mono] += 1
+            return super().image_of_monomial(mono)
+
+        def d_matrix(self, n):
+            d = super().d_matrix(n)
+            d_degrees[id(d)] = (d, n)
+            return d
+
+    kernel_basis = sullivan_oracle.kernel_basis
+
+    def counting_kernel_basis(m):
+        if id(m) in d_degrees:
+            kernels[d_degrees[id(m)][1]] += 1
+        return kernel_basis(m)
+
     monkeypatch.setattr(sullivan_oracle, "_Truncation", CountingTruncation)
-    for name, cutoff in (("s2", 2), ("cp2", 6), ("wedge_s2_s2", 9)):
-        built.clear()
-        assembled.clear()
+    monkeypatch.setattr(sullivan_oracle, "kernel_basis", counting_kernel_basis)
+    for name, cutoff in (("s2", 3), ("cp2", 6), ("wedge_s2_s2", 9), ("rand_formal_2", 8)):
         mm = minimal_model(corpus[name], cutoff)
-        assert len(built) == cutoff - 1, name
+        for check in (lambda: minimal_model(corpus[name], cutoff), lambda: model_violations(mm)):
+            built.clear()
+            d_calls.clear()
+            image_calls.clear()
+            kernels.clear()
+            check()
+            assert len(built) == 1, name
+            assert d_calls and set(d_calls.values()) == {1}, name
+            assert image_calls and set(image_calls.values()) == {1}, name
+            assert kernels == {n: 1 for n in range(2, cutoff + 2)}, name
         assert model_violations(mm) == []
-        assert len(built) == cutoff, name
-        assert set(assembled.values()) == {1}, name
 
 
 @settings(max_examples=300, deadline=None)
@@ -195,6 +221,35 @@ def test_truncation_monomials_and_decreasing_degrees(corpus):
     assert tr.monomials == {n: tuple(sorted(ms)) for n, ms in want.items()}
     with pytest.raises(ValueError):
         sullivan_oracle._Truncation(p, gens[::-1], top)
+    # grown in steps, as minimal_model grows it, a truncation holds the same
+    # monomials, indices and matrices as one built at once: nothing it kept
+    # from a smaller truncation is stale
+    grown = sullivan_oracle._Truncation(p)
+
+    def everything(t):
+        return [(t.d_matrix(n), t.comparison_matrix(n), t.cycles(n)) for n in range(t.top)]
+
+    for n in range(2, 8):
+        grown.extend([g for g in gens if g.degree == n - 1], n + 2)
+        everything(grown)
+    assert grown.top == top and grown.gens == gens
+    assert (grown.monomials, grown.index) == (tr.monomials, tr.index)
+    assert everything(grown) == everything(tr)
+    with pytest.raises(ValueError):
+        grown.extend(gens[:1], top)
+    with pytest.raises(ValueError):
+        grown.extend((), top - 1)
+
+
+@pytest.mark.parametrize("name", SC_WITH_CHARACTERS + SC_GENERATED)
+def test_minimal_model_equals_the_per_degree_oracle(corpus, name):
+    """One growing truncation adjoins the generators that a fresh truncation
+    per degree adjoins: names, degrees, differentials and images, in order."""
+    p = corpus[name] if name in corpus else generated(name)
+    got = minimal_model(p, 9).generators
+    want = per_degree_minimal_model(p, 9)
+    assert got == want
+    assert repr(got) == repr(want)  # ints stay ints, Fractions stay Fractions
 
 
 def test_compare_passes_spheres_and_plane(corpus):
