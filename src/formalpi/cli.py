@@ -322,7 +322,8 @@ def _cmd_ss(pres, args, report: RunReport):
     lines += _table(["p", "q", "dim"], rows)
     degen = None
     if args.check_degeneration:
-        degen = check_degeneration(fc, 2, 6)
+        # E_(L+1) is E_infinity for a filtration of length L = max_level
+        degen = check_degeneration(fc, 2, max(2, fc.max_level))
         lines += f"degenerate from page 2: {'true' if degen.degenerate else 'false'}\n"
     if args.json:
         report.payload = {

@@ -25,6 +25,7 @@ block of reduced degree n at p = w, q = w + n.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 from .errors import InvalidInputError, OutOfRangeError
@@ -51,14 +52,23 @@ class FilteredComplex:
     default to level 0, the trivial filtration.  Over a field every finite
     filtration has such an adapted basis.
 
-    A complex is immutable after construction: pages and the approximation
-    subspaces they are built from are memoized in _cache.
+    A complex is immutable after construction, so _cache memoizes, each
+    under a tuple led by its kind:
+      ("approx", s, t, n)   A = {x in F^s C_n : d x in F^t C_(n-1)};
+      ("image", s, t, n)    d A inside C_(n-1), for the same A;
+      ("slot", z, d1, src)  a slot's (denominator, representatives), keyed
+                            by the (s, t, n) of its three approximations;
+      ("page", r)           the page E_r.
+    Every (s, t, n) there is clamped by _key, so an elimination that keeps
+    the same columns and rows of d runs once, whatever page asked for it.
+    _steps[n] is the sorted tuple of the distinct levels in C_n.
     """
 
     dims: dict[int, int]
     differentials: dict[int, RationalMatrix]
     levels: dict[int, tuple[int, ...]] = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _steps: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.dims = {n: d for n, d in self.dims.items() if d}
@@ -73,6 +83,7 @@ class FilteredComplex:
             if any(level < 0 for level in lv):
                 raise InvalidInputError(f"negative level at degree {n}")
         self.levels = {n: tuple(self.levels.get(n, (0,) * d)) for n, d in self.dims.items()}
+        self._steps = {n: tuple(sorted(set(lv))) for n, lv in self.levels.items()}
         self._validate()
 
     # -- accessors ------------------------------------------------------------
@@ -138,17 +149,29 @@ class SpectralSequencePage:
         return all(m.is_zero() for m in self.differentials.values())
 
 
-def _approx(fc: FilteredComplex, s: int, t: int, n: int) -> SubspaceBasis:
+def _key(fc: FilteredComplex, s: int, t: int, n: int) -> tuple[int, int, int]:
+    """The least (s, t) for which A(s, t, n) keeps the same columns and rows.
+
+    A(s, t, n) keeps the columns of C_n of level >= s and the rows of C_(n-1)
+    of level < t, so only the levels present there matter: each of s and t
+    moves down to one more than the largest level below it, or to 0.
+    """
+    cols, rows = fc._steps.get(n, ()), fc._steps.get(n - 1, ())
+    i, j = bisect_left(cols, s), bisect_left(rows, t)
+    return (cols[i - 1] + 1 if i else 0), (rows[j - 1] + 1 if j else 0), n
+
+
+def _approx(fc: FilteredComplex, key: tuple[int, int, int]) -> SubspaceBasis:
     """{x in F^s C_n : d x in F^t C_(n-1)}: one kernel of a submatrix of d.
 
-    The submatrix keeps the columns of level >= s and the rows of level < t.
-    Its kernel's columns map back through the increasing list of kept
-    columns, which leaves the canonical rows canonical.  A_r(s, n) is the
-    case t = s + r.
+    key is (s, t, n) as _key returns it.  The submatrix keeps the columns of
+    level >= s and the rows of level < t.  Its kernel's columns map back
+    through the increasing list of kept columns, which leaves the canonical
+    rows canonical.  A_r(s, n) is the case t = s + r.
     """
-    key = ("approx", s, t, n)
-    got = fc._cache.get(key)
+    got = fc._cache.get(("approx", *key))
     if got is None:
+        s, t, n = key
         cols = [j for j, level in enumerate(fc.levels.get(n, ())) if level >= s]
         below = (i for i, level in enumerate(fc.levels.get(n - 1, ())) if level < t)
         rows = {i: k for k, i in enumerate(below)}
@@ -160,10 +183,27 @@ def _approx(fc: FilteredComplex, s: int, t: int, n: int) -> SubspaceBasis:
             if i in rows
         }
         kernel = kernel_basis(RationalMatrix._canonical(len(rows), len(cols), entries))
-        got = fc._cache[key] = SubspaceBasis(
+        got = fc._cache[("approx", *key)] = SubspaceBasis(
             fc.dim(n),
             {cols[p]: {cols[j]: x for j, x in row.items()} for p, row in kernel.rows.items()},
         )
+    return got
+
+
+def _image(fc: FilteredComplex, key: tuple[int, int, int]) -> SubspaceBasis:
+    """d A inside C_(n-1), for the approximation A of key (s, t, n)."""
+    got = fc._cache.get(("image", *key))
+    if got is None:
+        got = fc._cache[("image", *key)] = image_subspace(fc.d(key[2]), _approx(fc, key))
+    return got
+
+
+def _slot(fc: FilteredComplex, z, d1, src) -> tuple[SubspaceBasis, list]:
+    """(denominator, representatives) of Z / (D1 + d SRC), by approximation keys."""
+    got = fc._cache.get(("slot", z, d1, src))
+    if got is None:
+        denom = subspace_sum(_approx(fc, d1), _image(fc, src))
+        got = fc._cache[("slot", z, d1, src)] = (denom, extend_to_complement(denom, _approx(fc, z)))
     return got
 
 
@@ -178,33 +218,27 @@ def page(fc: FilteredComplex, r: int) -> SpectralSequencePage:
 
 
 def _compute_page(fc: FilteredComplex, r: int) -> SpectralSequencePage:
-    denominators: dict[Slot, SubspaceBasis] = {}
-    reps: dict[Slot, list] = {}
+    slots: dict[Slot, tuple[SubspaceBasis, list]] = {}
     for n in fc.degrees():
         for s in range(max(fc.levels[n]) + 1):
-            z = _approx(fc, s, s + r, n)
-            d1 = _approx(fc, s + 1, s + r, n)
+            z = _key(fc, s, s + r, n)
+            d1 = _key(fc, s + 1, s + r, n)
             # boundary sources sit r-1 stages up; below stage 0 the source
             # clamps to the whole space while the landing condition stays F^s
-            src = _approx(fc, max(s - r + 1, 0), s, n + 1)
-            denom = subspace_sum(d1, image_subspace(fc.d(n + 1), src))
-            rep_rows = extend_to_complement(denom, z)
-            if not rep_rows:
-                continue
-            slot = (s, n)
-            denominators[slot] = denom
-            reps[slot] = rep_rows
+            src = _key(fc, max(s - r + 1, 0), s, n + 1)
+            got = _slot(fc, z, d1, src)
+            if got[1]:
+                slots[(s, n)] = got
 
-    dims = {_publish(s, n): len(v) for (s, n), v in reps.items()}
+    dims = {_publish(s, n): len(rows) for (s, n), (_, rows) in slots.items()}
     diffs: dict[Slot, RationalMatrix] = {}
-    for (s, n), rows in reps.items():
-        tgt = (s + r, n - 1)
-        tgt_reps = reps.get(tgt, [])
-        tgt_denom = denominators.get(tgt)
-        if tgt_denom is None:
+    for (s, n), (_, rows) in slots.items():
+        tgt = slots.get((s + r, n - 1))
+        if tgt is None:
             # target slot is zero; record the zero map out of this slot
             diffs[_publish(s, n)] = RationalMatrix.zero(0, len(rows))
             continue
+        tgt_denom, tgt_reps = tgt
         span_rows = [*tgt_reps, *tgt_denom.rows.values()]
         entries = {}
         dmat = fc.d(n)

@@ -1,22 +1,27 @@
+import io
 import random
 from fractions import Fraction
 
 import pytest
 
 from formalpi.errors import InvalidInputError, OutOfRangeError
-from formalpi.exactlin import RationalMatrix, SubspaceBasis, homology_dim
+from formalpi import ss_engine
+from formalpi.cli import run
+from formalpi.exactlin import RationalMatrix, SubspaceBasis, extend_to_complement, homology_dim
 from formalpi.free_lie import slot_dims
 from formalpi.quillen_weight import build_model, homotopy_table
 from formalpi.ss_engine import (
     DegenerationReport,
     FilteredComplex,
+    _approx,
+    _key,
     check_degeneration,
     e_infinity,
     filtered_from_model,
     page,
 )
 
-from conftest import ALL_CORPUS
+from conftest import ALL_CORPUS, corpus_path
 from oracles import dense_inverse, dense_preimage, dense_rows, gauss_rank
 
 
@@ -441,32 +446,156 @@ def _rng_at(state):
     return rng
 
 
-def test_approximations_match_the_dense_oracle(corpus):
-    """Every memoized A = {x in F^s C_n : d x in F^t C_(n-1)} after pages 1-4.
+def dense_approx(fc, s, t, n):
+    """The RREF rows of {x in F^s C_n : d x in F^t C_(n-1)}, by a dense solve."""
+    return dense_preimage(
+        dense_rows(fc.d(n)),
+        fc.dim(n),
+        list(stage(fc, n - 1, t).vectors),
+        list(stage(fc, n, s).vectors),
+    )
 
-    Each is one kernel of a submatrix of d, the only subspace the pages
-    memoize; here it is compared with a dense solve of the conditions, with
-    F^s and F^t built from the levels.
+
+def dense_image(fc, key):
+    """d A in C_(n-1) for the approximation A of key (s, t, n), by dense products."""
+    rows = dense_rows(fc.d(key[2]))
+    vectors = [[sum(a * x for a, x in zip(row, v)) for row in rows] for v in dense_approx(fc, *key)]
+    return SubspaceBasis.from_vectors(vectors, fc.dim(key[2] - 1))
+
+
+def test_memo_entries_match_the_dense_oracle(corpus):
+    """Every memo entry after pages 1-4 and E_infinity, recomputed from its key.
+
+    An approximation A = {x in F^s C_n : d x in F^t C_(n-1)} is one kernel of
+    a submatrix of d; here it is compared with a dense solve of the
+    conditions, with F^s and F^t built from the levels.  A boundary image is
+    d A by dense products, and a slot's denominator and representatives are
+    rebuilt from its three keys on the dense subspaces.  Every key is
+    already clamped.
     """
     rng = random.Random(20261019)
     complexes = [filtered_from_model(build_model(corpus["wedge_s2_s2"], 5, 5))]
     while len(complexes) < 9:
-        fc = random_filtered_complex(rng)
+        fc = random_filtered_complex(rng, max_levels=5)
         if fc.degrees():
             complexes.append(fc)
     for fc in complexes:
-        for r in (1, 2, 3, 4):
+        for r in (1, 2, 3, 4, fc.max_level + 1):
             page(fc, r)
-        assert {key[0] for key in fc._cache} == {"approx", "page"}
+        assert {key[0] for key in fc._cache} == {"approx", "image", "slot", "page"}
         for key, got in fc._cache.items():
-            if key[0] != "approx":
-                continue
-            _, s, t, n = key
-            assert got.ambient_dim == fc.dim(n)
-            expected = dense_preimage(
-                dense_rows(fc.d(n)),
-                fc.dim(n),
-                list(stage(fc, n - 1, t).vectors),
-                list(stage(fc, n, s).vectors),
-            )
-            assert list(got.vectors) == expected, key
+            kind, *rest = key
+            if kind == "approx":
+                s, t, n = rest
+                assert _key(fc, s, t, n) == (s, t, n), key
+                assert got.ambient_dim == fc.dim(n)
+                assert list(got.vectors) == dense_approx(fc, s, t, n), key
+            elif kind == "image":
+                assert _key(fc, *rest) == tuple(rest), key
+                assert got == dense_image(fc, rest), key
+            elif kind == "slot":
+                z, d1, src = rest
+                assert all(_key(fc, *k) == k for k in rest), key
+                spanning = [*dense_approx(fc, *d1), *dense_image(fc, src).vectors]
+                denom = SubspaceBasis.from_vectors(spanning, fc.dim(z[2]))
+                space = SubspaceBasis.from_vectors(dense_approx(fc, *z), fc.dim(z[2]))
+                assert got == (denom, extend_to_complement(denom, space)), key
+
+
+def test_clamped_stages_outside_the_levels_match_the_dense_oracle():
+    """A(s, t, n) through _key for s and t from -1 to two past the top level.
+
+    The dense solve takes the raw s and t, so a clamp that changes the kept
+    columns or rows of d disagrees with it.
+    """
+    rng = random.Random(20261022)
+    built = 0
+    while built < 30:
+        fc = random_filtered_complex(rng, max_levels=5)
+        if not fc.degrees():
+            continue
+        stages = range(-1, fc.max_level + 2)
+        for n in range(min(fc.degrees()) - 1, max(fc.degrees()) + 2):
+            for s in stages:
+                for t in stages:
+                    got = _approx(fc, _key(fc, s, t, n))
+                    assert list(got.vectors) == dense_approx(fc, s, t, n), (built, s, t, n)
+        built += 1
+
+
+def test_each_kernel_and_boundary_image_is_computed_once_per_ss_run(monkeypatch):
+    """In one ss run, one kernel per distinct (columns, rows) of d, one image per source.
+
+    The clamped keys make repeats of both: on the wedge some slots of page 2
+    and of the page past the filtration ask for the same eliminations.
+    """
+    kernels, images, slots = [], [], []
+    monkeypatch.setattr(ss_engine, "kernel_basis", _recording(ss_engine.kernel_basis, kernels))
+    monkeypatch.setattr(ss_engine, "image_subspace", _recording(ss_engine.image_subspace, images))
+    monkeypatch.setattr(ss_engine, "_slot", _recording(ss_engine._slot, slots))
+    complexes = []
+    monkeypatch.setattr(
+        ss_engine, "filtered_from_model", _recording(ss_engine.filtered_from_model, complexes)
+    )
+    argv = ["ss", str(corpus_path("wedge_s2_s2")), "--max-degree", "6", "--check-degeneration"]
+    assert run(argv, out=io.StringIO()).exit_status == 0
+    (fc,) = [result for _, result in complexes]
+
+    def kept(s, t, n):
+        cols = frozenset(j for j, level in enumerate(fc.levels.get(n, ())) if level >= s)
+        rows = frozenset(i for i, level in enumerate(fc.levels.get(n - 1, ())) if level < t)
+        return n, cols, rows
+
+    requested = [key for (_, *keys), _ in slots for key in keys]
+    sources = [src for (_, _, _, src), _ in slots]
+    assert len(kernels) == len({kept(*key) for key in requested}) < len(requested)
+    assert len(images) == len(set(sources)) < len(sources)
+
+
+def _recording(fn, calls):
+    def recorded(*args):
+        result = fn(*args)
+        calls.append((args, result))
+        return result
+
+    return recorded
+
+
+def test_ss_check_degeneration_reaches_the_page_past_the_filtration(monkeypatch):
+    """The CLI verdict compares E_2 with E_(L+1), L = max_level, not with E_7."""
+    requested, complexes = [], []
+    monkeypatch.setattr(ss_engine, "page", _recording(ss_engine.page, requested))
+    monkeypatch.setattr(
+        ss_engine, "filtered_from_model", _recording(ss_engine.filtered_from_model, complexes)
+    )
+    argv = ["ss", str(corpus_path("wedge_s2_s2")), "--max-degree", "8", "--max-weight", "8"]
+    argv.append("--check-degeneration")
+    out = io.StringIO()
+    assert run(argv, out=out).exit_status == 0
+    assert out.getvalue().endswith("degenerate from page 2: true\n")
+    (fc,) = [result for _, result in complexes]
+    assert fc.max_level > 7
+    assert fc.max_level + 1 in {args[1] for args, _ in requested}
+
+
+def test_a_late_differential_is_found_past_page_seven():
+    """Complexes whose only nonzero d_r have r >= 7, in a random adapted basis.
+
+    Only the pairs of a random matching with a level gap of at least 7 are
+    kept, so pages 2 to 7 agree and the range (2, 6) reads degenerate; the
+    range up to the filtration length finds the first late d_r.
+    """
+    rng = random.Random(20261023)
+    built = 0
+    while built < 20:
+        dims, levels, pairs = random_matching(rng, max_levels=10)
+        late = [(n, i, j) for n, i, j in pairs if levels[n - 1][j] - levels[n][i] >= 7]
+        if not late:
+            continue
+        fc = conjugated_complex(rng, dims, levels, late)
+        assert check_degeneration(fc, 2, 6).degenerate
+        r_max = max(2, fc.max_level)
+        got = check_degeneration(fc, 2, r_max)
+        assert not got.degenerate and got.first_failure[0] >= 7
+        assert got == scanned_degeneration(fc, 2, r_max)
+        built += 1
