@@ -16,8 +16,12 @@ integer rows keyed by their leading (pivot) column.  A new vector is reduced
 left to right, only against the rows whose pivot column it touches, and
 either vanishes or becomes one more row.  A SubspaceBasis is the canonical
 form of such an echelon, reduced, with coprime integer rows and positive
-pivots, so equal spans give equal objects.  Dense vectors appear only in its
-read-only view ``vectors`` and in RationalMatrix.apply.
+pivots, so equal spans give equal objects; it is built only from that
+form.  A span whose only readers are its dimension and extend_to_complement
+stays an _Echelon, unreduced: both depend on the span alone, not on its
+rows.  The resolution's block images and the minimal model's boundary and
+hit spans are kept that way.  Dense vectors appear only in the read-only
+view ``SubspaceBasis.vectors`` and in RationalMatrix.apply.
 
 Kernels, preimages and intersections all answer {x in W : m x in S} with
 one tagged echelon, _preimage: seeded with the rows of S, it takes (m x | x)
@@ -215,18 +219,6 @@ def _sparse(vec, n: int) -> dict:
     return {j: x if isinstance(x, (int, Fraction)) else Fraction(x) for j, x in enumerate(vec) if x}
 
 
-def _primitive(vec: dict) -> dict[int, int]:
-    """A new nonzero multiple of vec (ints or Fractions) with coprime integer entries.
-
-    Always a new dict, also for integer input: _eliminate updates its vector
-    in place, and SubspaceBasis rows are shared.
-    """
-    if all(type(x) is int for x in vec.values()):
-        return _divide_content(dict(vec))
-    den = lcm(*(x.denominator for x in vec.values()))
-    return _divide_content({j: x.numerator * (den // x.denominator) for j, x in vec.items()})
-
-
 def _divide_content(vec: dict[int, int]) -> dict[int, int]:
     g = gcd(*vec.values())  # 0 for the empty vector
     return {j: x // g for j, x in vec.items()} if g > 1 else vec
@@ -238,10 +230,12 @@ def _monic(p: int, row: dict[int, int]) -> dict[int, Fraction]:
 
 
 def _eliminate(vec: dict[int, int], row: dict[int, int], col: int) -> dict[int, int]:
-    """The primitive combination a*vec - b*row (a > 0) that vanishes in column col.
+    """The combination a*vec - b*row (a > 0, a and b coprime) that vanishes in column col.
 
     The module's only elimination step.  vec belongs to the caller and may be
-    updated in place; row is never modified.
+    updated in place; row is never modified.  The content of the result is
+    not divided out: a positive multiple does not change the direction, so
+    callers divide once, after their last step.
     """
     a, b = row[col], vec[col]
     g = gcd(a, b)
@@ -256,22 +250,17 @@ def _eliminate(vec: dict[int, int], row: dict[int, int], col: int) -> dict[int, 
             vec[j] = y
         else:
             del vec[j]
-    return _divide_content(vec) if a != 1 else vec
-
-
-def _reduce(rows: Rows, vec: dict[int, int]) -> dict[int, int]:
-    """Eliminates leading pivots of rows from vec (its own); {} iff vec is in their span."""
-    while vec:
-        lead = min(vec)
-        row = rows.get(lead)
-        if row is None:
-            break
-        vec = _eliminate(vec, row, lead)
     return vec
 
 
 class _Echelon:
-    """Primitive integer rows keyed by pivot column, each row's leading column."""
+    """Primitive integer rows keyed by pivot column, each row's leading column.
+
+    An echelon of its span, not the canonical one: the rows depend on the
+    order of insertion.  A span that is only counted (dim) or extended
+    (extend_to_complement) stays in this form; rref() gives the canonical
+    form that a SubspaceBasis holds.
+    """
 
     __slots__ = ("rows",)
 
@@ -280,12 +269,43 @@ class _Echelon:
         for v in vectors:
             self.insert(v)
 
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
     def insert(self, vec: dict) -> bool:
-        """Adds vec (ints or Fractions); False when it already lies in the span."""
-        vec = _reduce(self.rows, _primitive(vec))
-        if vec:
-            self.rows[min(vec)] = _divide_content(vec)
-        return bool(vec)
+        """Adds vec, a sparse vector of ints or Fractions; False when it lies in the span.
+
+        vec must hold no zero entry, since its least column is read as its
+        leading one; it is never modified.  One pass: vec is made a coprime
+        integer vector (one gcd when it is all ints), each step finds the
+        leading column once and keeps it as the pivot key, and the content
+        is divided once more only when a step changed vec.
+        """
+        if not vec:
+            return False
+        values = vec.values()
+        if Fraction in map(type, values):
+            den = lcm(*(x.denominator for x in values))
+            vec = _divide_content({j: x.numerator * (den // x.denominator) for j, x in vec.items()})
+        else:
+            g = gcd(*values)
+            vec = {j: x // g for j, x in vec.items()} if g > 1 else dict(vec)
+        rows = self.rows
+        lead = min(vec)
+        row = rows.get(lead)
+        if row is not None:
+            while True:
+                vec = _eliminate(vec, row, lead)
+                if not vec:
+                    return False
+                lead = min(vec)
+                row = rows.get(lead)
+                if row is None:
+                    break
+            vec = _divide_content(vec)
+        rows[lead] = vec
+        return True
 
     def rref(self) -> Rows:
         """The canonical form of the span: SubspaceBasis.rows."""
@@ -305,7 +325,7 @@ class _Echelon:
 
 
 def rank(m: RationalMatrix) -> int:
-    return len(_Echelon(m.row_dicts()).rows)
+    return _Echelon(m.row_dicts()).dim
 
 
 @dataclass(frozen=True)
@@ -350,7 +370,7 @@ class SubspaceBasis:
 
     def contains(self, vec) -> bool:
         """Membership of vec, a sparse dict or a dense sequence."""
-        return not _reduce(self.rows, _primitive(_sparse(vec, self.ambient_dim)))
+        return not _Echelon(rows=self.rows).insert(_sparse(vec, self.ambient_dim))
 
 
 def _preimage(m: RationalMatrix, s: SubspaceBasis, within: SubspaceBasis | None) -> SubspaceBasis:
@@ -427,12 +447,14 @@ def coordinates_in_span(rows: list[dict], vectors: list[dict]) -> list[dict[int,
 
     One RREF of [rows^T | v_1 ... v_m]: the rows alone fix its pivots left of
     the vectors, non-pivot rows get 0, and a pivot right of them is a ValueError.
+    Zero entries of rows and vectors are dropped, as _sparse drops them.
     """
     k = len(rows)
     equations: dict[int, dict] = {}
     for i, row in enumerate([*rows, *vectors]):
         for j, x in row.items():
-            equations.setdefault(j, {})[i] = x
+            if x:
+                equations.setdefault(j, {})[i] = x
     solved = _Echelon(equations.values()).rref()
     if max(solved, default=-1) >= k:
         raise ValueError("vector not in span")
@@ -440,13 +462,17 @@ def coordinates_in_span(rows: list[dict], vectors: list[dict]) -> list[dict[int,
     return [{p: Fraction(r[i], r[p]) for p, r in solved.items() if i in r} for i in columns]
 
 
-def extend_to_complement(sub: SubspaceBasis, space: SubspaceBasis) -> list[dict[int, Fraction]]:
+def extend_to_complement(
+    sub: SubspaceBasis | _Echelon, space: SubspaceBasis
+) -> list[dict[int, Fraction]]:
     """Monic basis rows of space extending sub to span space (greedy, stable).
 
     Each basis row of space is kept exactly when it is independent of sub
-    and of the rows kept before it, in pivot order.
+    and of the rows kept before it, in pivot order.  That choice depends on
+    the span of sub only, so sub may be a SubspaceBasis or the _Echelon of a
+    span in the same ambient space, whose rows seed the elimination as they are.
     """
-    if sub.ambient_dim != space.ambient_dim:
+    if isinstance(sub, SubspaceBasis) and sub.ambient_dim != space.ambient_dim:
         raise ValueError("ambient dimension mismatch")
     ech = _Echelon(rows=sub.rows)
     return [_monic(p, r) for p, r in space.rows.items() if ech.insert(r)]

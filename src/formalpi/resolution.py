@@ -43,6 +43,10 @@ has integer entries: the a.dg columns are sums of int products, and the
 kernel and complement rows that become new dg are the coprime integer rows
 of a SubspaceBasis.  Every block matrix, image, kernel and d d check runs on
 ints, never on Fractions.  An integral table has L = 1 and is read as it is.
+
+The image I of each block is read only for its dimension and as the seed of
+the complement, and both depend on the span alone, so it is kept as the
+unreduced echelon of its columns, never brought to canonical form.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from __future__ import annotations
 from math import lcm
 
 from .errors import DSquaredNonzeroError
-from .exactlin import RationalMatrix, SubspaceBasis, extend_to_complement, kernel_basis
+from .exactlin import RationalMatrix, SubspaceBasis, _Echelon, extend_to_complement, kernel_basis
 from .graded_core import AlgebraPresentation
 
 Pair = tuple[int, str]  # a (x) g: generator index in its level, basis id of a in A+
@@ -107,7 +111,7 @@ def ext_dims(
     # dg = {b: {h: c}} for the boundary sum of c b (x) h
     lower = [(0, p.lattice.zero(), {})]
     lower_blocks: dict[int, dict] = {}  # t -> the pairs of A+ (x) B_(s-1), by character
-    lower_d: dict = {}  # (t, chi) -> d_(s-1) on those pairs, and its image
+    lower_d: dict = {}  # (t, chi) -> d_(s-1) on those pairs, and the echelon of its image
     for s in range(1, max_w + 1):
         top = max_r + s
         gens: list = []  # B_s, in increasing t
@@ -133,7 +137,7 @@ def ext_dims(
                 images = [columns.get(pair, _ZERO) for pair in block]
                 entries = {(i, j): x for j, col in enumerate(images) for i, x in col.items()}
                 matrix = RationalMatrix._canonical(n, len(block), entries)
-                d[(t, chi)] = matrix, SubspaceBasis.from_vectors(filter(None, images), n)
+                d[(t, chi)] = matrix, _Echelon(filter(None, images))
                 # d d = 0 on A+ (x) B_s in degree t: the image lies in the cycles
                 before = lower_d.get((t, chi))
                 if before and not before[0].matmul(matrix).is_zero():
@@ -145,7 +149,7 @@ def ext_dims(
                 continue
             for chi, block in rows.items():
                 n = len(block)
-                hit = d[(t, chi)][1] if (t, chi) in d else SubspaceBasis.zero(n)
+                hit = d[(t, chi)][1] if (t, chi) in d else _Echelon()
                 below = lower_d.get((t, chi))  # d_(s-1) and its image; none for s = 1
                 new = n - hit.dim - (below[1].dim if below else 0)
                 if not new:

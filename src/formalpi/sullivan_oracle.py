@@ -32,6 +32,7 @@ from .errors import CutoffMismatchError, DegreeCutoffError, NotSimplyConnectedEr
 from .exactlin import (
     RationalMatrix,
     SubspaceBasis,
+    _Echelon,
     exact,
     extend_to_complement,
     kernel_basis,
@@ -221,8 +222,7 @@ class _Truncation:
 
     def cohomology_reps(self, n: int) -> list[dict[int, Fraction]]:
         """Monic echelon rows representing H^n (n >= 1), first-in-basis-order choices."""
-        d = self.d_matrix(n - 1)
-        boundaries = SubspaceBasis.from_vectors(d._columns.values(), d.rows)
+        boundaries = _Echelon(self.d_matrix(n - 1)._columns.values())
         return extend_to_complement(boundaries, self.cycles(n))
 
 
@@ -245,7 +245,7 @@ def minimal_model(p: AlgebraPresentation, cutoff: int) -> MinimalModel:
         comparison = tr.comparison_matrix(n)
         images = [comparison.matvec(r) for r in tr.cohomology_reps(n)]
         ids = tr.target_ids(n)
-        hit = SubspaceBasis.from_vectors(images, len(ids))
+        hit = _Echelon(images)
         for vec in extend_to_complement(hit, SubspaceBasis.full(len(ids))):
             gens.append(
                 ModelGenerator(
@@ -306,7 +306,7 @@ def model_violations(mm: MinimalModel) -> list[str]:
         reps = tr.cohomology_reps(n)
         comparison = tr.comparison_matrix(n)
         images = [comparison.matvec(r) for r in reps]
-        rank = SubspaceBasis.from_vectors(images, tr.target_dim(n)).dim
+        rank = _Echelon(images).dim
         if rank != len(reps):
             bad.append(f"comparison map is not injective on H^{n}")
         if n <= cutoff and rank != tr.target_dim(n):

@@ -4,6 +4,7 @@ import copy
 import itertools
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +13,7 @@ from formalpi.errors import CompositionNonzeroError
 from formalpi.exactlin import (
     RationalMatrix,
     SubspaceBasis,
+    _Echelon,
     _preimage,
     combine,
     coordinates_in_span,
@@ -25,7 +27,7 @@ from formalpi.exactlin import (
     subspace_sum,
 )
 
-from oracles import dense_matmul, dense_preimage, dense_rows, gauss_jordan_rref
+from oracles import dense_matmul, dense_null_space, dense_preimage, dense_rows, gauss_jordan_rref
 
 
 # --- independent oracles -----------------------------------------------------
@@ -275,6 +277,21 @@ def test_coordinates_in_span_roundtrip():
         coordinates_in_span(sparse_rows, [_sparse((0, 0, 1)), _sparse((0, 0, 1))])
 
 
+def test_coordinates_in_span_drops_explicit_zero_entries():
+    assert coordinates_in_span([{0: 1}], [{0: 0, 1: 0}]) == [{}]
+    assert coordinates_in_span([{0: 1, 1: 0}], [{0: 2}]) == [{0: 2}]
+    assert coordinates_in_span([{0: 1}], [{0: 2, 1: 0}]) == [{0: 2}]
+
+
+def test_the_empty_vector_lies_in_every_span():
+    ech = _Echelon()
+    assert not ech.insert({}) and ech.dim == 0
+    assert ech.insert({1: 2}) and not ech.insert({}) and ech.rows == {1: {1: 1}}
+    assert SubspaceBasis.from_vectors([{}, (0, 0, 0)], 3) == SubspaceBasis.zero(3)
+    assert SubspaceBasis.zero(3).contains({}) and SubspaceBasis.full(2).contains((0, 0))
+    assert coordinates_in_span([{0: 1}], [{}]) == [{}]
+
+
 # --- echelon kernel properties (rational entries, large heights) --------------
 
 rationals = st.one_of(
@@ -509,3 +526,147 @@ def test_subspace_operations_leave_their_arguments_rows_unchanged(family, data):
         for row in y.rows.values():
             x.contains(row)
     assert (a.rows, b.rows) == before
+
+
+# --- the integer path: int, Fraction(k, 1) and mixed entries -------------------
+
+integers = st.one_of(
+    st.just(0),
+    st.integers(min_value=-3, max_value=3),
+    st.integers(min_value=-(10**30), max_value=10**30),
+)
+
+
+@st.composite
+def int_vector_families(draw, max_dim=6):
+    """(n, vectors) in Z^n, about half of them integer combinations of earlier ones."""
+    n = draw(st.integers(min_value=1, max_value=max_dim))
+    out = []
+    for _ in range(draw(st.integers(min_value=0, max_value=6))):
+        if out and draw(st.booleans()):
+            coeffs = draw(st.lists(integers, min_size=len(out), max_size=len(out)))
+            out.append(tuple(sum(c * x for c, x in zip(coeffs, col)) for col in zip(*out)))
+        else:
+            out.append(tuple(draw(st.lists(integers, min_size=n, max_size=n))))
+    return n, out
+
+
+def _entries_as(kind, vecs):
+    """vecs with every entry an int, a Fraction(k, 1), or the two alternating."""
+    if kind == "int":
+        return vecs
+    if kind == "fraction":
+        return [tuple(Fraction(x) for x in v) for v in vecs]
+    return [
+        tuple(Fraction(x) if (i + j) % 2 else x for j, x in enumerate(v)) for i, v in enumerate(vecs)
+    ]
+
+
+KINDS = ("int", "fraction", "mixed")
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_vector_families())
+def test_int_fraction_and_mixed_entries_give_the_same_canonical_rows(family):
+    n, vecs = family
+    span = SubspaceBasis.from_vectors(vecs, n)
+    assert list(span.vectors) == gauss_jordan_rref(vecs, n)
+    for kind in KINDS:
+        gens = _entries_as(kind, vecs)
+        assert SubspaceBasis.from_vectors(gens, n) == span
+        assert _Echelon(_sparse(v) for v in gens).rref() == span.rows
+        for v in gens:
+            assert span.contains(_sparse(v))
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_vector_families(), st.data())
+def test_kernel_of_int_rows_equals_kernel_of_rescaled_rows(family, data):
+    n, rows = family
+    digit = st.integers(min_value=1, max_value=6)
+    scales = data.draw(
+        st.lists(st.builds(Fraction, digit, digit), min_size=len(rows), max_size=len(rows))
+    )
+    expected = gauss_jordan_rref(dense_null_space(rows, n), n)
+    # int entries, then the normal form's mix of ints and Fractions in one column
+    for gens in (rows, [tuple(c * x for x in r) for c, r in zip(scales, rows)]):
+        entries = {(i, j): x for i, r in enumerate(gens) for j, x in enumerate(r)}
+        assert list(kernel_basis(RationalMatrix(len(gens), n, entries)).vectors) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(int_vector_families(), st.data())
+def test_greedy_complement_is_the_same_for_every_entry_type(family, data):
+    n, vecs = family
+    sub_vecs = data.draw(st.lists(st.sampled_from(vecs), max_size=3)) if vecs else []
+    sub = SubspaceBasis.from_vectors(sub_vecs, n)
+    space = SubspaceBasis.from_vectors(vecs, n)
+    chosen = []
+    for v in space.vectors:
+        stacked = list(sub.vectors) + chosen
+        if gauss_rank(stacked + [v]) > gauss_rank(stacked):
+            chosen.append(v)
+    for kind in KINDS:
+        sub_k = SubspaceBasis.from_vectors(_entries_as(kind, sub_vecs), n)
+        space_k = SubspaceBasis.from_vectors(_entries_as(kind, vecs), n)
+        assert [_dense(r, n) for r in extend_to_complement(sub_k, space_k)] == chosen
+
+
+# --- what the unreduced echelon and the canonical form promise ----------------
+
+
+def _assert_primitive_echelon(rows, n):
+    """Rows keyed by their leading column, coprime ints, inside Q^n."""
+    for p, row in rows.items():
+        assert row and all(type(x) is int and x for x in row.values())
+        assert min(row) == p and 0 <= p and max(row) < n
+        assert gcd(*row.values()) == 1
+
+
+def _assert_canonical(s):
+    """The canonical form of SubspaceBasis: reduced, positive pivots, ascending keys."""
+    _assert_primitive_echelon(s.rows, s.ambient_dim)
+    assert list(s.rows) == sorted(s.rows)
+    for p, row in s.rows.items():
+        assert row[p] > 0
+        assert not any(q in row for q in s.rows if q != p)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(vector_families(), int_vector_families()), st.data())
+def test_an_unreduced_echelon_seeds_the_same_complement(family, data):
+    n, vecs = family
+    sub_vecs = data.draw(st.lists(st.sampled_from(vecs), max_size=4)) if vecs else []
+    ech = _Echelon(_sparse(v) for v in sub_vecs)
+    assert ech.dim == gauss_rank(sub_vecs)
+    _assert_primitive_echelon(ech.rows, n)
+    seeded = copy.deepcopy(ech.rows)
+    sub = SubspaceBasis.from_vectors(sub_vecs, n)
+    assert ech.rref() == sub.rows
+    for space in (SubspaceBasis.from_vectors(vecs, n), SubspaceBasis.full(n)):
+        assert extend_to_complement(ech, space) == extend_to_complement(sub, space)
+    assert ech.rows == seeded
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(vector_families(), int_vector_families()), st.data())
+def test_every_subspace_exactlin_returns_is_canonical(family, data):
+    n, vecs = family
+    split = data.draw(st.integers(min_value=0, max_value=len(vecs)))
+    a = SubspaceBasis.from_vectors(vecs[:split], n)
+    b = SubspaceBasis.from_vectors(vecs[split:], n)
+    m = RationalMatrix.from_rows([list(v) for v in vecs]) if vecs else RationalMatrix.zero(0, n)
+    image = image_subspace(m, a)
+    for s in (
+        a,
+        b,
+        SubspaceBasis.full(n),
+        SubspaceBasis.zero(n),
+        subspace_sum(a, b),
+        subspace_intersection(a, b),
+        kernel_basis(m),
+        image,
+        preimage_subspace(m, image),
+        _preimage(m, image, b),
+    ):
+        _assert_canonical(s)
