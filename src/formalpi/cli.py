@@ -64,9 +64,9 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def parse_coeff(s) -> Fraction:
+def parse_coeff(s) -> int | Fraction:
     if _is_int(s):
-        return Fraction(s)
+        return s
     if isinstance(s, str) and _COEFF_RE.match(s):
         with suppress(ValueError):  # a numeral past the interpreter's digit limit
             return Fraction(s)

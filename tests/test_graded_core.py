@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import copy
 import json
 import sys
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -308,6 +310,26 @@ ASSOCIATIVITY_CASES = {
         },
         None,
     ),
+    # ab = 0, and a(bc) = (1/2 + 1/3 - 5/6) z is 0 only in exact arithmetic
+    "mixed_denominators_cancel": (
+        {
+            ("b", "c"): {"w": Fraction(-5, 6), "x": Fraction(1, 2), "y": Fraction(1, 3)},
+            ("a", "w"): {"z": Fraction(1)},
+            ("a", "x"): {"z": Fraction(1)},
+            ("a", "y"): {"z": Fraction(1)},
+        },
+        None,
+    ),
+    # both sides nonzero: (ab)c = 1/3 z against a(bc) = 1/2 z
+    "two_unequal_rationals": (
+        {
+            ("a", "b"): {"w": Fraction(1, 3)},
+            ("c", "w"): {"z": Fraction(1)},
+            ("b", "c"): {"x": Fraction(1, 2)},
+            ("a", "x"): {"z": Fraction(1)},
+        },
+        ("a", "b", "c"),
+    ),
 }
 
 
@@ -321,6 +343,40 @@ def test_associativity_fixed_cases_match_naive_triple_loop(name):
     else:
         assert bad in expected
     assert associativity_subjects(p) == expected
+
+
+def test_associativity_on_denominators_7_9_11_13():
+    # CP^2 x CP^2 in a basis rescaled by ratios of 7, 9, 11 and 13: the
+    # table's denominators have lcm at least 9009, and it stays associative
+    basis, prods = SMALL_ALGEBRAS["cp2xcp2"]()
+    primes = [7, 9, 11, 13]
+    scale = {x: Fraction(primes[i % 4], primes[(i + 1) % 4]) for i, (x, _) in enumerate(basis)}
+    scale["e0"] = Fraction(1)
+    prods = rescale(basis, prods, scale)
+    p = make("scaled", basis, prods)
+    assert lcm(*(c.denominator for terms in p.products.values() for c in terms.values())) >= 9009
+    assert naive_associativity(p) == []
+    assert associativity_subjects(p) == []
+    # one coefficient off by 1/9009 breaks it
+    pair = next(iter(prods))
+    target = next(iter(prods[pair]))
+    prods[pair] = {**prods[pair], target: prods[pair][target] + Fraction(1, 9009)}
+    p = make("broken", basis, prods)
+    expected = naive_associativity(p)
+    assert expected
+    assert associativity_subjects(p) == expected
+
+
+def test_validation_leaves_a_rational_table_unchanged():
+    p = parse_presentation(json.loads(bench_gen.make("s2^4~r1", 7)))
+    table = p.table
+    before = copy.deepcopy(table)
+    assert any(type(c) is Fraction for row in table.values() for xy in row.values() for c in xy.values())
+    assert validate_algebra(p).ok
+    assert p.table is table
+    assert table == before
+    assert [type(c) for row in table.values() for xy in row.values() for c in xy.values()] == \
+        [type(c) for row in before.values() for xy in row.values() for c in xy.values()]
 
 
 def test_associativity_repeats_triples_of_a_duplicate_id():

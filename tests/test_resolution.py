@@ -2,6 +2,7 @@
 check, and the homotopy tables it gives against the Lie model's."""
 
 import json
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -19,7 +20,7 @@ from formalpi.errors import (
 )
 from formalpi.exactlin import SubspaceBasis
 from formalpi.free_lie import pbw_invert
-from formalpi.graded_core import AlgebraPresentation, CharacterLattice
+from formalpi.graded_core import AlgebraPresentation, CharacterLattice, validate_algebra
 from formalpi.quillen_weight import (
     build_model,
     ext_table,
@@ -254,3 +255,120 @@ def test_ext_of_rational_variants_equals_the_unit_basis():
     assert dims
     assert ext_dims(generated("s2^4~r0"), 5, 5) == dims
     assert ext_dims(generated("s2^4~r1"), 5, 5) == dims
+
+
+# ---------------------------------------------------------------------------
+# Ext of the same algebra in a new basis
+
+
+def triangular_rebased(p, rng):
+    """p in the basis x' = d_x x + sum u_xy y, y over the earlier classes of
+    x's (degree, character) block, with seeded rationals d_x != 0 and u_xy.
+
+    That is a unipotent change of basis in each block after a diagonal one;
+    the unit keeps d = 1.  Products are written back in the new basis by
+    peeling off the last class first: x' has no coordinate at a later class.
+    """
+    ids = [e.ident for e in p.basis]
+    blocks: dict = {}
+    for e in p.basis:
+        blocks.setdefault((e.degree, e.character), []).append(e.ident)
+    old = {}  # x' in the old basis
+    for block in blocks.values():
+        for i, x in enumerate(block):
+            d = Fraction(rng.choice((1, -1)) * rng.randint(1, 5), rng.randint(1, 5))
+            old[x] = {x: Fraction(1) if x == p.unit_id else d}
+            for y in block[:i]:
+                if u := Fraction(rng.randint(-3, 3), rng.randint(1, 5)):
+                    old[x][y] = u
+
+    def new(v):
+        v, out = dict(v), {}
+        for x in reversed(ids):
+            if c := v.get(x, 0):
+                out[x] = c = c / old[x][x]
+                for y, u in old[x].items():
+                    v[y] = v.get(y, 0) - c * u
+        return out
+
+    products = {}
+    for i, a in enumerate(ids):
+        for b in ids[i:]:
+            if p.unit_id in (a, b):
+                continue
+            ab: dict = {}
+            for x, cx in old[a].items():
+                for y, cy in old[b].items():
+                    for t, c in p.table[x].get(y, {}).items():
+                        ab[t] = ab.get(t, 0) + cx * cy * c
+            if terms := new(ab):
+                products[(a, b)] = terms
+    basis = [(e.ident, e.degree, e.character) for e in p.basis]
+    return AlgebraPresentation(p.name, basis, p.unit_id, products, p.lattice)
+
+
+def assert_ext_table_unchanged_by_rebasing(p, max_m, max_w):
+    q = triangular_rebased(p, random.Random(p.name))
+    assert validate_algebra(q).ok
+    assert ext_table(q, max_m, max_w) == ext_table(p, max_m, max_w)
+
+
+def test_a_triangular_rebasing_changes_the_products(corpus):
+    for p in [*corpus.values(), generated("s2^4"), generated("sigma2")]:
+        if not p.products:
+            continue
+        q = triangular_rebased(p, random.Random(p.name))
+        assert q.products != p.products, p.name
+        assert any(type(c) is Fraction for terms in q.products.values() for c in terms.values()), p.name
+
+
+@pytest.mark.parametrize("name,max_m,max_w", list(corpus_cases()))
+def test_ext_table_is_unchanged_by_a_triangular_rebasing_on_corpus(corpus, name, max_m, max_w):
+    assert_ext_table_unchanged_by_rebasing(corpus[name], max_m, max_w)
+
+
+@pytest.mark.parametrize("token,max_m,max_w", GENERATED)
+def test_ext_table_is_unchanged_by_a_triangular_rebasing_on_generated(token, max_m, max_w):
+    assert_ext_table_unchanged_by_rebasing(generated(token), max_m, max_w)
+
+
+# ---------------------------------------------------------------------------
+# the Euler characteristic of the resolution
+
+
+def inverse_hilbert_series(p, top):
+    """{(t, chi): c} for the coefficients of 1/H_A up to degree top, where
+    H_A = sum dim A_(d, chi) z^d u^chi; the u^chi multiply in the lattice."""
+    hilbert: dict = {}
+    for e in p.basis:
+        if e.degree:
+            hilbert[(e.degree, e.character)] = hilbert.get((e.degree, e.character), 0) + 1
+    inverse = {(0, p.lattice.zero()): 1}
+    for t in range(1, top + 1):
+        for (d, chi), h in hilbert.items():
+            for (u, psi), c in list(inverse.items()):
+                if d + u == t:
+                    key = (t, p.lattice.add(chi, psi))
+                    inverse[key] = inverse.get(key, 0) - h * c
+    return {key: c for key, c in inverse.items() if c}
+
+
+def assert_euler_characteristic_is_the_inverse_series(p, max_r, max_w):
+    """sum_s (-1)^s dim B_(s, t, chi) is the (t, chi) coefficient of 1/H_A at
+    every t where the window holds every level: t <= min(max_w, max_r + 1)."""
+    top = min(max_w, max_r + 1)
+    euler = {(0, p.lattice.zero()): 1}  # B_0 = Q
+    for (s, t, chi), d in ext_dims(p, max_r, max_w).items():
+        if t <= top:
+            euler[(t, chi)] = euler.get((t, chi), 0) + (-1) ** s * d
+    assert {key: c for key, c in euler.items() if c} == inverse_hilbert_series(p, top)
+
+
+@pytest.mark.parametrize("name", ALL_CORPUS)
+def test_euler_characteristic_is_the_inverse_hilbert_series_on_corpus(corpus, name):
+    assert_euler_characteristic_is_the_inverse_series(corpus[name], 6, 6)
+
+
+@pytest.mark.parametrize("token,max_m,max_w", GENERATED)
+def test_euler_characteristic_is_the_inverse_hilbert_series_on_generated(token, max_m, max_w):
+    assert_euler_characteristic_is_the_inverse_series(generated(token), max_m - 1, max_w)
