@@ -3,18 +3,20 @@
 Input: a homologically graded complex (d lowers degree by one) with a
 decreasing filtration C = F^0 >= F^1 >= ... >= F^L = 0 per degree, preserved
 by d and given by a level for each basis vector: F^s is spanned by the basis
-vectors of level >= s.  Pages are computed from the chain-level approximation
-subspaces
+vectors of level >= s.  The page
 
+    E_r(s, n) = A_r(s, n) / (A_(r-1)(s+1, n) + d A_(r-1)(s-r+1, n+1)),
     A_r(s, n) = {x in F^s C_n : d x in F^(s+r) C_(n-1)},
-    E_r(s, n) = A_r(s, n) / (A_(r-1)(s+1, n) + d {x in F^(s-r+1) : d x in F^s}),
 
-where the boundary-source stage s-r+1 clamps at 0 (F^t = C for t <= 0) while
-its landing condition stays in F^s.  The differential
-d_r is induced by d on representatives and shifts (s, n) to (s+r, n-1).
-Because every filtration is finite, pages stabilize: for r > L the formula
-above literally computes (F^s ker d)/(F^(s+1) ker d + F^s im d), the infinity
-page, and sum over s at fixed n recovers the homology of the total complex.
+with d_r induced by d and shifting (s, n) to (s+r, n-1), is not built from
+these subspaces.  One column reduction of each d_n in filtration order
+(Edelsbrunner-Letscher-Zomorodian 2002) pairs basis vectors: j in C_n kills
+i in C_(n-1), and in some basis adapted to the same F^s, d is that matching
+with entry c at (i, j).  The pages of a matching have a
+closed form (Basu-Parida 2017): a pair with level gap g = level(i) - level(j)
+lives on E_1 ... E_g at both ends, and d_g joins them with entry c; an
+unpaired vector lives on every page.  So pages stabilize at r = L + 1, the
+infinity page, whose sum over s at fixed n is the homology H_n of C.
 
 Reported indices: a slot (s, n) is published as (p, q) = (s + 1, s + 1 + n),
 so p numbers the filtration stage starting at 1 for the top graded piece and
@@ -25,19 +27,11 @@ block of reduced degree n at p = w, q = w + n.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from .errors import InvalidInputError, OutOfRangeError
-from .exactlin import (
-    RationalMatrix,
-    SubspaceBasis,
-    coordinates_in_span,
-    extend_to_complement,
-    image_subspace,
-    kernel_basis,
-    subspace_sum,
-)
+from .exactlin import RationalMatrix, _Echelon
 
 Slot = tuple[int, int]
 
@@ -54,21 +48,14 @@ class FilteredComplex:
 
     A complex is immutable after construction, so _cache memoizes, each
     under a tuple led by its kind:
-      ("approx", s, t, n)   A = {x in F^s C_n : d x in F^t C_(n-1)};
-      ("image", s, t, n)    d A inside C_(n-1), for the same A;
-      ("slot", z, d1, src)  a slot's (denominator, representatives), keyed
-                            by the (s, t, n) of its three approximations;
-      ("page", r)           the page E_r.
-    Every (s, t, n) there is clamped by _key, so an elimination that keeps
-    the same columns and rows of d runs once, whatever page asked for it.
-    _steps[n] is the sorted tuple of the distinct levels in C_n.
+      ("pairs", n)   the persistence pairs of d_n, one reduction per degree;
+      ("page", r)    the page E_r, read off the pairs of every degree.
     """
 
     dims: dict[int, int]
     differentials: dict[int, RationalMatrix]
     levels: dict[int, tuple[int, ...]] = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
-    _steps: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.dims = {n: d for n, d in self.dims.items() if d}
@@ -83,7 +70,6 @@ class FilteredComplex:
             if any(level < 0 for level in lv):
                 raise InvalidInputError(f"negative level at degree {n}")
         self.levels = {n: tuple(self.levels.get(n, (0,) * d)) for n, d in self.dims.items()}
-        self._steps = {n: tuple(sorted(set(lv))) for n, lv in self.levels.items()}
         self._validate()
 
     # -- accessors ------------------------------------------------------------
@@ -149,62 +135,38 @@ class SpectralSequencePage:
         return all(m.is_zero() for m in self.differentials.values())
 
 
-def _key(fc: FilteredComplex, s: int, t: int, n: int) -> tuple[int, int, int]:
-    """The least (s, t) for which A(s, t, n) keeps the same columns and rows.
+def _pairs(fc: FilteredComplex, n: int) -> list[tuple[int, int, Fraction]]:
+    """The persistence pairs (i, j, c) of d_n: j in C_n kills i in C_(n-1).
 
-    A(s, t, n) keeps the columns of C_n of level >= s and the rows of C_(n-1)
-    of level < t, so only the levels present there matter: each of s and t
-    moves down to one more than the largest level below it, or to 0.
+    Basis vectors enter in time order, deeper level first and then by index.
+    Row i of C_(n-1) at time position k gets the key m - 1 - k, so the least
+    key of a column, the echelon's pivot, is its latest row: the persistence
+    "low".  The columns of d_n go in, in time order, each tagged with
+    {m + t: 1}, so every stored row is (d V | V) for a combination V of
+    columns up to its own, the last one, t = max(row) - m.  A row with pivot
+    p < m pairs that column with row p, and c = row[p] / row[m + t] is the
+    entry at i of d V scaled to coefficient 1 at j.
     """
-    cols, rows = fc._steps.get(n, ()), fc._steps.get(n - 1, ())
-    i, j = bisect_left(cols, s), bisect_left(rows, t)
-    return (cols[i - 1] + 1 if i else 0), (rows[j - 1] + 1 if j else 0), n
-
-
-def _approx(fc: FilteredComplex, key: tuple[int, int, int]) -> SubspaceBasis:
-    """{x in F^s C_n : d x in F^t C_(n-1)}: one kernel of a submatrix of d.
-
-    key is (s, t, n) as _key returns it.  The submatrix keeps the columns of
-    level >= s and the rows of level < t.  Its kernel's columns map back
-    through the increasing list of kept columns, which leaves the canonical
-    rows canonical.  A_r(s, n) is the case t = s + r.
-    """
-    got = fc._cache.get(("approx", *key))
+    got = fc._cache.get(("pairs", n))
     if got is None:
-        s, t, n = key
-        cols = [j for j, level in enumerate(fc.levels.get(n, ())) if level >= s]
-        below = (i for i, level in enumerate(fc.levels.get(n - 1, ())) if level < t)
-        rows = {i: k for k, i in enumerate(below)}
+        cols, rows = _by_time(fc.levels.get(n, ())), _by_time(fc.levels.get(n - 1, ()))
+        m = len(rows)
+        key = {i: m - 1 - k for k, i in enumerate(rows)}
         columns = fc.d(n)._columns
-        entries = {
-            (rows[i], k): v
-            for k, j in enumerate(cols)
-            for i, v in columns.get(j, {}).items()
-            if i in rows
-        }
-        kernel = kernel_basis(RationalMatrix._canonical(len(rows), len(cols), entries))
-        got = fc._cache[("approx", *key)] = SubspaceBasis(
-            fc.dim(n),
-            {cols[p]: {cols[j]: x for j, x in row.items()} for p, row in kernel.rows.items()},
+        tagged = (
+            {key[i]: v for i, v in columns.get(j, {}).items()} | {m + t: 1}
+            for t, j in enumerate(cols)
         )
+        got = fc._cache[("pairs", n)] = [
+            (rows[m - 1 - p], cols[max(row) - m], Fraction(row[p], row[max(row)]))
+            for p, row in _Echelon(tagged).rows.items()
+            if p < m
+        ]
     return got
 
 
-def _image(fc: FilteredComplex, key: tuple[int, int, int]) -> SubspaceBasis:
-    """d A inside C_(n-1), for the approximation A of key (s, t, n)."""
-    got = fc._cache.get(("image", *key))
-    if got is None:
-        got = fc._cache[("image", *key)] = image_subspace(fc.d(key[2]), _approx(fc, key))
-    return got
-
-
-def _slot(fc: FilteredComplex, z, d1, src) -> tuple[SubspaceBasis, list]:
-    """(denominator, representatives) of Z / (D1 + d SRC), by approximation keys."""
-    got = fc._cache.get(("slot", z, d1, src))
-    if got is None:
-        denom = subspace_sum(_approx(fc, d1), _image(fc, src))
-        got = fc._cache[("slot", z, d1, src)] = (denom, extend_to_complement(denom, _approx(fc, z)))
-    return got
+def _by_time(levels: tuple[int, ...]) -> list[int]:
+    return sorted(range(len(levels)), key=lambda i: (-levels[i], i))
 
 
 def page(fc: FilteredComplex, r: int) -> SpectralSequencePage:
@@ -218,35 +180,37 @@ def page(fc: FilteredComplex, r: int) -> SpectralSequencePage:
 
 
 def _compute_page(fc: FilteredComplex, r: int) -> SpectralSequencePage:
-    slots: dict[Slot, tuple[SubspaceBasis, list]] = {}
-    for n in fc.degrees():
-        for s in range(max(fc.levels[n]) + 1):
-            z = _key(fc, s, s + r, n)
-            d1 = _key(fc, s + 1, s + r, n)
-            # boundary sources sit r-1 stages up; below stage 0 the source
-            # clamps to the whole space while the landing condition stays F^s
-            src = _key(fc, max(s - r + 1, 0), s, n + 1)
-            got = _slot(fc, z, d1, src)
-            if got[1]:
-                slots[(s, n)] = got
+    """E_r and d_r, read off the pairs.
 
-    dims = {_publish(s, n): len(rows) for (s, n), (_, rows) in slots.items()}
-    diffs: dict[Slot, RationalMatrix] = {}
-    for (s, n), (_, rows) in slots.items():
-        tgt = slots.get((s + r, n - 1))
-        if tgt is None:
-            # target slot is zero; record the zero map out of this slot
-            diffs[_publish(s, n)] = RationalMatrix.zero(0, len(rows))
-            continue
-        tgt_denom, tgt_reps = tgt
-        span_rows = [*tgt_reps, *tgt_denom.rows.values()]
+    A pair with level gap g lives on E_1 ... E_g at both ends, where d_g
+    joins them with its entry c; an unpaired vector lives on every page.
+    A slot's vectors go in index order.
+    """
+    dead, links = set(), {}
+    for n in fc.degrees():
+        for i, j, c in _pairs(fc, n):
+            gap = fc.levels[n - 1][i] - fc.levels[n][j]
+            if gap < r:
+                dead |= {(n, j), (n - 1, i)}
+            elif gap == r:
+                links[(n, j)] = (i, c)
+    slots: dict[Slot, list[int]] = {}
+    for n in fc.degrees():
+        for i, level in enumerate(fc.levels[n]):
+            if (n, i) not in dead:
+                slots.setdefault((level, n), []).append(i)
+    at = {(n, i): k for (_, n), members in slots.items() for k, i in enumerate(members)}
+
+    dims, diffs = {}, {}
+    for (s, n), members in slots.items():
         entries = {}
-        dmat = fc.d(n)
-        for j, coords in enumerate(coordinates_in_span(span_rows, [dmat.matvec(v) for v in rows])):
-            for i, c in coords.items():
-                if i < len(tgt_reps):
-                    entries[(i, j)] = c
-        diffs[_publish(s, n)] = RationalMatrix(len(tgt_reps), len(rows), entries)
+        for k, j in enumerate(members):
+            if (n, j) in links:
+                i, c = links[(n, j)]
+                entries[(at[(n - 1, i)], k)] = c
+        target = len(slots.get((s + r, n - 1), ()))
+        dims[_publish(s, n)] = len(members)
+        diffs[_publish(s, n)] = RationalMatrix(target, len(members), entries)
     return SpectralSequencePage(r, dims, diffs)
 
 

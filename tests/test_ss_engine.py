@@ -1,5 +1,6 @@
 import io
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,14 +8,13 @@ import pytest
 from formalpi.errors import InvalidInputError, OutOfRangeError
 from formalpi import ss_engine
 from formalpi.cli import run
-from formalpi.exactlin import RationalMatrix, SubspaceBasis, extend_to_complement, homology_dim
+from formalpi.exactlin import RationalMatrix, SubspaceBasis, homology_dim
 from formalpi.free_lie import slot_dims
 from formalpi.quillen_weight import build_model, homotopy_table
 from formalpi.ss_engine import (
     DegenerationReport,
     FilteredComplex,
-    _approx,
-    _key,
+    _pairs,
     check_degeneration,
     e_infinity,
     filtered_from_model,
@@ -463,93 +463,76 @@ def dense_image(fc, key):
     return SubspaceBasis.from_vectors(vectors, fc.dim(key[2] - 1))
 
 
-def test_memo_entries_match_the_dense_oracle(corpus):
-    """Every memo entry after pages 1-4 and E_infinity, recomputed from its key.
+def textbook_page_dims(fc, r):
+    """dim E_r by slot, as the quotient of dense approximation subspaces.
 
-    An approximation A = {x in F^s C_n : d x in F^t C_(n-1)} is one kernel of
-    a submatrix of d; here it is compared with a dense solve of the
-    conditions, with F^s and F^t built from the levels.  A boundary image is
-    d A by dense products, and a slot's denominator and representatives are
-    rebuilt from its three keys on the dense subspaces.  Every key is
-    already clamped.
+    E_r(s, n) = A_r(s, n) / (A_(r-1)(s+1, n) + d A_(r-1)(s-r+1, n+1)) with
+    A_r(s, n) = {x in F^s C_n : d x in F^(s+r) C_(n-1)}; the boundary source
+    stage clamps at 0 while its landing condition stays F^s.
     """
+    dims = {}
+    for n in fc.degrees():
+        for s in range(fc.max_level):
+            cycles = dense_approx(fc, s, s + r, n)
+            spanning = [
+                *dense_approx(fc, s + 1, s + r, n),
+                *dense_image(fc, (max(s - r + 1, 0), s, n + 1)).vectors,
+            ]
+            dim = len(cycles) - SubspaceBasis.from_vectors(spanning, fc.dim(n)).dim
+            if dim:
+                dims[(s + 1, s + 1 + n)] = dim
+    return dims
+
+
+def test_page_dims_are_the_textbook_quotients():
+    """Every page up to E_(L+1) of conjugated complexes, against dense subspaces."""
     rng = random.Random(20261019)
-    complexes = [filtered_from_model(build_model(corpus["wedge_s2_s2"], 5, 5))]
-    while len(complexes) < 9:
-        fc = random_filtered_complex(rng, max_levels=5)
-        if fc.degrees():
-            complexes.append(fc)
-    for fc in complexes:
-        for r in (1, 2, 3, 4, fc.max_level + 1):
-            page(fc, r)
-        assert {key[0] for key in fc._cache} == {"approx", "image", "slot", "page"}
-        for key, got in fc._cache.items():
-            kind, *rest = key
-            if kind == "approx":
-                s, t, n = rest
-                assert _key(fc, s, t, n) == (s, t, n), key
-                assert got.ambient_dim == fc.dim(n)
-                assert list(got.vectors) == dense_approx(fc, s, t, n), key
-            elif kind == "image":
-                assert _key(fc, *rest) == tuple(rest), key
-                assert got == dense_image(fc, rest), key
-            elif kind == "slot":
-                z, d1, src = rest
-                assert all(_key(fc, *k) == k for k in rest), key
-                spanning = [*dense_approx(fc, *d1), *dense_image(fc, src).vectors]
-                denom = SubspaceBasis.from_vectors(spanning, fc.dim(z[2]))
-                space = SubspaceBasis.from_vectors(dense_approx(fc, *z), fc.dim(z[2]))
-                assert got == (denom, extend_to_complement(denom, space)), key
-
-
-def test_clamped_stages_outside_the_levels_match_the_dense_oracle():
-    """A(s, t, n) through _key for s and t from -1 to two past the top level.
-
-    The dense solve takes the raw s and t, so a clamp that changes the kept
-    columns or rows of d disagrees with it.
-    """
-    rng = random.Random(20261022)
     built = 0
     while built < 30:
         fc = random_filtered_complex(rng, max_levels=5)
         if not fc.degrees():
             continue
-        stages = range(-1, fc.max_level + 2)
-        for n in range(min(fc.degrees()) - 1, max(fc.degrees()) + 2):
-            for s in stages:
-                for t in stages:
-                    got = _approx(fc, _key(fc, s, t, n))
-                    assert list(got.vectors) == dense_approx(fc, s, t, n), (built, s, t, n)
+        for r in range(1, fc.max_level + 2):
+            assert page(fc, r).dims == textbook_page_dims(fc, r), (built, r)
         built += 1
 
 
-def test_each_kernel_and_boundary_image_is_computed_once_per_ss_run(monkeypatch):
-    """In one ss run, one kernel per distinct (columns, rows) of d, one image per source.
+def test_pairs_of_a_conjugated_matching_are_its_bars():
+    """_pairs gives back the matching's (degree, source level, gap), with multiplicity.
 
-    The clamped keys make repeats of both: on the wedge some slots of page 2
-    and of the page past the filtration ask for the same eliminations.
+    The level-unipotent change of basis moves the matched vectors but not
+    the bars: each pair's degree and the levels at its two ends.
     """
-    kernels, images, slots = [], [], []
-    monkeypatch.setattr(ss_engine, "kernel_basis", _recording(ss_engine.kernel_basis, kernels))
-    monkeypatch.setattr(ss_engine, "image_subspace", _recording(ss_engine.image_subspace, images))
-    monkeypatch.setattr(ss_engine, "_slot", _recording(ss_engine._slot, slots))
-    complexes = []
+    rng = random.Random(20261022)
+    built = 0
+    while built < 200:
+        dims, levels, pairs = random_matching(rng, max_levels=5)
+        if not any(dims.values()):
+            continue
+        fc = conjugated_complex(rng, dims, levels, pairs)
+        got = Counter(
+            (n, fc.levels[n][j], fc.levels[n - 1][i] - fc.levels[n][j])
+            for n in fc.degrees()
+            for i, j, _ in _pairs(fc, n)
+        )
+        bars = Counter((n, levels[n][i], levels[n - 1][j] - levels[n][i]) for n, i, j in pairs)
+        assert got == bars, built
+        built += 1
+
+
+def test_each_degree_is_reduced_once_per_ss_run(monkeypatch):
+    """One ss --check-degeneration run builds two pages on one reduction per degree."""
+    reductions, complexes = [], []
+    monkeypatch.setattr(ss_engine, "_Echelon", _recording(ss_engine._Echelon, reductions))
     monkeypatch.setattr(
         ss_engine, "filtered_from_model", _recording(ss_engine.filtered_from_model, complexes)
     )
     argv = ["ss", str(corpus_path("wedge_s2_s2")), "--max-degree", "6", "--check-degeneration"]
     assert run(argv, out=io.StringIO()).exit_status == 0
     (fc,) = [result for _, result in complexes]
-
-    def kept(s, t, n):
-        cols = frozenset(j for j, level in enumerate(fc.levels.get(n, ())) if level >= s)
-        rows = frozenset(i for i, level in enumerate(fc.levels.get(n - 1, ())) if level < t)
-        return n, cols, rows
-
-    requested = [key for (_, *keys), _ in slots for key in keys]
-    sources = [src for (_, _, _, src), _ in slots]
-    assert len(kernels) == len({kept(*key) for key in requested}) < len(requested)
-    assert len(images) == len(set(sources)) < len(sources)
+    assert {key[1] for key in fc._cache if key[0] == "page"} == {2, fc.max_level + 1}
+    assert len(reductions) == len(fc.degrees())
+    assert sorted(key[1] for key in fc._cache if key[0] == "pairs") == fc.degrees()
 
 
 def _recording(fn, calls):
