@@ -18,6 +18,13 @@ decimal strings "p/q" or "n".  Output tables are tab-separated with a header
 row and LF line endings, byte-for-byte deterministic for fixed input and
 flags (timings are kept out of the payload for that reason).  Exit codes:
 0 success, 1 validation failure, 2 I/O or schema error, 3 cutoff exceeded.
+
+A subcommand computes its rows into both a text table and a JSON payload;
+``run`` prints one of the two, adding ``command`` and ``input`` to the
+payload.  Every subcommand except ``validate`` reports an invalid
+presentation (exit 1) ahead of its own refusals.  A presentation is
+read-only once built, and its product table and its validation report are
+each computed once.
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ from .graded_core import (
     CharacterLattice,
     is_simply_connected_type,
     require_valid,
-    validate_algebra,
 )
 
 _COEFF_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
@@ -184,20 +190,21 @@ def _char_label(char: tuple[int, ...]) -> str:
 # subcommands
 
 
+def _banner(complete: bool, max_w: int) -> str:
+    """The line that opens a table truncated in weight, or nothing."""
+    return "" if complete else f"TRUNCATED AT WEIGHT {max_w}\n"
+
+
 def _cmd_validate(pres, args, report: RunReport):
-    result = validate_algebra(pres)
-    if args.json:
-        report.payload = {
-            "command": "validate",
-            "input": pres.name,
-            "ok": result.ok,
-            "violations": [
-                {"code": v.code, "message": v.message, "subjects": list(v.subjects)}
-                for v in result.violations
-            ],
-        }
-    else:
-        report.text = str(result) + "\n"
+    result = pres.validation
+    report.payload = {
+        "ok": result.ok,
+        "violations": [
+            {"code": v.code, "message": v.message, "subjects": list(v.subjects)}
+            for v in result.violations
+        ],
+    }
+    report.text = str(result) + "\n"
     report.exit_status = 0 if result.ok else 1
 
 
@@ -217,95 +224,65 @@ def _cmd_pi(pres, args, report: RunReport):
         for (w, _), v in table.weight_breakdown(m).items():
             agg[w - 1] += v
         rows.append([m, table.total(m), agg])
-    banner = None if table.complete else f"TRUNCATED AT WEIGHT {table.max_w}"
-    if args.json:
-        report.payload = {
-            "command": "pi",
-            "input": pres.name,
-            "max_degree": args.max_degree,
-            "max_weight": args.max_weight,
-            "complete": table.complete,
-            "truncated_at_weight": None if table.complete else table.max_w,
-            "rows": [{"m": m, "total": t, "weights": agg} for m, t, agg in rows],
-        }
-    else:
-        text = ""
-        if banner:
-            text += banner + "\n"
-        text += _table(
-            ["m", "total", "weights"],
-            [[m, t, "[" + ",".join(str(d) for d in agg) + "]"] for m, t, agg in rows],
-        )
-        report.text = text
+    report.payload = {
+        "max_degree": args.max_degree,
+        "max_weight": args.max_weight,
+        "complete": table.complete,
+        "truncated_at_weight": None if table.complete else table.max_w,
+        "rows": [{"m": m, "total": t, "weights": agg} for m, t, agg in rows],
+    }
+    report.text = _banner(table.complete, table.max_w) + _table(
+        ["m", "total", "weights"],
+        [[m, t, "[" + ",".join(str(d) for d in agg) + "]"] for m, t, agg in rows],
+    )
 
 
 def _cmd_supports(pres, args, report: RunReport):
     from .quillen_weight import ext_table
 
     table = ext_table(pres, args.max_degree, args.max_weight)
-    rows = []
-    json_rows = []
-    for m in range(2, args.max_degree + 1):
-        chars = sorted(table.characters(m))
-        rows.append([m, " ".join(_char_label(c) for c in chars) or "-"])
-        json_rows.append({"m": m, "support": [list(c) for c in chars]})
-    banner = None if table.complete else f"TRUNCATED AT WEIGHT {table.max_w}"
-    if args.json:
-        report.payload = {
-            "command": "supports",
-            "input": pres.name,
-            "max_degree": args.max_degree,
-            "max_weight": args.max_weight,
-            "complete": table.complete,
-            "rows": json_rows,
-        }
-    else:
-        text = ""
-        if banner:
-            text += banner + "\n"
-        text += _table(["m", "support"], rows)
-        report.text = text
+    supports = {m: sorted(table.characters(m)) for m in range(2, args.max_degree + 1)}
+    report.payload = {
+        "max_degree": args.max_degree,
+        "max_weight": args.max_weight,
+        "complete": table.complete,
+        "rows": [{"m": m, "support": [list(c) for c in chars]} for m, chars in supports.items()],
+    }
+    report.text = _banner(table.complete, table.max_w) + _table(
+        ["m", "support"],
+        [[m, " ".join(_char_label(c) for c in chars) or "-"] for m, chars in supports.items()],
+    )
 
 
 def _cmd_hurewicz(pres, args, report: RunReport):
     from .quillen_weight import check_cutoffs, hurewicz_image
 
-    # an invalid input is reported ahead of the degree-1 and the cutoff refusals
-    require_valid(pres)
     if not is_simply_connected_type(pres):
         raise NotCompleteError("input has degree-1 classes; table is a truncation")
     check_cutoffs(args.max_degree, args.max_weight)
-    rows = []
-    json_rows = []
-    for m in range(2, args.max_degree + 1):
-        image = hurewicz_image(pres, m)
-        rows.append([m, image.dim, image.ambient_dim])
-        json_rows.append(
+    images = {m: hurewicz_image(pres, m) for m in range(2, args.max_degree + 1)}
+    report.payload = {
+        "max_degree": args.max_degree,
+        "rows": [
             {
                 "m": m,
                 "rank": image.dim,
                 "h_dim": image.ambient_dim,
                 "image": [[str(x) for x in v] for v in image.vectors],
             }
-        )
-    if args.json:
-        report.payload = {
-            "command": "hurewicz",
-            "input": pres.name,
-            "max_degree": args.max_degree,
-            "rows": json_rows,
-        }
-    else:
-        report.text = _table(["m", "rank", "h_dim"], rows)
+            for m, image in images.items()
+        ],
+    }
+    report.text = _table(
+        ["m", "rank", "h_dim"], [[m, image.dim, image.ambient_dim] for m, image in images.items()]
+    )
 
 
 def _cmd_ss(pres, args, report: RunReport):
     from .quillen_weight import build_model
     from .ss_engine import check_degeneration, filtered_from_model, page
 
-    # refuse before the model is built, after an invalid input is reported
-    if args.page < 1:
-        require_valid(pres)
+    if args.page < 1:  # refused before the model is built
         raise OutOfRangeError("pages start at r = 1")
     model = build_model(pres, args.max_degree, args.max_weight)
     fc = filtered_from_model(model)
@@ -316,27 +293,20 @@ def _cmd_ss(pres, args, report: RunReport):
         for (p, q), d in sorted(pg.dims.items())
         if d and p <= model.max_w and q - p <= model.max_m - 1
     ]
-    lines = ""
-    if not model.complete:
-        lines += f"TRUNCATED AT WEIGHT {model.max_w}\n"
-    lines += _table(["p", "q", "dim"], rows)
+    text = _banner(model.complete, model.max_w) + _table(["p", "q", "dim"], rows)
     degen = None
     if args.check_degeneration:
         # E_(L+1) is E_infinity for a filtration of length L = max_level
         degen = check_degeneration(fc, 2, max(2, fc.max_level))
-        lines += f"degenerate from page 2: {'true' if degen.degenerate else 'false'}\n"
-    if args.json:
-        report.payload = {
-            "command": "ss",
-            "input": pres.name,
-            "page": args.page,
-            "complete": model.complete,
-            "truncated_at_weight": None if model.complete else model.max_w,
-            "dims": [{"p": p, "q": q, "dim": d} for p, q, d in rows],
-            "degenerate_from_2": None if degen is None else degen.degenerate,
-        }
-    else:
-        report.text = lines
+        text += f"degenerate from page 2: {'true' if degen.degenerate else 'false'}\n"
+    report.payload = {
+        "page": args.page,
+        "complete": model.complete,
+        "truncated_at_weight": None if model.complete else model.max_w,
+        "dims": [{"p": p, "q": q, "dim": d} for p, q, d in rows],
+        "degenerate_from_2": None if degen is None else degen.degenerate,
+    }
+    report.text = text
 
 
 def _cmd_minimal_model(pres, args, report: RunReport):
@@ -345,28 +315,24 @@ def _cmd_minimal_model(pres, args, report: RunReport):
     mm = minimal_model(pres, args.max_degree)
     counts = mm.generator_counts()
     rows = [[n, counts.get(n, 0)] for n in range(2, args.max_degree + 1)]
-    if args.json:
-        names = [g.name for g in mm.generators]
-        report.payload = {
-            "command": "minimal-model",
-            "input": pres.name,
-            "max_degree": args.max_degree,
-            "counts": {str(n): c for n, c in rows},
-            "generators": [
-                {
-                    "name": g.name,
-                    "degree": g.degree,
-                    "d": [
-                        {"monomial": [names[i] for i in mono], "coeff": str(c)}
-                        for mono, c in g.differential
-                    ],
-                    "image": [{"id": ident, "coeff": str(c)} for ident, c in g.image],
-                }
-                for g in mm.generators
-            ],
-        }
-    else:
-        report.text = _table(["degree", "generators"], rows)
+    names = [g.name for g in mm.generators]
+    report.payload = {
+        "max_degree": args.max_degree,
+        "counts": {str(n): c for n, c in rows},
+        "generators": [
+            {
+                "name": g.name,
+                "degree": g.degree,
+                "d": [
+                    {"monomial": [names[i] for i in mono], "coeff": str(c)}
+                    for mono, c in g.differential
+                ],
+                "image": [{"id": ident, "coeff": str(c)} for ident, c in g.image],
+            }
+            for g in mm.generators
+        ],
+    }
+    report.text = _table(["degree", "generators"], rows)
 
 
 def _cmd_doldkan(pres, args, report: RunReport):
@@ -379,12 +345,8 @@ def _cmd_doldkan(pres, args, report: RunReport):
     )
     from .errors import SimplicialIdentityError
 
-    # an invalid input is reported ahead of the fuzz-count refusal
-    require_valid(pres)
     if args.fuzz < 0:
         raise InvalidInputError("fuzz count must be >= 0")
-    lines = []
-    payload: dict = {"command": "doldkan", "input": pres.name, "level": args.level}
     # D(C) through level L reads C only in degrees <= L; d = 0 is not stored
     dims_by_degree = pres.dims_by_degree()
     top = min(max(dims_by_degree), args.level)
@@ -392,13 +354,10 @@ def _cmd_doldkan(pres, args, report: RunReport):
     v = denormalize(c, args.level)
     # normalize raises SimplicialIdentityError, naming the identity, on a violation
     ok = complexes_agree(c, normalize(v), args.level)
-    rows = [[n, v.dims[n]] for n in range(args.level + 1)]
-    lines.append(_table(["level", "dim"], rows))
-    lines.append("cosimplicial identities: OK\n")
-    lines.append(f"round-trip: {'OK' if ok else 'FAIL'}\n")
-    payload["dims"] = [v.dims[n] for n in range(args.level + 1)]
-    payload["identities_ok"] = True
-    payload["roundtrip_ok"] = ok
+    dims = [v.dims[n] for n in range(args.level + 1)]
+    text = _table(["level", "dim"], enumerate(dims))
+    text += f"cosimplicial identities: OK\nround-trip: {'OK' if ok else 'FAIL'}\n"
+    report.payload = {"level": args.level, "dims": dims, "identities_ok": True, "roundtrip_ok": ok}
 
     if args.fuzz:
         rng = random.Random(args.seed)
@@ -410,14 +369,11 @@ def _cmd_doldkan(pres, args, report: RunReport):
                 good += complexes_agree(rc, normalize(denormalize(rc, lvl)), lvl)
             except SimplicialIdentityError:
                 pass
-        lines.append(f"fuzz: {good}/{args.fuzz} round-trips OK\n")
-        payload["fuzz"] = {"seed": args.seed, "total": args.fuzz, "ok": good}
+        text += f"fuzz: {good}/{args.fuzz} round-trips OK\n"
+        report.payload["fuzz"] = {"seed": args.seed, "total": args.fuzz, "ok": good}
         ok = ok and good == args.fuzz
 
-    if args.json:
-        report.payload = payload
-    else:
-        report.text = "".join(lines)
+    report.text = text
     report.exit_status = 0 if ok else 1
 
 
@@ -425,21 +381,14 @@ def _cmd_lie_dims(pres, args, report: RunReport):
     from .free_lie import slot_dims
     from .quillen_weight import model_generators
 
-    require_valid(pres)
     # slot (r, w, char) sits at (p, q) = (r + w, w); sum over characters
     dims: dict[tuple[int, int], int] = {}
     gens = model_generators(pres)
     for (r, w, _), d in slot_dims(gens, args.max_degree - 1, args.max_weight).items():
         dims[(r + w, w)] = dims.get((r + w, w), 0) + d
     rows = sorted([p, q, d] for (p, q), d in dims.items())
-    if args.json:
-        report.payload = {
-            "command": "lie-dims",
-            "input": pres.name,
-            "dims": [{"p": p, "q": q, "dim": d} for p, q, d in rows],
-        }
-    else:
-        report.text = _table(["p", "q", "dim"], rows)
+    report.payload = {"dims": [{"p": p, "q": q, "dim": d} for p, q, d in rows]}
+    report.text = _table(["p", "q", "dim"], rows)
 
 
 _COMMANDS = {
@@ -483,7 +432,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(argv, out=None) -> RunReport:
-    """Execute one subcommand; returns the report (text already printed)."""
+    """Execute one subcommand; returns the report (text already printed).
+
+    The text, or with --json the rendered payload, is printed only when the
+    subcommand returns normally: a refusal prints its message alone."""
     out = out if out is not None else sys.stdout
     try:
         args = _parser().parse_args(argv)
@@ -495,7 +447,11 @@ def run(argv, out=None) -> RunReport:
     report = RunReport()
     try:
         pres = load_presentation(args.input)
+        if args.command != "validate":  # an invalid input is reported ahead of any refusal
+            require_valid(pres)
         _COMMANDS[args.command](pres, args, report)
+        if args.json:
+            report.text = render_json({"command": args.command, "input": pres.name, **report.payload})
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)
         report.exit_status = 2
@@ -508,8 +464,6 @@ def run(argv, out=None) -> RunReport:
     except FormalpiError as exc:
         print(f"error [{exc.code}]: {exc}", file=sys.stderr)
         report.exit_status = 1
-    if report.payload is not None:
-        report.text = render_json(report.payload)
     if report.text:
         out.write(report.text)
     return report

@@ -5,6 +5,8 @@ multidegrees over a finitely generated abelian lattice), a unit, and a
 product table stored for ordered index pairs i <= j only; the other order is
 derived through the Koszul sign.  Products involving the unit are implicit
 (the unit acts as the identity); if a table lists one anyway it must agree.
+A presentation is read-only once built: its product table ``table`` and its
+validation report ``validation`` are each computed once, on the first read.
 
 ``validate_algebra`` checks the whole table and reports every violation
 instead of stopping at the first, so a bad input file produces a complete
@@ -171,6 +173,11 @@ class AlgebraPresentation:
                 table[b][a] = {t: -c for t, c in terms.items()} if odd else terms
                 table[a][b] = terms  # last, so a square keeps its stored sign
         return table
+
+    @cached_property
+    def validation(self) -> ValidationReport:
+        """``validate_algebra(self)``, computed on the first read."""
+        return validate_algebra(self)
 
     def product(self, a: str, b: str) -> dict[str, int | Fraction]:
         """a*b as a new dict, read from ``table``."""
@@ -348,7 +355,7 @@ class ReducedCoproduct:
 
 def require_valid(p: AlgebraPresentation) -> None:
     """Raises InvalidInputError carrying the full report unless p validates."""
-    report = validate_algebra(p)
+    report = p.validation
     if not report.ok:
         raise InvalidInputError(f"presentation invalid:\n{report}")
 

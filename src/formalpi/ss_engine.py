@@ -266,40 +266,24 @@ def filtered_from_model(model) -> FilteredComplex:
     truncation), so slots inside the window see their full incoming boundary.
     """
     b = model.basis
-    w_top = model.max_w + 1
-    layout: dict[int, list[tuple[int, tuple, int]]] = {}
-    for (r, w, char) in b.slot_keys():
-        layout.setdefault(r, []).append((w, char, b.slot_dim(r, w, char)))
-    for blocks in layout.values():
-        blocks.sort(key=lambda t: (t[0], t[1]))
-
-    dims = {n: sum(k for (_, _, k) in blocks) for n, blocks in layout.items()}
+    # slot_keys is sorted by (r, w, char): each degree's blocks in order
+    dims: dict[int, int] = {}
+    levels: dict[int, list[int]] = {}
     offsets: dict[tuple[int, int, tuple], int] = {}
-    for n, blocks in layout.items():
-        at = 0
-        for w, char, k in blocks:
-            offsets[(n, w, char)] = at
-            at += k
+    for key in b.slot_keys():
+        r, w, _ = key
+        k = b.slot_dim(*key)
+        offsets[key] = dims.get(r, 0)
+        dims[r] = offsets[key] + k
+        levels.setdefault(r, []).extend([w - 1] * k)  # weight w lies in F^p exactly for p < w
 
-    differentials: dict[int, RationalMatrix] = {}
-    for n, blocks in layout.items():
-        if dims.get(n - 1, 0) == 0:
-            continue
-        entries = {}
-        for w, char, k in blocks:
-            if w + 1 > w_top:
-                continue  # quotient truncation: top block maps to zero
-            tgt_off = offsets.get((n - 1, w + 1, char))
-            if tgt_off is None:
-                continue
-            block = model.slot_matrix(n, w, char)
-            col_off = offsets[(n, w, char)]
-            for (i, j), val in block.entries.items():
-                entries[(tgt_off + i, col_off + j)] = val
-        differentials[n] = RationalMatrix(dims[n - 1], dims[n], entries)
-
-    # a word of weight w lies in F^p exactly for p < w
-    levels = {
-        n: tuple(w - 1 for w, _, k in blocks for _ in range(k)) for n, blocks in layout.items()
-    }
-    return FilteredComplex(dims, differentials, levels)
+    entries: dict[int, dict] = {}
+    for (n, w, char), col_off in offsets.items():
+        tgt_off = offsets.get((n - 1, w + 1, char))
+        if w > model.max_w or tgt_off is None:
+            continue  # no target, or the top block of the quotient truncation
+        block = entries.setdefault(n, {})
+        for (i, j), val in model.slot_matrix(n, w, char).entries.items():
+            block[(tgt_off + i, col_off + j)] = val
+    differentials = {n: RationalMatrix(dims[n - 1], dims[n], e) for n, e in entries.items() if e}
+    return FilteredComplex(dims, differentials, {n: tuple(lv) for n, lv in levels.items()})

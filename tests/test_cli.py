@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from formalpi import cli
+from formalpi import cli, graded_core
 from formalpi.cli import parse_presentation, render_json, run
 from formalpi.sullivan_oracle import minimal_model, model_violations
 
@@ -185,14 +185,6 @@ def test_ss_refuses_page_zero_before_building(monkeypatch, capsys):
     status, text = invoke(["ss", str(corpus_path("cp2")), "--page", "0"])
     assert status == 1 and text == ""
     assert capsys.readouterr().err == "error [OUT_OF_RANGE]: pages start at r = 1\n"
-
-
-def test_ss_reports_invalid_input_ahead_of_page_zero(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(INVALID_DEGREE_TWO))
-    status, text = invoke(["ss", str(bad), "--page", "0"])
-    assert status == 1
-    assert "DEGREE_MISMATCH" in text
 
 
 def test_truncated_banner_on_non_simply_connected():
@@ -418,14 +410,43 @@ def test_hurewicz_reports_invalid_input_ahead_of_every_refusal(tmp_path, capsys,
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("command", ["pi", "ss", "supports"])
-def test_model_commands_report_invalid_input_ahead_of_a_small_cutoff(tmp_path, capsys, command):
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize(
+    "refusal",
+    [
+        "pi --max-degree 1",
+        "supports --max-degree 1",
+        "hurewicz --max-degree 1",
+        "ss --max-degree 1",
+        "ss --page 0",
+        "minimal-model --max-degree 1",
+        "lie-dims --max-degree 0",
+        "doldkan --fuzz -1",
+    ],
+)
+def test_commands_report_invalid_input_ahead_of_their_own_refusals(tmp_path, capsys, refusal, json_flag):
+    command, *refused = refusal.split()
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(INVALID_DEGREE_TWO))
-    status, text = invoke([command, str(bad), "--max-degree", "1"])
+    status, text = invoke([command, str(bad), *refused, *json_flag])
     assert status == 1
     assert text.startswith("presentation invalid:\nDEGREE_MISMATCH: ")
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("command", list(cli._COMMANDS))
+def test_every_command_validates_its_input_once(monkeypatch, command):
+    calls = []
+    validate = graded_core.validate_algebra
+
+    def counting(p):
+        calls.append(p)
+        return validate(p)
+
+    monkeypatch.setattr(graded_core, "validate_algebra", counting)
+    status, _ = invoke([command, str(corpus_path("cp2")), "--max-degree", "5"])
+    assert status == 0
+    assert len(calls) == 1
 
 
 def test_hurewicz_refuses_a_small_cutoff_on_valid_input(capsys):

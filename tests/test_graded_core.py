@@ -468,3 +468,24 @@ def test_consumers_read_only_the_table(corpus, monkeypatch):
         dualize(p)
         ext_dims(p, 2, 2)
         algebra_from_presentation(p)
+
+
+def test_a_presentation_is_validated_once(monkeypatch):
+    from formalpi import graded_core
+    from formalpi.quillen_weight import build_model, ext_table
+    from formalpi.sullivan_oracle import minimal_model
+
+    calls = []
+    validate = graded_core.validate_algebra
+
+    def counting(p):
+        calls.append(p)
+        return validate(p)
+
+    monkeypatch.setattr(graded_core, "validate_algebra", counting)
+    p = cp2()
+    ext_table(p, 5, 4)
+    build_model(p, 5, 4)
+    minimal_model(p, 5)
+    assert calls == [p]
+    assert p.validation is p.validation
