@@ -21,10 +21,11 @@ flags (timings are kept out of the payload for that reason).  Exit codes:
 
 A subcommand computes its rows into both a text table and a JSON payload;
 ``run`` prints one of the two, adding ``command`` and ``input`` to the
-payload.  Every subcommand except ``validate`` reports an invalid
-presentation (exit 1) ahead of its own refusals.  A presentation is
-read-only once built, and its product table and its validation report are
-each computed once.
+payload.  Rows that only the payload shows (the minimal model's generators)
+are built under ``--json`` alone.  Every subcommand except ``validate``
+reports an invalid presentation (exit 1) ahead of its own refusals.  A
+presentation is read-only once built, and its product table and its
+validation report are each computed once.
 """
 
 from __future__ import annotations
@@ -315,11 +316,10 @@ def _cmd_minimal_model(pres, args, report: RunReport):
     mm = minimal_model(pres, args.max_degree)
     counts = mm.generator_counts()
     rows = [[n, counts.get(n, 0)] for n in range(2, args.max_degree + 1)]
-    names = [g.name for g in mm.generators]
-    report.payload = {
-        "max_degree": args.max_degree,
-        "counts": {str(n): c for n, c in rows},
-        "generators": [
+    report.payload = {"max_degree": args.max_degree, "counts": {str(n): c for n, c in rows}}
+    if args.json:
+        names = [g.name for g in mm.generators]
+        report.payload["generators"] = [
             {
                 "name": g.name,
                 "degree": g.degree,
@@ -330,8 +330,7 @@ def _cmd_minimal_model(pres, args, report: RunReport):
                 "image": [{"id": ident, "coeff": str(c)} for ident, c in g.image],
             }
             for g in mm.generators
-        ],
-    }
+        ]
     report.text = _table(["degree", "generators"], rows)
 
 

@@ -92,8 +92,3 @@ class DegreeCutoffError(FormalpiError):
 
     code = "DEGREE_CUTOFF"
 
-
-class CutoffMismatchError(FormalpiError):
-    """Two results computed with different cutoffs cannot be compared."""
-
-    code = "CUTOFF_MISMATCH"

@@ -95,20 +95,6 @@ class RationalMatrix:
         return m
 
     @classmethod
-    def from_rows(cls, rows: list[list]) -> "RationalMatrix":
-        n = len(rows)
-        m = len(rows[0]) if rows else 0
-        entries = {}
-        for i, row in enumerate(rows):
-            if len(row) != m:
-                raise ValueError("ragged rows")
-            for j, v in enumerate(row):
-                v = exact(v)
-                if v:
-                    entries[(i, j)] = v
-        return cls._canonical(n, m, entries)
-
-    @classmethod
     def zero(cls, rows: int, cols: int) -> "RationalMatrix":
         return cls(rows, cols, {})
 

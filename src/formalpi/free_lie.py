@@ -126,14 +126,11 @@ class BracketWord:
 
 
 def lyndon_words(
-    alphabet_size: int,
-    max_len: int,
-    degrees: list[int] | None = None,
-    max_degree: int | None = None,
+    alphabet_size: int, max_len: int, degrees: list[int], max_degree: int
 ) -> list[Word]:
-    """All Lyndon words of length <= max_len, sorted.
+    """All Lyndon words of length <= max_len and degree <= max_degree, sorted.
 
-    When letter degrees and a degree budget are given, branches whose additive
+    A word's degree is the sum of its letters' degrees.  Branches whose
     degree already exceeds the budget are pruned (degrees are >= 0, so no
     extension can recover).  This keeps enumeration cheap for alphabets whose
     letters are expensive.
@@ -153,18 +150,17 @@ def lyndon_words(
             return
         c0 = a[t - p]
         for c in range(c0, alphabet_size):
-            nd = deg + (degrees[c] if degrees is not None else 0)
-            if max_degree is not None and nd > max_degree:
+            nd = deg + degrees[c]
+            if nd > max_degree:
                 continue
             a[t] = c
             rec(t + 1, p if c == c0 else t, nd)
 
     for c in range(alphabet_size):
-        d0 = degrees[c] if degrees is not None else 0
-        if max_degree is not None and d0 > max_degree:
+        if degrees[c] > max_degree:
             continue
         a[1] = c
-        rec(2, 1, d0)
+        rec(2, 1, degrees[c])
     out.sort()
     return out
 
@@ -331,11 +327,6 @@ class FreeLieBasis:
             [(c, self.bracket(a1, y)) for y, c in self.bracket(a2, b).items()]
             + [(sign * c, self.bracket(a2, y)) for y, c in self.bracket(a1, b).items()]
         )
-
-
-def basis(gens: GeneratorSet, max_r: int, max_w: int) -> FreeLieBasis:
-    """Complete super-Lyndon basis for all slots with r <= max_r, w <= max_w."""
-    return FreeLieBasis(gens, max_r, max_w)
 
 
 def slot_dims(

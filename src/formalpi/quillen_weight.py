@@ -224,9 +224,6 @@ class HomotopyTable:
     entries: dict[tuple[int, int, tuple[int, ...]], int]
     pi1_pieces: dict[tuple[int, tuple[int, ...]], int]
 
-    def entry(self, m: int, w: int, char: tuple[int, ...] = ()) -> int:
-        return self.entries.get((m, w, tuple(char)), 0)
-
     def total(self, m: int) -> int:
         return sum(v for (mm, _, _), v in self.entries.items() if mm == m)
 

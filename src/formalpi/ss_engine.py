@@ -131,9 +131,6 @@ class SpectralSequencePage:
             self.dim(p + self.r, q + self.r - 1), self.dim(p, q)
         )
 
-    def all_differentials_zero(self) -> bool:
-        return all(m.is_zero() for m in self.differentials.values())
-
 
 def _pairs(fc: FilteredComplex, n: int) -> list[tuple[int, int, Fraction]]:
     """The persistence pairs (i, j, c) of d_n: j in C_n kills i in C_(n-1).
@@ -246,11 +243,6 @@ def check_degeneration(fc: FilteredComplex, r0: int, r_max: int) -> Degeneration
         if not m.is_zero()
     )
     return DegenerationReport(r0, r_max, False, next(witnesses, None))
-
-
-def e_infinity(fc: FilteredComplex) -> dict[Slot, int]:
-    """Stable page dims; with finite filtration this is page max_level + 1."""
-    return page(fc, fc.max_level + 1).dims
 
 
 # ---------------------------------------------------------------------------

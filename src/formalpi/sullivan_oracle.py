@@ -7,11 +7,10 @@ generators whose differentials kill the kernel of the comparison map one
 degree above.  Generator differentials are decomposable polynomials in the
 previously adjoined generators, which is exactly minimality.
 
-Generator counts per degree form the output of record: they are compared
-against the homotopy table computed on the Lie side (the Lie model's
-``homotopy_table``; the command line reads its tables off Ext_A(Q, Q)
-instead, and the tests hold the two tables equal), and agreement of the
-two machineries is the point of this module.
+Generator counts per degree form the output of record.  Through the
+cutoff they equal the totals of the homotopy table that the command line
+reads off Ext_A(Q, Q): the tests hold the two equal, and check each model
+against its defining invariants with an independent checker.
 
 All computations happen in the free graded-commutative algebra truncated
 just above the cutoff, so every step is finite exact linear algebra.  One
@@ -28,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CutoffMismatchError, DegreeCutoffError, NotSimplyConnectedError
+from .errors import DegreeCutoffError, NotSimplyConnectedError
 from .exactlin import (
     RationalMatrix,
     SubspaceBasis,
@@ -58,9 +57,6 @@ class MinimalModel:
     presentation: AlgebraPresentation
     cutoff: int
     generators: tuple[ModelGenerator, ...]
-
-    def generators_in_degree(self, m: int) -> tuple[ModelGenerator, ...]:
-        return tuple(g for g in self.generators if g.degree == m)
 
     def generator_counts(self) -> dict[int, int]:
         out: dict[int, int] = {}
@@ -148,9 +144,6 @@ class _Truncation:
 
     def target_ids(self, n: int) -> list[str]:
         return self._ids_by_degree.get(n, [])
-
-    def target_dim(self, n: int) -> int:
-        return len(self.target_ids(n))
 
     def d_of_monomial(self, mono: Monomial) -> dict[Monomial, int | Fraction]:
         out: dict[Monomial, int | Fraction] = {}
@@ -273,81 +266,3 @@ def minimal_model(p: AlgebraPresentation, cutoff: int) -> MinimalModel:
                     )
                 )
     return MinimalModel(p, cutoff, tuple(gens))
-
-
-def model_violations(mm: MinimalModel) -> list[str]:
-    """Exact checks: d² = 0, minimality, comparison iso through the cutoff.
-
-    The comparison map must be an isomorphism on cohomology through the
-    cutoff and injective one degree above; returns human-readable failures.
-    A differential of the wrong degree ends the checks after the
-    per-generator ones.
-    """
-    bad = []
-    p, cutoff = mm.presentation, mm.cutoff
-    tr = _Truncation(p, mm.generators, cutoff + 2)
-    graded = True
-    for g in mm.generators:
-        if any(len(m) < 2 for m, _ in g.differential):
-            bad.append(f"generator {g.name} has a linear differential term")
-        if any(sum(tr.degrees[t] for t in m) != g.degree + 1 for m, _ in g.differential):
-            bad.append(f"generator {g.name} has an inhomogeneous differential")
-            graded = False
-    if not graded:
-        return bad  # d is not a graded map, so it has no matrix by degree
-    for n in range(cutoff + 1):
-        if not tr.d_matrix(n + 1).matmul(tr.d_matrix(n)).is_zero():
-            bad.append(f"d squared is nonzero out of degree {n}")
-    for n in range(1, cutoff + 1):
-        # chain map against the zero target differential: boundaries map to zero
-        if not tr.comparison_matrix(n).matmul(tr.d_matrix(n - 1)).is_zero():
-            bad.append(f"comparison map is not a chain map in degree {n}")
-    for n in range(2, cutoff + 2):
-        reps = tr.cohomology_reps(n)
-        comparison = tr.comparison_matrix(n)
-        images = [comparison.matvec(r) for r in reps]
-        rank = _Echelon(images).dim
-        if rank != len(reps):
-            bad.append(f"comparison map is not injective on H^{n}")
-        if n <= cutoff and rank != tr.target_dim(n):
-            bad.append(f"comparison map is not surjective onto degree {n}")
-    return bad
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    cutoff: int
-    # (degree, model generator count, homotopy table total)
-    mismatches: tuple[tuple[int, int, int], ...]
-
-    @property
-    def passed(self) -> bool:
-        return not self.mismatches
-
-    @property
-    def status(self) -> str:
-        return "PASS" if self.passed else "FAIL"
-
-    def __str__(self):
-        if self.passed:
-            return f"PASS through degree {self.cutoff}"
-        parts = ", ".join(
-            f"degree {m}: model {a} != table {b}" for m, a, b in self.mismatches
-        )
-        return f"FAIL ({parts})"
-
-
-def compare(mm: MinimalModel, table) -> ComparisonReport:
-    """PASS iff generator counts match homotopy totals in every degree."""
-    if table.max_m != mm.cutoff:
-        raise CutoffMismatchError(
-            f"model cutoff {mm.cutoff} != table cutoff {table.max_m}"
-        )
-    counts = mm.generator_counts()
-    mismatches = []
-    for m in range(2, mm.cutoff + 1):
-        want = table.total(m)
-        got = counts.get(m, 0)
-        if got != want:
-            mismatches.append((m, got, want))
-    return ComparisonReport(mm.cutoff, tuple(mismatches))

@@ -7,7 +7,9 @@ linear algebra or Lie machinery, so agreement is meaningful.  The exceptions
 are earlier designs kept as references for the code that replaced them
 (``cosimplicial_identity_violations``, ``per_degree_minimal_model``): they
 run on the package's matrices, and what they pin is that the new design
-makes the same choices.
+makes the same choices.  ``model_violations`` checks a minimal model against
+its defining invariants on the package's own truncation, and ``from_rows``
+builds a package matrix from dense rows for the tests.
 """
 
 from fractions import Fraction
@@ -59,6 +61,17 @@ def dense_inverse(rows):
                 f = aug[i][col]
                 aug[i] = [a - f * b for a, b in zip(aug[i], aug[col])]
     return [row[n:] for row in aug]
+
+
+def from_rows(rows):
+    """The RationalMatrix with these dense rows, through its checked constructor."""
+    from formalpi.exactlin import RationalMatrix
+
+    cols = len(rows[0]) if rows else 0
+    if any(len(row) != cols for row in rows):
+        raise ValueError("ragged rows")
+    entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row)}
+    return RationalMatrix(len(rows), cols, entries)
 
 
 def dense_rows(m):
@@ -620,3 +633,46 @@ def per_degree_minimal_model(p, cutoff):
                 differential = tuple((tr.monomials[n + 1][i], exact(c)) for i, c in cocycle)
                 gens.append(ModelGenerator(f"v{n}_{len(gens) - first}", n, differential, ()))
     return tuple(gens)
+
+
+def model_violations(mm):
+    """Exact checks: d² = 0, minimality, comparison iso through the cutoff.
+
+    The comparison map must be an isomorphism on cohomology through the
+    cutoff and injective one degree above; returns human-readable failures.
+    A differential of the wrong degree ends the checks after the
+    per-generator ones.  The truncation is the one ``minimal_model`` grows,
+    looked up on its module at call time, built once for the whole check.
+    """
+    from formalpi import sullivan_oracle
+    from formalpi.exactlin import _Echelon
+
+    bad = []
+    p, cutoff = mm.presentation, mm.cutoff
+    tr = sullivan_oracle._Truncation(p, mm.generators, cutoff + 2)
+    graded = True
+    for g in mm.generators:
+        if any(len(m) < 2 for m, _ in g.differential):
+            bad.append(f"generator {g.name} has a linear differential term")
+        if any(sum(tr.degrees[t] for t in m) != g.degree + 1 for m, _ in g.differential):
+            bad.append(f"generator {g.name} has an inhomogeneous differential")
+            graded = False
+    if not graded:
+        return bad  # d is not a graded map, so it has no matrix by degree
+    for n in range(cutoff + 1):
+        if not tr.d_matrix(n + 1).matmul(tr.d_matrix(n)).is_zero():
+            bad.append(f"d squared is nonzero out of degree {n}")
+    for n in range(1, cutoff + 1):
+        # chain map against the zero target differential: boundaries map to zero
+        if not tr.comparison_matrix(n).matmul(tr.d_matrix(n - 1)).is_zero():
+            bad.append(f"comparison map is not a chain map in degree {n}")
+    for n in range(2, cutoff + 2):
+        reps = tr.cohomology_reps(n)
+        comparison = tr.comparison_matrix(n)
+        images = [comparison.matvec(r) for r in reps]
+        rank = _Echelon(images).dim
+        if rank != len(reps):
+            bad.append(f"comparison map is not injective on H^{n}")
+        if n <= cutoff and rank != len(tr.target_ids(n)):
+            bad.append(f"comparison map is not surjective onto degree {n}")
+    return bad

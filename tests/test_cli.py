@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from formalpi import cli, graded_core
 from formalpi.cli import parse_presentation, render_json, run
-from formalpi.sullivan_oracle import minimal_model, model_violations
+from formalpi.sullivan_oracle import minimal_model
 
 from conftest import ALL_CORPUS, SIMPLY_CONNECTED, corpus_path
-from oracles import necklace_numbers, surface_group_ranks, torus_pi1_weights
+from oracles import model_violations, necklace_numbers, surface_group_ranks, torus_pi1_weights
 
 
 def invoke(argv):

@@ -37,14 +37,14 @@ from formalpi.errors import (
 from formalpi.exactlin import RationalMatrix, combine
 
 from conftest import ALL_CORPUS
-from oracles import cosimplicial_identity_violations, reference_structure_matrix
+from oracles import cosimplicial_identity_violations, from_rows, reference_structure_matrix
 
-ONE = RationalMatrix.from_rows([[1]])
+ONE = from_rows([[1]])
 
 
 def three_term():
-    d0 = RationalMatrix.from_rows([[1], [-1]])
-    d1 = RationalMatrix.from_rows([[1, 1]])
+    d0 = from_rows([[1], [-1]])
+    d1 = from_rows([[1, 1]])
     return CochainComplex((1, 2, 1), (d0, d1))
 
 
@@ -110,8 +110,8 @@ def test_denormalize_satisfies_all_cosimplicial_identities():
     cases = [
         CochainComplex((1, 1), (RationalMatrix.identity(1),)),
         three_term(),
-        CochainComplex((2, 2, 1), (RationalMatrix.from_rows([[0, 0], [1, Fraction(1, 2)]]),
-                                   RationalMatrix.from_rows([[1, 0]]))),
+        CochainComplex((2, 2, 1), (from_rows([[0, 0], [1, Fraction(1, 2)]]),
+                                   from_rows([[1, 0]]))),
     ]
     for c in cases:
         assert check_cosimplicial_identities(denormalize(c, 4)) == []
@@ -150,8 +150,8 @@ def test_structure_matrix_matches_the_per_summand_reference(seed, factor, alpha_
 def test_structure_matrix_keeps_each_complexs_differential():
     """A coface with a d block, on complexes that share dims but not d."""
     for factor in (1, -2, 0):
-        d0 = RationalMatrix.from_rows([[factor], [-factor]])
-        d1 = RationalMatrix.from_rows([[1, 1]]) if factor else RationalMatrix.zero(1, 2)
+        d0 = from_rows([[factor], [-factor]])
+        d1 = from_rows([[1, 1]]) if factor else RationalMatrix.zero(1, 2)
         c = CochainComplex((1, 2, 1), (d0, d1))
         for n in range(3):
             for i in range(n + 2):
@@ -230,8 +230,8 @@ def test_random_complexes_are_pinned(max_degree, max_dim, want):
 
 
 def test_normalize_reports_failing_identity_by_name():
-    one = RationalMatrix.from_rows([[1]])
-    two = RationalMatrix.from_rows([[2]])
+    one = from_rows([[1]])
+    two = from_rows([[2]])
     v = CosimplicialVS(
         (1, 1, 1),
         {(0, 0): one, (0, 1): one, (1, 0): one, (1, 1): two, (1, 2): one},

@@ -27,7 +27,14 @@ from formalpi.exactlin import (
     subspace_sum,
 )
 
-from oracles import dense_matmul, dense_null_space, dense_preimage, dense_rows, gauss_jordan_rref
+from oracles import (
+    dense_matmul,
+    dense_null_space,
+    dense_preimage,
+    dense_rows,
+    from_rows,
+    gauss_jordan_rref,
+)
 
 
 # --- independent oracles -----------------------------------------------------
@@ -108,7 +115,7 @@ def test_rank_matches_minor_enumeration_oracle():
     rng = random.Random(7001)
     for _ in range(12):
         rows = [[rng.randint(-3, 3) for _ in range(7)] for _ in range(5)]
-        m = RationalMatrix.from_rows(rows)
+        m = from_rows(rows)
         assert rank(m) == minor_rank(rows)
 
 
@@ -124,7 +131,7 @@ def matrices(draw, max_dim=6):
             st.lists(small_entries, min_size=m, max_size=m), min_size=n, max_size=n
         )
     )
-    return RationalMatrix.from_rows(rows)
+    return from_rows(rows)
 
 
 @settings(max_examples=120, deadline=None)
@@ -155,14 +162,14 @@ def test_rank_matches_gauss_oracle():
             [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(m)]
             for _ in range(n)
         ]
-        assert rank(RationalMatrix.from_rows(rows)) == gauss_rank(rows)
+        assert rank(from_rows(rows)) == gauss_rank(rows)
 
 
 # --- kernel ------------------------------------------------------------------
 
 
 def test_kernel_of_row_sum():
-    m = RationalMatrix.from_rows([[1, 1]])
+    m = from_rows([[1, 1]])
     k = kernel_basis(m)
     assert k.vectors == ((Fraction(1), Fraction(-1)),)
 
@@ -195,8 +202,8 @@ def test_homology_of_zero_maps():
 
 def test_homology_matches_independent_row_reduction():
     # 3-term complex Q^2 -> Q^3 -> Q^2 with d_out @ d_in = 0.
-    d_in = RationalMatrix.from_rows([[1, 0], [0, 1], [1, 1]])
-    d_out = RationalMatrix.from_rows([[1, 1, -1], [2, 2, -2]])
+    d_in = from_rows([[1, 0], [0, 1], [1, 1]])
+    d_out = from_rows([[1, 1, -1], [2, 2, -2]])
     assert d_out.matmul(d_in).is_zero()
     expected = (3 - gauss_rank(dense_rows(d_out))) - gauss_rank(dense_rows(d_in))
     assert homology_dim(d_in, d_out) == expected == 0
@@ -230,7 +237,7 @@ def test_sum_and_intersection_dimension_formula():
 
 
 def test_preimage_and_image():
-    m = RationalMatrix.from_rows([[1, 0, 1], [0, 1, 1]])
+    m = from_rows([[1, 0, 1], [0, 1, 1]])
     w = SubspaceBasis.from_vectors([(1, 1)], 2)
     pre = preimage_subspace(m, w)
     # x + z = y + z on the preimage of the diagonal.
@@ -372,7 +379,7 @@ def test_from_vectors_is_the_canonical_rref(family, data):
 @given(vector_families())
 def test_kernel_is_annihilated_and_canonical(family):
     n, rows = family
-    m = RationalMatrix.from_rows([list(r) for r in rows]) if rows else RationalMatrix.zero(0, n)
+    m = from_rows([list(r) for r in rows]) if rows else RationalMatrix.zero(0, n)
     k = kernel_basis(m)
     assert k.dim == n - gauss_rank(rows)
     for v in k.vectors:
@@ -430,10 +437,10 @@ def test_preimage_subspace_matches_dense_oracle(problem):
 
 
 def test_combine_is_a_shape_checked_signed_sum():
-    a = RationalMatrix.from_rows([[1, 2], [0, Fraction(1, 3)]])
-    b = RationalMatrix.from_rows([[1, 0], [5, Fraction(2, 3)]])
+    a = from_rows([[1, 2], [0, Fraction(1, 3)]])
+    b = from_rows([[1, 0], [5, Fraction(2, 3)]])
     got = combine(2, 2, [(2, a), (-1, b), (Fraction(1, 2), RationalMatrix.zero(2, 2))])
-    assert got == RationalMatrix.from_rows([[1, 4], [-5, 0]])
+    assert got == from_rows([[1, 4], [-5, 0]])
     assert combine(3, 1, []) == RationalMatrix.zero(3, 1)
     with pytest.raises(ValueError, match="shape"):
         combine(2, 2, [(1, a), (1, RationalMatrix.zero(2, 3))])
@@ -466,9 +473,9 @@ def test_matmul_and_combine_match_dense_oracle_in_normal_form(data):
     n, k, m = (data.draw(st.integers(min_value=1, max_value=5)) for _ in range(3))
     a, b, e = (_dense_matrix(data.draw, r, c) for r, c in ((n, k), (k, m), (n, m)))
     c, d = data.draw(mixed_entries), data.draw(mixed_entries)
-    ma = RationalMatrix.from_rows(a)
+    ma = from_rows(a)
     mb = RationalMatrix(k, m, {(i, j): x for i, row in enumerate(b) for j, x in enumerate(row)})
-    me = RationalMatrix.from_rows(e)
+    me = from_rows(e)
     ab = dense_matmul(a, b)
     prod = ma.matmul(mb)
     assert dense_rows(prod) == ab
@@ -479,8 +486,8 @@ def test_matmul_and_combine_match_dense_oracle_in_normal_form(data):
 
 
 def test_matmul_returns_normal_form_from_the_raw_product():
-    half = RationalMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)], [1, -1]])
-    b = RationalMatrix.from_rows([[2, Fraction(2, 3)], [3, Fraction(2, 3)]])
+    half = from_rows([[Fraction(1, 2), Fraction(1, 3)], [1, -1]])
+    b = from_rows([[2, Fraction(2, 3)], [3, Fraction(2, 3)]])
     raw = half._product(b)
     # 1/2*2 + 1/3*3 = 2 and 1/2*2/3 + 1/3*2/3 = 5/9; 1*2 - 1*3 = -1 and 2/3 - 2/3 = 0
     assert raw == {(0, 0): 2, (0, 1): Fraction(5, 9), (1, 0): -1}
@@ -488,8 +495,8 @@ def test_matmul_returns_normal_form_from_the_raw_product():
     assert prod.entries == raw
     assert type(prod.entries[0, 0]) is int and type(prod.entries[1, 0]) is int
     assert _in_normal_form(prod)
-    halves = RationalMatrix.from_rows([[Fraction(1, 2)], [Fraction(-1, 2)]])
-    cancel = RationalMatrix.from_rows([[1, 1]]).matmul(halves)
+    halves = from_rows([[Fraction(1, 2)], [Fraction(-1, 2)]])
+    cancel = from_rows([[1, 1]]).matmul(halves)
     assert cancel.entries == {} and cancel == RationalMatrix.zero(1, 1)
     with pytest.raises(ValueError, match="shape mismatch"):
         half._product(RationalMatrix.zero(3, 1))
@@ -499,7 +506,7 @@ def test_matmul_returns_normal_form_from_the_raw_product():
 @given(st.data())
 def test_columns_are_built_once_and_match_entries(data):
     rows, cols = (data.draw(st.integers(min_value=1, max_value=5)) for _ in range(2))
-    m = RationalMatrix.from_rows(_dense_matrix(data.draw, rows, cols))
+    m = from_rows(_dense_matrix(data.draw, rows, cols))
     columns = m._columns
     assert m._columns is columns
     assert {(i, j): v for j, col in columns.items() for i, v in col.items()} == m.entries
@@ -655,7 +662,7 @@ def test_every_subspace_exactlin_returns_is_canonical(family, data):
     split = data.draw(st.integers(min_value=0, max_value=len(vecs)))
     a = SubspaceBasis.from_vectors(vecs[:split], n)
     b = SubspaceBasis.from_vectors(vecs[split:], n)
-    m = RationalMatrix.from_rows([list(v) for v in vecs]) if vecs else RationalMatrix.zero(0, n)
+    m = from_rows([list(v) for v in vecs]) if vecs else RationalMatrix.zero(0, n)
     image = image_subspace(m, a)
     for s in (
         a,

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 from formalpi.errors import CutoffTooSmallError, OutOfRangeError
 from formalpi.free_lie import (
+    FreeLieBasis,
     Generator,
     GeneratorSet,
-    basis,
     expand,
     lyndon_words,
     slot_dims,
@@ -26,7 +26,7 @@ def gens_of(*degrees):
 
 
 def test_lyndon_words_two_letters():
-    words = lyndon_words(2, 4)
+    words = lyndon_words(2, 4, [0, 0], 0)
     # classical list over {0,1} up to length 4
     assert words == [
         (0,),
@@ -54,12 +54,12 @@ def test_lyndon_words_match_definition(k, n):
         for w in iproduct(range(k), repeat=ln)
         if _is_lyndon(w)
     )
-    assert lyndon_words(k, n) == expected
+    assert lyndon_words(k, n, [0] * k, 0) == expected
 
 
 def test_lyndon_degree_pruning_matches_filter():
     degrees = [1, 3, 2]
-    full = lyndon_words(3, 6)
+    full = lyndon_words(3, 6, [0] * 3, 0)
     pruned = lyndon_words(3, 6, degrees, 7)
     assert pruned == [w for w in full if sum(degrees[c] for c in w) <= 7]
 
@@ -75,7 +75,7 @@ def test_standard_factorization_smallest_suffix():
 
 def test_single_odd_generator_slots():
     g = gens_of(1)
-    b = basis(g, max_r=6, max_w=6)
+    b = FreeLieBasis(g, max_r=6, max_w=6)
     assert [repr(w) for w in b.slot(1, 1)] == ["g0"]
     assert [repr(w) for w in b.slot(2, 2)] == ["[g0,g0]"]
     # the free Lie superalgebra on one odd generator is two dimensional
@@ -84,7 +84,7 @@ def test_single_odd_generator_slots():
 
 def test_expand_jacobi_kills_triple_odd_square():
     g = gens_of(1)
-    b = basis(g, max_r=6, max_w=6)
+    b = FreeLieBasis(g, max_r=6, max_w=6)
     x = g.leaf("g0")
     expr = g.bracket(x, g.bracket(x, x))
     assert expand(expr, b) == ()
@@ -93,7 +93,7 @@ def test_expand_jacobi_kills_triple_odd_square():
 
 def test_expand_antisymmetry_even_generators():
     g = gens_of(2, 2)
-    b = basis(g, max_r=8, max_w=4)
+    b = FreeLieBasis(g, max_r=8, max_w=4)
     x, y = g.leaf("g0"), g.leaf("g1")
     assert expand(g.bracket(x, y), b) == (Fraction(1),)
     assert expand(g.bracket(y, x), b) == (Fraction(-1),)
@@ -101,20 +101,20 @@ def test_expand_antisymmetry_even_generators():
 
 def test_weight_three_two_even_generators_dim_two():
     g = gens_of(2, 2)
-    b = basis(g, max_r=12, max_w=4)
+    b = FreeLieBasis(g, max_r=12, max_w=4)
     assert sum(b.slot_dim(6, 3, c) for c in b.characters_at(6, 3)) == 2
 
 
 def test_empty_generator_set():
     g = GeneratorSet(())
-    b = basis(g, max_r=5, max_w=5)
+    b = FreeLieBasis(g, max_r=5, max_w=5)
     assert b.slots == {}
 
 
 def test_slot_dim_s2_examples():
     # S^2: one generator of reduced degree 1; x and [x, x] span weights 1 and 2.
     g = gens_of(1)
-    b = basis(g, max_r=10, max_w=10)
+    b = FreeLieBasis(g, max_r=10, max_w=10)
     assert b.slot_dim(1, 1) == 1
     assert b.slot_dim(2, 2) == 1
     assert b.slot_dim(3, 3) == 0
@@ -124,7 +124,7 @@ def test_slot_dim_s2_examples():
 
 def test_in_range_bounds_the_slots():
     g = gens_of(1, 2)
-    b = basis(g, max_r=4, max_w=3)
+    b = FreeLieBasis(g, max_r=4, max_w=3)
     assert b.in_range(0, 1) and b.in_range(4, 3)
     assert not b.in_range(-1, 3)  # below the diagonal
     assert not b.in_range(5, 2)  # reduced degree beyond the cutoff
@@ -137,7 +137,7 @@ def test_in_range_bounds_the_slots():
 
 def test_cutoff_too_small():
     with pytest.raises(CutoffTooSmallError):
-        basis(gens_of(1), max_r=3, max_w=0)
+        FreeLieBasis(gens_of(1), max_r=3, max_w=0)
 
 
 WITT_CASES = [
@@ -155,7 +155,7 @@ WITT_CASES = [
 def test_slot_dims_match_witt_counts(degrees):
     max_r, max_w = 10, 5
     g = gens_of(*degrees)
-    b = basis(g, max_r, max_w)
+    b = FreeLieBasis(g, max_r, max_w)
     expected = super_witt_slot_dims(list(degrees), max_r, max_w)
     got = {k: len(v) for k, v in b.slots.items()}
     assert got == {k: v for k, v in expected.items() if v}
@@ -165,7 +165,7 @@ def test_slot_dims_match_witt_counts(degrees):
 @pytest.mark.parametrize("degrees", [(1,), (2,), (1, 1), (1, 2), (2, 2)])
 def test_slot_dims_match_brute_force(degrees):
     g = gens_of(*degrees)
-    b = basis(g, max_r=8, max_w=5)
+    b = FreeLieBasis(g, max_r=8, max_w=5)
     checked = 0
     for r in range(0, 9):
         for w in range(1, 6):
@@ -183,7 +183,7 @@ def test_characters_split_slots():
         (Generator("u", 1, (1,)), Generator("v", 1, (-1,))),
         lattice=lat,
     )
-    b = basis(g, max_r=4, max_w=4)
+    b = FreeLieBasis(g, max_r=4, max_w=4)
     assert b.slot_dim(2, 2, (0,)) == 1  # [u,v]
     assert b.slot_dim(2, 2, (2,)) == 1  # [u,u]
     assert b.slot_dim(2, 2, (-2,)) == 1  # [v,v]
@@ -211,7 +211,7 @@ def test_torsion_characters():
         (Generator("a", 1, (1,)), Generator("b", 1, (2,))),
         lattice=lat,
     )
-    b = basis(g, max_r=4, max_w=4)
+    b = FreeLieBasis(g, max_r=4, max_w=4)
     # [a,b] has character 1+2 = 0 mod 3
     assert b.slot_dim(2, 2, (0,)) == 1
     assert b.slot_dim(2, 2, (2,)) == 1  # [a,a]
@@ -220,7 +220,7 @@ def test_torsion_characters():
 
 def test_expand_basis_words_are_unit_vectors():
     g = gens_of(1, 2)
-    b = basis(g, max_r=8, max_w=4)
+    b = FreeLieBasis(g, max_r=8, max_w=4)
     for key, words in b.slots.items():
         for pos, bw in enumerate(b.slot(*key)):
             coords = expand(bw, b)
@@ -230,7 +230,7 @@ def test_expand_basis_words_are_unit_vectors():
 
 def test_expand_linear():
     g = gens_of(1, 1)
-    b = basis(g, max_r=6, max_w=4)
+    b = FreeLieBasis(g, max_r=6, max_w=4)
     x, y = g.leaf("g0"), g.leaf("g1")
     u = g.bracket(x, g.bracket(x, y))
     v = g.bracket(y, g.bracket(x, x))
@@ -243,7 +243,7 @@ def test_expand_linear():
 @given(st.data())
 def test_expand_graded_jacobi(data):
     g = gens_of(1, 2)
-    b = basis(g, max_r=12, max_w=6)
+    b = FreeLieBasis(g, max_r=12, max_w=6)
     small = [bw for key in b.slot_keys() for bw in b.slot(*key) if bw.weight <= 2]
     u = data.draw(st.sampled_from(small))
     v = data.draw(st.sampled_from(small))
@@ -257,7 +257,7 @@ def test_expand_graded_jacobi(data):
 
 def test_expand_out_of_range():
     g = gens_of(1)
-    b = basis(g, max_r=2, max_w=2)
+    b = FreeLieBasis(g, max_r=2, max_w=2)
     x = g.leaf("g0")
     too_big = g.bracket(g.bracket(x, x), g.bracket(x, x))
     with pytest.raises(OutOfRangeError):
@@ -294,7 +294,7 @@ def test_expand_reconstructs_rational_combinations(data):
     # g0 is odd and g1 even, so (r, w) fixes how many of each letter a word has
     degrees = [1, 2]
     g = gens_of(*degrees)
-    b = basis(g, max_r=10, max_w=5)
+    b = FreeLieBasis(g, max_r=10, max_w=5)
     n_odd = data.draw(st.integers(0, 5))
     n_even = data.draw(st.integers(0 if n_odd else 1, 5 - n_odd))
     letters = [0] * n_odd + [1] * n_even
@@ -337,7 +337,7 @@ def test_structure_table_matches_the_associative_embedding(g, max_r, max_w):
     # every bracket of two basis elements within the cutoffs, rewritten by the
     # table and mapped back into the free associative algebra, equals the
     # embedding of the bracket tree itself
-    b = basis(g, max_r, max_w)
+    b = FreeLieBasis(g, max_r, max_w)
     degrees = [x.reduced_degree for x in g.gens]
     elements = {w: b.tree(w) for key in b.slot_keys() for w in b.slots[key]}
     embedded = {w: embed_bracketing(_tree_of_word(g, bw), degrees)[0] for w, bw in elements.items()}
@@ -374,7 +374,7 @@ def test_bracket_words_built_apart_are_interchangeable_keys():
 
 
 def built_dims(g, max_r, max_w):
-    return {k: len(v) for k, v in basis(g, max_r, max_w).slots.items()}
+    return {k: len(v) for k, v in FreeLieBasis(g, max_r, max_w).slots.items()}
 
 
 @pytest.mark.parametrize("name", ALL_CORPUS)
@@ -433,7 +433,7 @@ def test_slot_dims_refuse_the_cutoffs_the_basis_refuses(max_r, max_w, message):
     with pytest.raises(CutoffTooSmallError) as counted:
         slot_dims(g, max_r, max_w)
     with pytest.raises(CutoffTooSmallError) as built:
-        basis(g, max_r, max_w)
+        FreeLieBasis(g, max_r, max_w)
     assert str(counted.value) == str(built.value) == message
 
 
@@ -476,10 +476,10 @@ def test_stored_factors_and_parity_match_their_definitions(data):
     g = _random_alphabet(data)
     degrees = [x.reduced_degree for x in g.gens]
     max_r, max_w = data.draw(st.integers(0, 8)), data.draw(st.integers(1, 5))
-    b = basis(g, max_r, max_w)
+    b = FreeLieBasis(g, max_r, max_w)
     inside = {w for words in b.slots.values() for w in words}
     # Lyndon words and odd squares past either cutoff, met only by the rewriting
-    longer = lyndon_words(len(g), max_w + 2)
+    longer = lyndon_words(len(g), max_w + 2, [0] * len(g), 0)
     squares = [w + w for w in longer if sum(degrees[c] for c in w) % 2]
     beyond = [w for w in longer + squares if w not in inside]
     for w in [*inside, *beyond]:
@@ -489,7 +489,7 @@ def test_stored_factors_and_parity_match_their_definitions(data):
 
 
 def test_slot_trees_are_the_standard_bracketings():
-    b = basis(gens_of(0, 1), 2, 4)
+    b = FreeLieBasis(gens_of(0, 1), 2, 4)
     assert {k: [repr(t) for t in b.slot(*k)] for k in b.slot_keys()} == {
         (0, 1, ()): ["g0"],
         (1, 1, ()): ["g1"],
@@ -506,7 +506,7 @@ def test_slot_trees_are_the_standard_bracketings():
 @given(st.data())
 def test_slot_trees_match_their_words_on_random_alphabets(data):
     g = _random_alphabet(data)
-    b = basis(g, data.draw(st.integers(0, 8)), data.draw(st.integers(1, 5)))
+    b = FreeLieBasis(g, data.draw(st.integers(0, 8)), data.draw(st.integers(1, 5)))
 
     def bracketing(w):
         if len(w) == 1:

@@ -47,7 +47,7 @@ def test_model_generators_names_and_degrees(corpus):
 def test_sphere_tables(models):
     t2 = homotopy_table(build_model_cached(models, "s2", 10, 9))
     assert totals(t2, 10) == {2: 1, 3: 1, **{m: 0 for m in range(4, 11)}}
-    assert t2.entry(2, 1) == 1 and t2.entry(3, 2) == 1
+    assert t2.entries[(2, 1, ())] == 1 and t2.entries[(3, 2, ())] == 1
     t3 = homotopy_table(build_model_cached(models, "s3", 10, 9))
     assert totals(t3, 10) == {3: 1, **{m: 0 for m in range(2, 11) if m != 3}}
     t5 = homotopy_table(build_model_cached(models, "s5", 10, 9))
@@ -61,13 +61,13 @@ def build_model_cached(models, name, max_m, max_w):
 def test_cp2_table(models):
     t = homotopy_table(models("cp2"))
     assert totals(t, 8) == {2: 1, 5: 1, 3: 0, 4: 0, 6: 0, 7: 0, 8: 0}
-    assert t.entry(5, 2) == 1  # the surviving class sits in weight 2
+    assert t.entries[(5, 2, ())] == 1  # the surviving class sits in weight 2
 
 
 def test_cp3_table(models):
     t = homotopy_table(models("cp3"))
     assert totals(t, 8) == {2: 1, 7: 1, 3: 0, 4: 0, 5: 0, 6: 0, 8: 0}
-    assert t.entry(7, 2) == 1
+    assert t.entries[(7, 2, ())] == 1
 
 
 def test_wedge_table_free_lie_dims(models):

@@ -10,22 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from formalpi import sullivan_oracle
-from formalpi.errors import (
-    CutoffMismatchError,
-    DegreeCutoffError,
-    InvalidInputError,
-    NotSimplyConnectedError,
-)
+from formalpi.errors import DegreeCutoffError, InvalidInputError, NotSimplyConnectedError
 from formalpi.graded_core import AlgebraPresentation, is_simply_connected_type
-from formalpi.quillen_weight import HomotopyTable, build_model, homotopy_table
-from formalpi.sullivan_oracle import (
-    compare,
-    minimal_model,
-    model_violations,
-)
+from formalpi.quillen_weight import build_model, homotopy_table
+from formalpi.sullivan_oracle import minimal_model
 
 from conftest import SIMPLY_CONNECTED
-from oracles import koszul_sort, per_degree_minimal_model
+from oracles import koszul_sort, model_violations, per_degree_minimal_model
 from test_resolution import GENERATED, generated
 
 SC_WITH_CHARACTERS = SIMPLY_CONNECTED + ["char_even", "char_torsion"]
@@ -54,14 +45,14 @@ def test_odd_spheres_single_closed_generator(corpus, name, deg):
 def test_projective_plane_golden_model(corpus):
     mm = minimal_model(corpus["cp2"], 8)
     assert mm.generator_counts() == {2: 1, 5: 1}
-    killer = mm.generators_in_degree(5)[0]
+    (killer,) = (g for g in mm.generators if g.degree == 5)
     assert killer.differential == (((0, 0, 0), Fraction(1)),)
 
 
 def test_projective_three_space_golden_model(corpus):
     mm = minimal_model(corpus["cp3"], 8)
     assert mm.generator_counts() == {2: 1, 7: 1}
-    killer = mm.generators_in_degree(7)[0]
+    (killer,) = (g for g in mm.generators if g.degree == 7)
     assert killer.differential == (((0, 0, 0, 0), Fraction(1)),)
 
 
@@ -252,39 +243,14 @@ def test_minimal_model_equals_the_per_degree_oracle(corpus, name):
     assert repr(got) == repr(want)  # ints stay ints, Fractions stay Fractions
 
 
-def test_compare_passes_spheres_and_plane(corpus):
-    mm = minimal_model(corpus["s2"], 10)
-    table = homotopy_table(build_model(corpus["s2"], 10, 9))
-    rep = compare(mm, table)
-    assert rep.passed and rep.status == "PASS"
-    assert str(rep) == "PASS through degree 10"
-
-    mm = minimal_model(corpus["cp2"], 8)
-    rep = compare(mm, homotopy_table(build_model(corpus["cp2"], 8, 7)))
-    assert rep.passed
-
-
-def test_compare_fails_on_corrupted_table(corpus):
-    mm = minimal_model(corpus["s2"], 8)
-    good = homotopy_table(build_model(corpus["s2"], 8, 7))
-    corrupted = HomotopyTable(
-        good.max_m,
-        good.max_w,
-        good.complete,
-        {**good.entries, (4, 3, ()): 1},
-        dict(good.pi1_pieces),
-    )
-    rep = compare(mm, corrupted)
-    assert not rep.passed and rep.status == "FAIL"
-    assert rep.mismatches == ((4, 0, 1),)
-    assert "degree 4" in str(rep)
-
-
-def test_compare_rejects_cutoff_mismatch(corpus):
-    mm = minimal_model(corpus["s2"], 8)
-    table = homotopy_table(build_model(corpus["s2"], 6, 5))
-    with pytest.raises(CutoffMismatchError):
-        compare(mm, table)
+def test_generator_counts_equal_the_lie_model_tables(corpus):
+    """Through the cutoff, the minimal model has as many generators in each
+    degree as the Lie model's homotopy table has classes."""
+    for name, cutoff in (("s2", 10), ("cp2", 8)):
+        table = homotopy_table(build_model(corpus[name], cutoff, cutoff - 1))
+        totals = {m: table.total(m) for m in range(2, cutoff + 1)}
+        counts = minimal_model(corpus[name], cutoff).generator_counts()
+        assert counts == {m: t for m, t in totals.items() if t}, name
 
 
 def test_rejects_non_simply_connected(corpus):
