@@ -36,7 +36,6 @@ import random
 import re
 import sys
 from contextlib import suppress
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -48,6 +47,7 @@ from .errors import (
     NotCompleteError,
     OutOfRangeError,
 )
+from .exactlin import Record
 from .graded_core import (
     AlgebraPresentation,
     CharacterLattice,
@@ -165,11 +165,13 @@ def load_presentation(path) -> AlgebraPresentation:
 # reporting
 
 
-@dataclass
-class RunReport:
-    text: str = ""
-    payload: dict | None = None
-    exit_status: int = 0
+class RunReport(Record):
+    _fields = ("text", "payload", "exit_status")
+
+    def __init__(self, text: str = "", payload: dict | None = None, exit_status: int = 0):
+        self.text = text
+        self.payload = payload
+        self.exit_status = exit_status
 
 
 def render_json(payload: dict) -> str:

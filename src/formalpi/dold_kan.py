@@ -31,7 +31,6 @@ unital, associative and commutative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -42,26 +41,34 @@ from .errors import (
     NotACdgaError,
     SimplicialIdentityError,
 )
-from .exactlin import RationalMatrix, SubspaceBasis, combine, coordinates_in_span, kernel_basis
+from .exactlin import (
+    Frozen,
+    RationalMatrix,
+    Record,
+    SubspaceBasis,
+    combine,
+    coordinates_in_span,
+    kernel_basis,
+)
 
 
-@dataclass(frozen=True)
-class CochainComplex:
+class CochainComplex(Frozen):
     """dims[i] is the dimension in degree i; differentials[i] maps i to i+1."""
 
-    dims: tuple[int, ...]
-    differentials: tuple[RationalMatrix, ...] = ()
+    _fields = ("dims", "differentials")
 
-    def __post_init__(self):
-        if any(d < 0 for d in self.dims):
+    def __init__(self, dims: tuple[int, ...], differentials: tuple[RationalMatrix, ...] = ()):
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "differentials", differentials)
+        if any(d < 0 for d in dims):
             raise InvalidInputError("negative dimension")
-        if len(self.differentials) > max(len(self.dims) - 1, 0):
+        if len(differentials) > max(len(dims) - 1, 0):
             raise InvalidInputError("more differentials than adjacent degree pairs")
-        for i, m in enumerate(self.differentials):
+        for i, m in enumerate(differentials):
             if (m.rows, m.cols) != (self.dim(i + 1), self.dim(i)):
                 raise InvalidInputError(f"differential {i} has the wrong shape")
-        for i in range(len(self.differentials) - 1):
-            if not self.differentials[i + 1].matmul(self.differentials[i]).is_zero():
+        for i in range(len(differentials) - 1):
+            if not differentials[i + 1].matmul(differentials[i]).is_zero():
                 raise DSquaredNonzeroError(
                     f"d squared is nonzero out of degree {i}", witness=i
                 )
@@ -181,17 +188,30 @@ def _sigma(i: int, n: int) -> tuple[int, ...]:
     return tuple(t if t <= i else t - 1 for t in range(n + 1))
 
 
-@dataclass
-class CosimplicialVS:
+class CosimplicialVS(Record):
     """Levels 0..level_count with coface and codegeneracy matrices.
 
     cofaces[(n, i)]: level n -> n+1 for 0 <= i <= n+1;
     codegeneracies[(n, i)]: level n -> n-1 for 0 <= i <= n-1.
     """
 
-    dims: tuple[int, ...]
-    cofaces: dict[tuple[int, int], RationalMatrix]
-    codegeneracies: dict[tuple[int, int], RationalMatrix]
+    _fields = ("dims", "cofaces", "codegeneracies")
+
+    def __init__(
+        self,
+        dims: tuple[int, ...],
+        cofaces: dict[tuple[int, int], RationalMatrix],
+        codegeneracies: dict[tuple[int, int], RationalMatrix],
+    ):
+        self.dims = dims
+        self.cofaces = cofaces
+        self.codegeneracies = codegeneracies
+        for (n, i), m in cofaces.items():
+            if (m.rows, m.cols) != (self.dim(n + 1), self.dim(n)):
+                raise InvalidInputError(f"coface d^{i} at level {n}: wrong shape")
+        for (n, i), m in codegeneracies.items():
+            if (m.rows, m.cols) != (self.dim(n - 1), self.dim(n)):
+                raise InvalidInputError(f"codegeneracy s^{i} at level {n}: wrong shape")
 
     @property
     def level_count(self) -> int:
@@ -205,14 +225,6 @@ class CosimplicialVS:
 
     def codegeneracy(self, n: int, i: int) -> RationalMatrix:
         return self.codegeneracies[(n, i)]
-
-    def __post_init__(self):
-        for (n, i), m in self.cofaces.items():
-            if (m.rows, m.cols) != (self.dim(n + 1), self.dim(n)):
-                raise InvalidInputError(f"coface d^{i} at level {n}: wrong shape")
-        for (n, i), m in self.codegeneracies.items():
-            if (m.rows, m.cols) != (self.dim(n - 1), self.dim(n)):
-                raise InvalidInputError(f"codegeneracy s^{i} at level {n}: wrong shape")
 
 
 def denormalize(c: CochainComplex, m: int) -> CosimplicialVS:
@@ -330,17 +342,24 @@ def _tensor(x, y) -> list[Fraction]:
     return out
 
 
-@dataclass(frozen=True)
-class CochainAlgebra:
+class CochainAlgebra(Frozen):
     """CDGA data: a complex, products per degree pair, and a unit in degree 0.
 
     products[(p, q)] maps basis pairs to degree p+q, columns indexed by
     i * dim(q) + j; missing pairs mean the zero product.
     """
 
-    complex: CochainComplex
-    products: dict[tuple[int, int], RationalMatrix]
-    unit: tuple[Fraction, ...]
+    _fields = ("complex", "products", "unit")
+
+    def __init__(
+        self,
+        complex: CochainComplex,
+        products: dict[tuple[int, int], RationalMatrix],
+        unit: tuple[Fraction, ...],
+    ):
+        object.__setattr__(self, "complex", complex)
+        object.__setattr__(self, "products", products)
+        object.__setattr__(self, "unit", unit)
 
     def product(self, p: int, q: int) -> RationalMatrix:
         m = self.products.get((p, q))
@@ -439,13 +458,20 @@ def validate_cdga(a: CochainAlgebra) -> None:
                 raise NotACdgaError(f"associativity fails on degrees ({p},{q},{s})")
 
 
-@dataclass
-class CosimplicialAlgebra:
+class CosimplicialAlgebra(Record):
     """A cosimplicial vector space with a product and unit at every level."""
 
-    vs: CosimplicialVS
-    level_products: tuple[RationalMatrix, ...]  # level n: D^n (x) D^n -> D^n
-    level_units: tuple[tuple[Fraction, ...], ...]
+    _fields = ("vs", "level_products", "level_units")
+
+    def __init__(
+        self,
+        vs: CosimplicialVS,
+        level_products: tuple[RationalMatrix, ...],  # level n: D^n (x) D^n -> D^n
+        level_units: tuple[tuple[Fraction, ...], ...],
+    ):
+        self.vs = vs
+        self.level_products = level_products
+        self.level_units = level_units
 
 
 def _shuffles(p: int, q: int):

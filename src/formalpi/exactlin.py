@@ -31,7 +31,6 @@ answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -56,34 +55,75 @@ def exact(x) -> int | Fraction:
     return x.numerator if x.denominator == 1 else x
 
 
-@dataclass(frozen=True)
-class RationalMatrix:
+class Record:
+    """A value with the fields named in ``_fields``.
+
+    Two Records are equal when they are of one class and their fields are
+    equal; the repr lists the fields.  A Record is mutable, so unhashable.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+class Frozen(Record):
+    """An immutable Record, hashed by value.  Assignment raises, so
+    ``__init__`` sets the fields through ``object.__setattr__``."""
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class RationalMatrix(Frozen):
     """Sparse matrix over Q.  Only nonzero entries are stored.
 
     Entries are in the normal form of ``exact``: ints when integral, reduced
-    Fractions otherwise.  Equality is by value, since ``1 == Fraction(1)``
-    with equal hashes, so equal matrices compare equal as dataclasses.
+    Fractions otherwise.  Equality is by value, since ``1 == Fraction(1)``,
+    so two matrices are equal when their shapes and entry dicts are.  A
+    matrix is unhashable: its entries are a dict.
     """
 
-    rows: int
-    cols: int
-    entries: dict[Entry, int | Fraction]
+    _fields = ("rows", "cols", "entries")
 
-    def __post_init__(self):
+    def __init__(self, rows: int, cols: int, entries: dict[Entry, int | Fraction]):
         clean = {}
-        for (i, j), v in self.entries.items():
-            if not (0 <= i < self.rows and 0 <= j < self.cols):
-                raise ValueError(f"entry ({i},{j}) outside {self.rows}x{self.cols}")
+        for (i, j), v in entries.items():
+            if not (0 <= i < rows and 0 <= j < cols):
+                raise ValueError(f"entry ({i},{j}) outside {rows}x{cols}")
             v = exact(v)
             if v:
                 clean[(i, j)] = v
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", clean)
+
+    def __eq__(self, other):  # written out: complexes_agree runs it per Dold-Kan fuzz complex
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
 
     @classmethod
     def _canonical(cls, rows: int, cols: int, entries: dict[Entry, int | Fraction]) -> "RationalMatrix":
         """A matrix whose entries are already in range, normal and nonzero.
 
-        Skips the bounds check and normalization of ``__post_init__``; only
+        Skips the bounds check and normalization of ``__init__``; only
         for entries canonical by construction: results of ``matmul``,
         ``transpose`` and ``combine``, identities, the Dold-Kan structure
         matrices and the Lie-model slot matrices.
@@ -314,8 +354,7 @@ def rank(m: RationalMatrix) -> int:
     return _Echelon(m.row_dicts()).dim
 
 
-@dataclass(frozen=True)
-class SubspaceBasis:
+class SubspaceBasis(Frozen):
     """A subspace of Q^n, stored as its canonical echelon.
 
     rows maps each pivot column, in ascending order, to its reduced row
@@ -324,8 +363,11 @@ class SubspaceBasis:
     objects.  Rows are shared between subspaces and never modified.
     """
 
-    ambient_dim: int
-    rows: Rows
+    _fields = ("ambient_dim", "rows")
+
+    def __init__(self, ambient_dim: int, rows: Rows):
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "rows", rows)
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim: int) -> "SubspaceBasis":

@@ -37,41 +37,41 @@ bottom-up through it.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import CutoffTooSmallError, NegativeDimensionError, OutOfRangeError
+from .exactlin import Frozen
 from .graded_core import CharacterLattice, lincomb
 
 Word = tuple[int, ...]  # associative word in generator indices
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class Generator:
-    ident: str
-    reduced_degree: int
-    character: tuple[int, ...] = ()
+class Generator(Frozen):
+    _fields = ("ident", "reduced_degree", "character")
 
-    def __post_init__(self):
-        if self.reduced_degree < 0:
+    def __init__(self, ident: str, reduced_degree: int, character: tuple[int, ...] = ()):
+        if reduced_degree < 0:
             raise ValueError("reduced degree must be >= 0")
+        object.__setattr__(self, "ident", ident)
+        object.__setattr__(self, "reduced_degree", reduced_degree)
+        object.__setattr__(self, "character", character)
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(Frozen):
     """Ordered alphabet of generators; the input order is the total order."""
 
-    gens: tuple[Generator, ...]
-    lattice: CharacterLattice = CharacterLattice()
+    _fields = ("gens", "lattice")
 
-    def __post_init__(self):
-        ids = [g.ident for g in self.gens]
+    def __init__(self, gens: tuple[Generator, ...], lattice: CharacterLattice = CharacterLattice()):
+        ids = [g.ident for g in gens]
         if len(set(ids)) != len(ids):
             raise ValueError("generator ids must be unique")
-        for g in self.gens:
-            if len(g.character) != self.lattice.length:
+        for g in gens:
+            if len(g.character) != lattice.length:
                 raise ValueError(f"character of {g.ident!r} has wrong length")
+        object.__setattr__(self, "gens", gens)
+        object.__setattr__(self, "lattice", lattice)
         object.__setattr__(self, "_index", {ident: i for i, ident in enumerate(ids)})
 
     def __len__(self):
@@ -96,16 +96,26 @@ class GeneratorSet:
         )
 
 
-@dataclass(frozen=True)
-class BracketWord:
+class BracketWord(Frozen):
     """A fully parenthesized bracket expression with cached gradings."""
 
-    gen: str | None
-    left: "BracketWord | None"
-    right: "BracketWord | None"
-    reduced_degree: int
-    weight: int
-    character: tuple[int, ...]
+    _fields = ("gen", "left", "right", "reduced_degree", "weight", "character")
+
+    def __init__(
+        self,
+        gen: str | None,
+        left: BracketWord | None,
+        right: BracketWord | None,
+        reduced_degree: int,
+        weight: int,
+        character: tuple[int, ...],
+    ):
+        object.__setattr__(self, "gen", gen)
+        object.__setattr__(self, "left", left)
+        object.__setattr__(self, "right", right)
+        object.__setattr__(self, "reduced_degree", reduced_degree)
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "character", character)
 
     @property
     def is_leaf(self) -> bool:

@@ -31,30 +31,29 @@ once per position of each repeated id, in basis order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product as cartesian
 from math import lcm
 
 from .errors import InvalidInputError
-from .exactlin import exact
+from .exactlin import Frozen, exact
 
 
-@dataclass(frozen=True)
-class CharacterLattice:
+class CharacterLattice(Frozen):
     """Character group of a finitely generated abelian group.
 
     Elements are integer tuples of length free_rank + len(torsion); torsion
     coordinates are kept reduced into [0, t).
     """
 
-    free_rank: int = 0
-    torsion: tuple[int, ...] = ()
+    _fields = ("free_rank", "torsion")
 
-    def __post_init__(self):
-        if self.free_rank < 0 or any(t < 2 for t in self.torsion):
+    def __init__(self, free_rank: int = 0, torsion: tuple[int, ...] = ()):
+        if free_rank < 0 or any(t < 2 for t in torsion):
             raise ValueError("free_rank must be >= 0 and torsion orders >= 2")
+        object.__setattr__(self, "free_rank", free_rank)
+        object.__setattr__(self, "torsion", torsion)
 
     @property
     def length(self) -> int:
@@ -75,26 +74,32 @@ class CharacterLattice:
         return self.reduce(tuple(x + y for x, y in zip(a, b)))
 
 
-@dataclass(frozen=True)
-class BasisElement:
-    ident: str
-    degree: int
-    character: tuple[int, ...]
+class BasisElement(Frozen):
+    _fields = ("ident", "degree", "character")
+
+    def __init__(self, ident: str, degree: int, character: tuple[int, ...]):
+        object.__setattr__(self, "ident", ident)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "character", character)
 
 
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    message: str
-    subjects: tuple[str, ...] = ()
+class Violation(Frozen):
+    _fields = ("code", "message", "subjects")
+
+    def __init__(self, code: str, message: str, subjects: tuple[str, ...] = ()):
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "message", message)
+        object.__setattr__(self, "subjects", subjects)
 
     def __str__(self):
         return f"{self.code}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: tuple[Violation, ...]
+class ValidationReport(Frozen):
+    _fields = ("violations",)
+
+    def __init__(self, violations: tuple[Violation, ...]):
+        object.__setattr__(self, "violations", violations)
 
     @property
     def ok(self) -> bool:
@@ -338,16 +343,21 @@ def validate_algebra(p: AlgebraPresentation) -> ValidationReport:
     return ValidationReport(tuple(v))
 
 
-@dataclass(frozen=True)
-class ReducedCoproduct:
+class ReducedCoproduct(Frozen):
     """Transpose of the positive-degree product table.
 
     terms[c] lists (a, b, coeff) over ordered pairs of positive-degree basis
-    ids with coeff(a*b, c) nonzero.  Counit terms never appear.
+    ids with coeff(a*b, c) nonzero.  Counit terms never appear.  Equality and
+    hash look at the presentation only.
     """
 
-    presentation: AlgebraPresentation
-    terms: dict[str, tuple[tuple[str, str, Fraction], ...]] = field(compare=False)
+    _fields = ("presentation",)
+
+    def __init__(
+        self, presentation: AlgebraPresentation, terms: dict[str, tuple[tuple[str, str, Fraction], ...]]
+    ):
+        object.__setattr__(self, "presentation", presentation)
+        object.__setattr__(self, "terms", terms)
 
     def on(self, ident: str) -> tuple[tuple[str, str, Fraction], ...]:
         return self.terms.get(ident, ())

@@ -37,7 +37,6 @@ weight spectral sequence, and ``homotopy_table``, ``supports`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 
@@ -48,7 +47,7 @@ from .errors import (
     NotCompleteError,
     OutOfRangeError,
 )
-from .exactlin import RationalMatrix, SubspaceBasis, homology_dim, kernel_basis
+from .exactlin import RationalMatrix, Record, SubspaceBasis, homology_dim, kernel_basis
 from .free_lie import FreeLieBasis, Generator, GeneratorSet, Word, pbw_invert
 from .graded_core import (
     AlgebraPresentation,
@@ -71,16 +70,28 @@ def model_generators(p: AlgebraPresentation) -> GeneratorSet:
     return GeneratorSet(gens, lattice=p.lattice)
 
 
-@dataclass
-class FormalLieModel:
-    presentation: AlgebraPresentation
-    generators: GeneratorSet
-    basis: FreeLieBasis  # one weight past the report: targets of the top weight
-    max_m: int
-    max_w: int
-    differential: dict[SlotKey, RationalMatrix]
-    d_den: int  # d_word values are integer numerators over d_den
-    _d_cache: dict[Word, dict[Word, int]] = field(repr=False)
+class FormalLieModel(Record):
+    _fields = ("presentation", "generators", "basis", "max_m", "max_w", "differential", "d_den")
+
+    def __init__(
+        self,
+        presentation: AlgebraPresentation,
+        generators: GeneratorSet,
+        basis: FreeLieBasis,  # one weight past the report: targets of the top weight
+        max_m: int,
+        max_w: int,
+        differential: dict[SlotKey, RationalMatrix],
+        d_den: int,  # d_word values are integer numerators over d_den
+        _d_cache: dict[Word, dict[Word, int]],
+    ):
+        self.presentation = presentation
+        self.generators = generators
+        self.basis = basis
+        self.max_m = max_m
+        self.max_w = max_w
+        self.differential = differential
+        self.d_den = d_den
+        self._d_cache = _d_cache
 
     @property
     def complete(self) -> bool:
@@ -208,8 +219,7 @@ def _check_d_squared(model: FormalLieModel):
 # homotopy tables
 
 
-@dataclass
-class HomotopyTable:
+class HomotopyTable(Record):
     """Weight- and character-graded dimensions of the homotopy groups.
 
     entries[(m, w, char)] holds the dimension of the weight-w, character-char
@@ -218,11 +228,21 @@ class HomotopyTable:
     by (w, char); it is empty for simply connected input.
     """
 
-    max_m: int
-    max_w: int
-    complete: bool
-    entries: dict[tuple[int, int, tuple[int, ...]], int]
-    pi1_pieces: dict[tuple[int, tuple[int, ...]], int]
+    _fields = ("max_m", "max_w", "complete", "entries", "pi1_pieces")
+
+    def __init__(
+        self,
+        max_m: int,
+        max_w: int,
+        complete: bool,
+        entries: dict[tuple[int, int, tuple[int, ...]], int],
+        pi1_pieces: dict[tuple[int, tuple[int, ...]], int],
+    ):
+        self.max_m = max_m
+        self.max_w = max_w
+        self.complete = complete
+        self.entries = entries
+        self.pi1_pieces = pi1_pieces
 
     def total(self, m: int) -> int:
         return sum(v for (mm, _, _), v in self.entries.items() if mm == m)

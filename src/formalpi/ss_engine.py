@@ -27,17 +27,15 @@ block of reduced degree n at p = w, q = w + n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidInputError, OutOfRangeError
-from .exactlin import RationalMatrix, _Echelon
+from .exactlin import RationalMatrix, Record, _Echelon
 
 Slot = tuple[int, int]
 
 
-@dataclass
-class FilteredComplex:
+class FilteredComplex(Record):
     """Finite filtered chain complex; validated on construction.
 
     dims[n] is the dimension of C_n; differentials[n] is d_n : C_n -> C_(n-1);
@@ -52,24 +50,29 @@ class FilteredComplex:
       ("page", r)    the page E_r, read off the pairs of every degree.
     """
 
-    dims: dict[int, int]
-    differentials: dict[int, RationalMatrix]
-    levels: dict[int, tuple[int, ...]] = field(default_factory=dict)
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
+    _fields = ("dims", "differentials", "levels")
 
-    def __post_init__(self):
-        self.dims = {n: d for n, d in self.dims.items() if d}
+    def __init__(
+        self,
+        dims: dict[int, int],
+        differentials: dict[int, RationalMatrix],
+        levels: dict[int, tuple[int, ...]] | None = None,
+    ):
+        self.dims = {n: d for n, d in dims.items() if d}
+        self.differentials = differentials
+        self._cache: dict = {}
+        levels = levels or {}
         for n, d in self.dims.items():
             if d < 0:
                 raise InvalidInputError(f"negative dimension at degree {n}")
-        for n, lv in self.levels.items():
+        for n, lv in levels.items():
             if len(lv) != self.dim(n):
                 raise InvalidInputError(
                     f"levels at degree {n} has {len(lv)} entries, expected {self.dim(n)}"
                 )
             if any(level < 0 for level in lv):
                 raise InvalidInputError(f"negative level at degree {n}")
-        self.levels = {n: tuple(self.levels.get(n, (0,) * d)) for n, d in self.dims.items()}
+        self.levels = {n: tuple(levels.get(n, (0,) * d)) for n, d in self.dims.items()}
         self._validate()
 
     # -- accessors ------------------------------------------------------------
@@ -112,13 +115,15 @@ class FilteredComplex:
                 )
 
 
-@dataclass
-class SpectralSequencePage:
+class SpectralSequencePage(Record):
     """One page: nonzero slot dimensions and the d_r matrices out of them."""
 
-    r: int
-    dims: dict[Slot, int]
-    differentials: dict[Slot, RationalMatrix]
+    _fields = ("r", "dims", "differentials")
+
+    def __init__(self, r: int, dims: dict[Slot, int], differentials: dict[Slot, RationalMatrix]):
+        self.r = r
+        self.dims = dims
+        self.differentials = differentials
 
     def dim(self, p: int, q: int) -> int:
         return self.dims.get((p, q), 0)
@@ -215,12 +220,14 @@ def _publish(s: int, n: int) -> Slot:
     return (s + 1, s + 1 + n)
 
 
-@dataclass
-class DegenerationReport:
-    r_from: int
-    r_to: int
-    degenerate: bool
-    first_failure: tuple | None  # (r, p, q) of the first nonzero d_r, if any
+class DegenerationReport(Record):
+    _fields = ("r_from", "r_to", "degenerate", "first_failure")
+
+    def __init__(self, r_from: int, r_to: int, degenerate: bool, first_failure: tuple | None):
+        self.r_from = r_from
+        self.r_to = r_to
+        self.degenerate = degenerate
+        self.first_failure = first_failure  # (r, p, q) of the first nonzero d_r, if any
 
 
 def check_degeneration(fc: FilteredComplex, r0: int, r_max: int) -> DegenerationReport:

@@ -24,11 +24,11 @@ degree's cycle space is eliminated once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DegreeCutoffError, NotSimplyConnectedError
 from .exactlin import (
+    Frozen,
     RationalMatrix,
     SubspaceBasis,
     _Echelon,
@@ -41,22 +41,34 @@ from .graded_core import AlgebraPresentation, is_simply_connected_type, require_
 Monomial = tuple[int, ...]  # sorted generator indices; odd indices never repeat
 
 
-@dataclass(frozen=True)
-class ModelGenerator:
-    name: str
-    degree: int
-    # decomposable polynomial in earlier generators, {} for closed generators;
-    # coefficients in exact normal form (an int when integral)
-    differential: tuple[tuple[Monomial, int | Fraction], ...]
-    # image in the target algebra as (basis id, coeff) pairs
-    image: tuple[tuple[str, Fraction], ...]
+class ModelGenerator(Frozen):
+    _fields = ("name", "degree", "differential", "image")
+
+    def __init__(
+        self,
+        name: str,
+        degree: int,
+        # decomposable polynomial in earlier generators, {} for closed generators;
+        # coefficients in exact normal form (an int when integral)
+        differential: tuple[tuple[Monomial, int | Fraction], ...],
+        # image in the target algebra as (basis id, coeff) pairs
+        image: tuple[tuple[str, Fraction], ...],
+    ):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "differential", differential)
+        object.__setattr__(self, "image", image)
 
 
-@dataclass(frozen=True)
-class MinimalModel:
-    presentation: AlgebraPresentation
-    cutoff: int
-    generators: tuple[ModelGenerator, ...]
+class MinimalModel(Frozen):
+    _fields = ("presentation", "cutoff", "generators")
+
+    def __init__(
+        self, presentation: AlgebraPresentation, cutoff: int, generators: tuple[ModelGenerator, ...]
+    ):
+        object.__setattr__(self, "presentation", presentation)
+        object.__setattr__(self, "cutoff", cutoff)
+        object.__setattr__(self, "generators", generators)
 
     def generator_counts(self) -> dict[int, int]:
         out: dict[int, int] = {}

@@ -1,6 +1,5 @@
 """Denormalization, normalization and the levelwise shuffle product."""
 
-import dataclasses
 import hashlib
 import math
 import random
@@ -387,7 +386,11 @@ def test_validate_cdga_rejects_bad_inputs():
 
 
 def with_products(a, changes):
-    return dataclasses.replace(a, products={**a.products, **changes})
+    return CochainAlgebra(a.complex, {**a.products, **changes}, a.unit)
+
+
+def with_unit(a, unit):
+    return CochainAlgebra(a.complex, a.products, unit)
 
 
 def non_associative_algebra():
@@ -406,9 +409,7 @@ def diagonal(*values):
 
 REFUSED_CDGAS = {
     "no degree-0 part to host a unit": lambda: CochainAlgebra(CochainComplex((0, 1)), {}, ()),
-    "unit vector has the wrong length": lambda: dataclasses.replace(
-        torus_algebra(), unit=(Fraction(1), Fraction(0))
-    ),
+    "unit vector has the wrong length": lambda: with_unit(torus_algebra(), (Fraction(1), Fraction(0))),
     "unit is not a cocycle": lambda: CochainAlgebra(
         CochainComplex((1, 1), (ONE,)), {(0, 0): ONE, (0, 1): ONE, (1, 0): ONE}, (Fraction(1),)
     ),

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -12,7 +11,7 @@ from formalpi.errors import (
     OutOfRangeError,
 )
 from formalpi.free_lie import expand
-from formalpi.graded_core import lincomb
+from formalpi.graded_core import ReducedCoproduct, lincomb
 from formalpi.quillen_weight import (
     build_model,
     homotopy_table,
@@ -232,7 +231,7 @@ def test_build_model_reports_the_first_column_where_d_squared_fails(corpus, monk
         # tripling one coproduct term of x4 breaks coassociativity, so d^2 != 0
         cop = real(p)
         (a, b, c), *rest = cop.terms["x4"]
-        return replace(cop, terms={**cop.terms, "x4": ((a, b, 3 * c), *rest)})
+        return ReducedCoproduct(cop.presentation, {**cop.terms, "x4": ((a, b, 3 * c), *rest)})
 
     monkeypatch.setattr(qw, "dualize", skewed)
     with pytest.raises(DSquaredNonzeroError) as err:

@@ -1,6 +1,5 @@
 """Minimal model construction and the two-machinery comparison."""
 
-import dataclasses
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -13,7 +12,7 @@ from formalpi import sullivan_oracle
 from formalpi.errors import DegreeCutoffError, InvalidInputError, NotSimplyConnectedError
 from formalpi.graded_core import AlgebraPresentation, is_simply_connected_type
 from formalpi.quillen_weight import build_model, homotopy_table
-from formalpi.sullivan_oracle import minimal_model
+from formalpi.sullivan_oracle import MinimalModel, ModelGenerator, minimal_model
 
 from conftest import SIMPLY_CONNECTED
 from oracles import koszul_sort, model_violations, per_degree_minimal_model
@@ -132,8 +131,10 @@ def test_model_violations_name_each_broken_invariant(corpus, case):
     name, cutoff, k, change, want = BROKEN_MODELS[case]
     mm = minimal_model(corpus[name], cutoff)
     gens = list(mm.generators)
-    gens[k] = dataclasses.replace(gens[k], **change)
-    assert model_violations(dataclasses.replace(mm, generators=tuple(gens))) == want
+    g = gens[k]
+    fields = {"name": g.name, "degree": g.degree, "differential": g.differential, "image": g.image}
+    gens[k] = ModelGenerator(**{**fields, **change})
+    assert model_violations(MinimalModel(mm.presentation, mm.cutoff, tuple(gens))) == want
 
 def test_one_truncation_each_d_and_image_once_each_cycle_space_once(corpus, monkeypatch):
     """One call grows one truncation: no monomial's d or image is computed
