@@ -28,6 +28,19 @@ dim I one level down, so K is built only where B_(s, t, chi) is not empty.
 d d = 0 on what is built so far says that I lies in K; it is checked on each
 block, as d_(s-1) d_s = 0, before the complement is taken.
 
+A boundary is built only where the window reads it.  dg of a generator g
+of B_s in degree t_g is read by the columns a.dg of the blocks of level s in
+degree t = t_g + |a|, up to the level's last degree: max_r + s, or one more
+below the top level, where the next level reads d_s.  The next level reads
+only the degree and character of g, through its pairs.  So where A+ has no
+class of degree 1, ..., last - t, the new generators of the block are
+counted and given an empty boundary, and no kernel or complement is taken:
+no column that is built reads them, so every block matrix, image and d d
+check is the same as with the boundaries built.  Without degree-1 classes
+that is the top edge t - s = max_r of every level and the top two degrees
+of the top level.  When a level ends, only the degree and character of its
+generators are kept.
+
 The window needs no generator outside it.  Minimality gives ker d inside
 A+.F: the new boundaries in degree t are independent modulo I, which holds
 the boundaries of A+.F in degree t, so no cycle has a term 1 (x) g.  A cycle
@@ -58,7 +71,7 @@ from .exactlin import RationalMatrix, SubspaceBasis, _Echelon, extend_to_complem
 from .graded_core import AlgebraPresentation
 
 Pair = tuple[int, str]  # a (x) g: generator index in its level, basis id of a in A+
-_ZERO: dict[int, int] = {}  # shared by every zero column; never modified
+_ZERO: dict = {}  # shared by every zero column and unread boundary; never modified
 
 
 def ext_dims(
@@ -74,6 +87,7 @@ def ext_dims(
     for e in p.basis:
         if e.degree > 0:
             positive.setdefault(e.degree, {}).setdefault(e.character, []).append(e.ident)
+    low = min(positive, default=0)  # the lowest degree of A+
     sums: dict = {}  # memo of the lattice sums of characters
     left: dict[str, dict[int, list]] = {}  # b -> degree of a -> [(a, L ab)], ab nonzero
     unit, table = p.unit_id, p.table
@@ -96,7 +110,7 @@ def ext_dims(
     def pairs(gens, t) -> dict[tuple[int, ...], list[Pair]]:
         """The pairs a (x) g of A+ (x) B in degree t, by character, in a fixed order."""
         out: dict[tuple[int, ...], list[Pair]] = {}
-        for g, (tg, chi, _) in enumerate(gens):
+        for g, (tg, chi) in enumerate(gens):
             if tg >= t:
                 break
             for char, classes in positive.get(t - tg, {}).items():
@@ -107,22 +121,22 @@ def ext_dims(
         return out
 
     dims = {}
-    # B_0 = Q, the unit in degree 0; a generator is (t, chi, dg) with
-    # dg = {b: {h: c}} for the boundary sum of c b (x) h
-    lower = [(0, p.lattice.zero(), {})]
+    lower = [(0, p.lattice.zero())]  # B_0 = Q, the unit in degree 0; a generator is (t, chi)
     lower_blocks: dict[int, dict] = {}  # t -> the pairs of A+ (x) B_(s-1), by character
     lower_d: dict = {}  # (t, chi) -> d_(s-1) on those pairs, and the echelon of its image
     for s in range(1, max_w + 1):
         top = max_r + s
+        last = top + (s < max_w)  # one degree past the window when a next level reads d_s there
         gens: list = []  # B_s, in increasing t
+        # dg of each generator, {b: {h: c}} for the boundary sum of c b (x) h
+        boundaries: list[dict[str, dict[int, int]]] = []
         blocks, d = {}, {}
-        # one degree past the window when a next level reads d_s there
-        for t in range(s, top + 1 + (s < max_w)):
+        for t in range(s, last + 1):
             rows = lower_blocks.get(t) or pairs(lower, t)
             index = {pair: i for block in rows.values() for i, pair in enumerate(block)}
             # a.dg, visiting only the nonzero products a.b of its terms b (x) h
             columns: dict[Pair, dict[int, int]] = {}
-            for g, (tg, _, dg) in enumerate(gens):
+            for g, ((tg, _), dg) in enumerate(zip(gens, boundaries)):
                 for b, terms in dg.items():
                     for a, ab in multipliers(b).get(t - tg, ()):
                         col = columns.setdefault((g, a), {})
@@ -154,6 +168,11 @@ def ext_dims(
                 new = n - hit.dim - (below[1].dim if below else 0)
                 if not new:
                     continue
+                dims[(s, t, chi)] = new
+                gens.extend([(t, chi)] * new)
+                if t + low > last:  # no a.dg of these generators lies in the window
+                    boundaries.extend([_ZERO] * new)
+                    continue
                 if below and below[0].entries:
                     cycles = kernel_basis(below[0])
                 else:
@@ -166,8 +185,7 @@ def ext_dims(
                     for j, x in boundary.items():
                         h, b = block[j]
                         dg.setdefault(b, {})[h] = x
-                    gens.append((t, chi, dg))
-                dims[(s, t, chi)] = new
+                    boundaries.append(dg)
         if not gens:
             break
         lower, lower_blocks, lower_d = gens, blocks, d

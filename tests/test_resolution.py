@@ -53,6 +53,16 @@ def surface(genus, characters=False):
     return parsed(bench_gen.surface(genus, characters))
 
 
+def four_manifold(signs):
+    """The ring of a simply connected 4-manifold with intersection form
+    diag(signs): e0, then x_1 ... x_b in degree 2, then w in degree 4, with
+    x_i x_i = signs[i] w and x_i x_j = 0 for i != j."""
+    xs = [f"x{i}" for i in range(1, len(signs) + 1)]
+    basis = [("e0", 0), *((x, 2) for x in xs), ("w", 4)]
+    products = {(x, x): {"w": c} for x, c in zip(xs, signs)}
+    return AlgebraPresentation(f"four_manifold{signs}", basis, "e0", products)
+
+
 def by_level(dims, max_s):
     """The dims summed over t and characters, level s = 1..max_s."""
     out = [0] * max_s
@@ -88,6 +98,26 @@ def test_surface_ext_matches_its_hilbert_series(genus, characters):
 
 def test_ext_of_the_ground_field_is_empty():
     assert ext_dims(AlgebraPresentation("pt", [("e", 0)], "e", {}), 5, 5) == {}
+
+
+def test_no_kernel_is_taken_for_boundaries_that_no_block_reads(monkeypatch):
+    # Ext of (S^2)^2 is diagonal, t = 2s.  At max_r = max_w = 3 its top block
+    # (s, t) = (3, 6) lies on the top edge t - s = max_r of the top level, so
+    # no later block reads the boundaries of its generators: the kernel of the
+    # 2 x 6 block of d_2 there is never taken.  The 1 x 4 block of d_1 at
+    # (2, 4) is, since a.dg of its generators lies at t = 6.
+    real = resolution.kernel_basis
+    shapes = []
+
+    def kernel_basis(m):
+        shapes.append((m.rows, m.cols))
+        return real(m)
+
+    monkeypatch.setattr(resolution, "kernel_basis", kernel_basis)
+    dims = ext_dims(sphere_power(2, 2), 3, 3)
+    assert dims == {(1, 2, ()): 2, (2, 4, ()): 3, (3, 6, ()): 4}
+    assert by_level(dims, 3) == polynomial_ext_dims(2, 3)
+    assert shapes == [(1, 4)]
 
 
 def test_corrupted_boundary_fails_the_d_squared_check(monkeypatch):
@@ -182,6 +212,18 @@ GENERATED = [
 ]
 
 
+# Ext of these is diagonal, t = 2s, so at max_m = max_w + 1 it reaches the
+# top edge t - s = max_m - 1 of the top level
+FOUR_MANIFOLDS = [
+    ((1, 1), 7, 6),
+    ((1, -1), 7, 6),
+    ((1, 1, 1), 6, 5),
+    ((1, 1, -1), 6, 5),
+    ((1, 1, 1, 1, 1), 6, 5),
+    ((1, -1, -1, -1, -1), 6, 5),
+]
+
+
 @pytest.mark.parametrize("name,max_m,max_w", list(corpus_cases()))
 def test_resolution_table_equals_lie_model_table_on_corpus(corpus, name, max_m, max_w):
     p = corpus[name]
@@ -194,6 +236,16 @@ def test_resolution_table_equals_lie_model_table_on_generated(token, max_m, max_
     table = ext_table(p, max_m, max_w)
     assert table == homotopy_table(build_model(p, max_m, max_w))
     assert table.entries or table.pi1_pieces
+
+
+@pytest.mark.parametrize("signs,max_m,max_w", FOUR_MANIFOLDS)
+def test_resolution_table_equals_lie_model_table_on_four_manifolds(signs, max_m, max_w):
+    p = four_manifold(signs)
+    table = ext_table(p, max_m, max_w)
+    assert table == homotopy_table(build_model(p, max_m, max_w))
+    assert table.entries
+    # the cutoffs put Ext in the top corner
+    assert (max_w, 2 * max_w, ()) in ext_dims(p, max_m - 1, max_w)
 
 
 @pytest.mark.parametrize("name", SIMPLY_CONNECTED)
@@ -214,6 +266,32 @@ def test_resolution_table_refuses_like_the_lie_model(corpus):
     with pytest.raises(CutoffExceededError):
         ext_table(corpus["s2"], 6, 4)
     assert not ext_table(corpus["torus"], 6, 2).complete
+
+
+# ---------------------------------------------------------------------------
+# cutoff restriction
+
+
+def assert_cutoff_restriction(p, max_r, max_w):
+    """Ext in a window is the restriction of Ext in a larger one."""
+    larger = ext_dims(p, max_r + 1, max_w + 1)
+    restricted = {(s, t, chi): d for (s, t, chi), d in larger.items() if s <= max_w and t - s <= max_r}
+    assert ext_dims(p, max_r, max_w) == restricted
+
+
+@pytest.mark.parametrize("name,max_m,max_w", list(corpus_cases()))
+def test_ext_is_the_restriction_of_a_larger_window_on_corpus(corpus, name, max_m, max_w):
+    assert_cutoff_restriction(corpus[name], max_m - 1, max_w)
+
+
+@pytest.mark.parametrize("token,max_m,max_w", GENERATED)
+def test_ext_is_the_restriction_of_a_larger_window_on_generated(token, max_m, max_w):
+    assert_cutoff_restriction(generated(token), max_m - 1, max_w)
+
+
+@pytest.mark.parametrize("signs,max_m,max_w", FOUR_MANIFOLDS)
+def test_ext_is_the_restriction_of_a_larger_window_on_four_manifolds(signs, max_m, max_w):
+    assert_cutoff_restriction(four_manifold(signs), max_m - 1, max_w)
 
 
 # ---------------------------------------------------------------------------
@@ -372,3 +450,8 @@ def test_euler_characteristic_is_the_inverse_hilbert_series_on_corpus(corpus, na
 @pytest.mark.parametrize("token,max_m,max_w", GENERATED)
 def test_euler_characteristic_is_the_inverse_hilbert_series_on_generated(token, max_m, max_w):
     assert_euler_characteristic_is_the_inverse_series(generated(token), max_m - 1, max_w)
+
+
+@pytest.mark.parametrize("signs,max_m,max_w", FOUR_MANIFOLDS)
+def test_euler_characteristic_is_the_inverse_hilbert_series_on_four_manifolds(signs, max_m, max_w):
+    assert_euler_characteristic_is_the_inverse_series(four_manifold(signs), max_m - 1, max_w)
