@@ -349,9 +349,9 @@ def _cmd_doldkan(pres, args, report: RunReport):
     if args.fuzz < 0:
         raise InvalidInputError("fuzz count must be >= 0")
     # D(C) through level L reads C only in degrees <= L; d = 0 is not stored
-    dims_by_degree = pres.dims_by_degree()
-    top = min(max(dims_by_degree), args.level)
-    c = CochainComplex(tuple(dims_by_degree.get(n, 0) for n in range(top + 1)))
+    ids = pres.ids_by_degree
+    top = min(max(ids), args.level)
+    c = CochainComplex(tuple(len(ids.get(n, ())) for n in range(top + 1)))
     v = denormalize(c, args.level)
     # normalize raises SimplicialIdentityError, naming the identity, on a violation
     ok = complexes_agree(c, normalize(v), args.level)

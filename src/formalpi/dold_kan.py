@@ -598,11 +598,9 @@ def algebra_from_presentation(p) -> CochainAlgebra:
     from .graded_core import require_valid
 
     require_valid(p)
-    dims = [0] * (max(e.degree for e in p.basis) + 1)
-    slot = {}  # the position of each id among the ids of its degree
-    for e in p.basis:
-        slot[e.ident] = dims[e.degree]
-        dims[e.degree] += 1
+    ids = p.ids_by_degree
+    dims = [len(ids.get(n, ())) for n in range(max(ids) + 1)]
+    slot = {x: i for row in ids.values() for i, x in enumerate(row)}  # position within its degree
     products: dict[tuple[int, int], dict] = {}  # entries by degree pair, then the matrices
     for a, row in p.table.items():
         for b, ab in row.items():

@@ -15,10 +15,11 @@ Slots are keyed by (reduced degree, weight, character) and can be had two
 ways.  ``slot_dims`` only counts them, by PBW inversion: U(L) = T(V) fixes
 every slot size through a power series, so no word is listed
 (``pbw_invert`` does the inversion for any series of a U(L)).
-``FreeLieBasis`` builds them, by enumerating the Lyndon words within the
-cutoffs and storing each word's standard factors and parity; the
-differential needs the words.  Slots hold words, and a word's bracket tree
-is built from its factors only on request (``tree``, ``slot``).
+``FreeLieBasis`` builds them, since the differential needs the words: each
+Lyndon word uv within the cutoffs is made from a pair of shorter ones by the
+rule that ``_rewrite`` applies below, and is born with its standard factors
+(u, v), its grading and its parity.  Slots hold words, and a word's bracket
+tree is built from its factors only on request (``tree``, ``slot``).
 
 A basis element is keyed by its word: a Lyndon word w stands for P_w, the
 bracketing of w along its standard factorization, and the square zz of an
@@ -36,7 +37,7 @@ bottom-up through it.
 
 from __future__ import annotations
 
-import operator
+from bisect import bisect_right
 from fractions import Fraction
 
 from .errors import CutoffTooSmallError, NegativeDimensionError, OutOfRangeError
@@ -55,7 +56,7 @@ class Generator(Frozen):
             raise ValueError("reduced degree must be >= 0")
         object.__setattr__(self, "ident", ident)
         object.__setattr__(self, "reduced_degree", reduced_degree)
-        object.__setattr__(self, "character", character)
+        object.__setattr__(self, "character", tuple(character))  # a memo key of lattice.add
 
 
 class GeneratorSet(Frozen):
@@ -135,46 +136,6 @@ class BracketWord(Frozen):
 # Lyndon machinery
 
 
-def lyndon_words(
-    alphabet_size: int, max_len: int, degrees: list[int], max_degree: int
-) -> list[Word]:
-    """All Lyndon words of length <= max_len and degree <= max_degree, sorted.
-
-    A word's degree is the sum of its letters' degrees.  Branches whose
-    degree already exceeds the budget are pruned (degrees are >= 0, so no
-    extension can recover).  This keeps enumeration cheap for alphabets whose
-    letters are expensive.
-
-    Words are grown as pre-necklaces a[1..t-1] of period p; such a prefix is a
-    Lyndon word exactly when it is aperiodic, p == t-1.
-    """
-    if alphabet_size == 0 or max_len == 0:
-        return []
-    out: list[Word] = []
-    a = [0] * (max_len + 2)
-
-    def rec(t: int, p: int, deg: int):
-        if p == t - 1:
-            out.append(tuple(a[1:t]))
-        if t > max_len:
-            return
-        c0 = a[t - p]
-        for c in range(c0, alphabet_size):
-            nd = deg + degrees[c]
-            if nd > max_degree:
-                continue
-            a[t] = c
-            rec(t + 1, p if c == c0 else t, nd)
-
-    for c in range(alphabet_size):
-        if degrees[c] > max_degree:
-            continue
-        a[1] = c
-        rec(2, 1, degrees[c])
-    out.sort()
-    return out
-
-
 def standard_factorization(w: Word) -> tuple[Word, Word]:
     """Split a Lyndon word (len >= 2) as u v with v its smallest proper suffix.
 
@@ -222,37 +183,46 @@ class FreeLieBasis:
     # -- construction ---------------------------------------------------------
 
     def _build(self):
-        lattice = self.gens.lattice
-        # reduced characters of a free lattice add without further reduction
-        add = lattice.add if lattice.torsion else lambda a, b: tuple(map(operator.add, a, b))
+        gens, lattice, max_r = self.gens.gens, self.gens.lattice, self.max_r
         factors, parity = self._factors, self._parity
         staging: dict[tuple[int, int, tuple[int, ...]], list[Word]] = {}
-        grading: dict[Word, tuple[int, tuple[int, ...]]] = {}
-        # shorter words first, so that both standard factors of a word are
-        # graded before it; the right factor is the longest proper Lyndon
-        # suffix, and every Lyndon suffix is in the basis (degrees are >= 0)
-        for w in sorted(lyndon_words(len(self.gens), self.max_w, self._degrees, self.max_r), key=len):
-            if len(w) == 1:
-                g = self.gens.gens[w[0]]
-                r, char = g.reduced_degree, lattice.reduce(g.character)
-            else:
-                i = 1
-                while w[i:] not in grading:
-                    i += 1
-                u, v = factors[w] = w[:i], w[i:]
-                (ru, cu), (rv, cv) = grading[u], grading[v]
-                r, char = ru + rv, add(cu, cv)
-            grading[w] = r, char
-            parity[w] = r % 2
+        chars: dict[Word, tuple[int, ...]] = {}
+        # words[n][r]: the Lyndon words of length n and reduced degree r, sorted
+        words: list[dict[int, list[Word]]] = [{} for _ in range(self.max_w + 1)]
+
+        def keep(w: Word, r: int, char: tuple[int, ...]):
+            chars[w], parity[w] = char, r % 2
+            words[len(w)].setdefault(r, []).append(w)
             staging.setdefault((r, len(w), char), []).append(w)
             # squares of odd Lyndon words live at doubled degree and weight
-            if r % 2 == 1 and 2 * r <= self.max_r and 2 * len(w) <= self.max_w:
+            if r % 2 == 1 and 2 * r <= max_r and 2 * len(w) <= self.max_w:
                 factors[w + w], parity[w + w] = (w, w), 0
-                staging.setdefault((2 * r, 2 * len(w), add(char, char)), []).append(w + w)
-        for key, words in staging.items():
-            words.sort()
-            self.slots[key] = tuple(words)
-            self._positions[key] = {w: i for i, w in enumerate(words)}
+                staging.setdefault((2 * r, 2 * len(w), lattice.add(char, char)), []).append(w + w)
+
+        for i, g in enumerate(gens):
+            if g.reduced_degree <= max_r:
+                keep((i,), g.reduced_degree, lattice.reduce(g.character))
+        # uv for Lyndon u < v with u a letter or its right factor >= v: each
+        # Lyndon word once, with (u, v) its standard factorization
+        for n in range(2, self.max_w + 1):
+            for k in range(1, n):
+                right = words[n - k]
+                for ru, us in words[k].items():
+                    for u in us:
+                        cu = chars[u]
+                        for rv, vs in right.items():
+                            if ru + rv <= max_r:
+                                end = bisect_right(vs, factors[u][1]) if k > 1 else len(vs)
+                                for v in vs[bisect_right(vs, u) : end]:
+                                    w = u + v
+                                    factors[w] = u, v
+                                    keep(w, ru + rv, lattice.add(cu, chars[v]))
+            for ws in words[n].values():
+                ws.sort()
+        for key, ws in staging.items():
+            ws.sort()
+            self.slots[key] = tuple(ws)
+            self._positions[key] = {w: i for i, w in enumerate(ws)}
 
     # -- accessors --------------------------------------------------------------
 

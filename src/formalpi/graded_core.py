@@ -22,11 +22,8 @@ read off.  Triples containing the unit are left out: they hold by
 construction, since the table makes the unit the identity.  On (S^2)^6 each
 side sums 2,100 terms, against 262,144 triples of basis classes.
 
-The sums run on integers.  Every term of either side is a product of two
-table entries, so for L the lcm of the table's denominators, scaling each
-entry by L scales both sides by L^2 and keeps every equality and every
-failure; the cached table itself is never changed.  A failure is reported
-once per position of each repeated id, in basis order.
+The sums run on ``integral_table``.  A failure is reported once per
+position of each repeated id, in basis order.
 """
 
 from __future__ import annotations
@@ -54,6 +51,7 @@ class CharacterLattice(Frozen):
             raise ValueError("free_rank must be >= 0 and torsion orders >= 2")
         object.__setattr__(self, "free_rank", free_rank)
         object.__setattr__(self, "torsion", torsion)
+        object.__setattr__(self, "_sums", {})  # (a, b) -> a + b; not a field
 
     @property
     def length(self) -> int:
@@ -70,8 +68,15 @@ class CharacterLattice(Frozen):
         tors = tuple(c % t for c, t in zip(char[self.free_rank :], self.torsion))
         return free + tors
 
-    def add(self, a, b) -> tuple[int, ...]:
-        return self.reduce(tuple(x + y for x, y in zip(a, b)))
+    def add(self, a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+        """The reduced sum of two characters, memoized per pair.
+
+        ``a`` and ``b`` are tuples, as ``reduce`` returns them: they key the memo.
+        """
+        out = self._sums.get((a, b))
+        if out is None:
+            out = self._sums[(a, b)] = self.reduce(tuple(x + y for x, y in zip(a, b)))
+        return out
 
 
 class BasisElement(Frozen):
@@ -180,6 +185,34 @@ class AlgebraPresentation:
         return table
 
     @cached_property
+    def integral_table(self) -> dict[str, dict[str, dict[str, int]]]:
+        """``table`` with its products on A+ times L, the lcm of their
+        denominators; ``table`` itself when L = 1.
+
+        The unit's row and column are kept as they are, so the table stays
+        unital: x -> x / L on A+, fixing the unit, is an isomorphism of
+        augmented algebras from (A, mu) onto (A, mu'), where mu' = L mu on
+        A+ (x) A+, since L mu(x / L, y / L) = mu(x, y) / L.  So Ext_A(Q, Q)
+        is read off the integral table as it is.  Each term of (ab)c or
+        a(bc) with a, b, c in A+ is a product of two entries, so the scaling
+        multiplies both sides by L^2 and keeps every equality and failure.
+        """
+        table, unit = self.table, self.unit_id
+        L = lcm(*(c.denominator for row in table.values() for xy in row.values() for c in xy.values()))
+        if L == 1:
+            return table
+        return {x: {y: xy if unit in (x, y) else {t: c.numerator * (L // c.denominator) for t, c in xy.items()}
+                    for y, xy in row.items()} for x, row in table.items()}
+
+    @cached_property
+    def ids_by_degree(self) -> dict[int, list[str]]:
+        """The basis ids of each degree, in basis order.  Read only."""
+        out: dict[int, list[str]] = {}
+        for e in self.basis:
+            out.setdefault(e.degree, []).append(e.ident)
+        return out
+
+    @cached_property
     def validation(self) -> ValidationReport:
         """``validate_algebra(self)``, computed on the first read."""
         return validate_algebra(self)
@@ -190,12 +223,6 @@ class AlgebraPresentation:
 
     def multiply_vectors(self, u: dict[str, Fraction], v: dict[str, Fraction]) -> dict[str, Fraction]:
         return lincomb((ca * cb, self.product(a, b)) for a, ca in u.items() for b, cb in v.items())
-
-    def dims_by_degree(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for e in self.basis:
-            out[e.degree] = out.get(e.degree, 0) + 1
-        return out
 
 
 def is_simply_connected_type(p: AlgebraPresentation) -> bool:
@@ -223,7 +250,7 @@ def validate_algebra(p: AlgebraPresentation) -> ValidationReport:
         v.append(Violation("UNIT_DEGREE", "unit must sit in degree 0", (p.unit_id,)))
     if unit.character != p.lattice.zero():
         v.append(Violation("UNIT_CHARACTER", "unit must carry the zero character", (p.unit_id,)))
-    degree_zero = [e.ident for e in p.basis if e.degree == 0]
+    degree_zero = p.ids_by_degree.get(0, [])
     if degree_zero != [p.unit_id]:
         v.append(
             Violation(
@@ -236,7 +263,6 @@ def validate_algebra(p: AlgebraPresentation) -> ValidationReport:
     structural = False
     degree = {x: p.basis[i].degree for x, i in p.index.items()}
     character = {x: p.basis[i].character for x, i in p.index.items()}
-    sums: dict = {}  # memo of the lattice sums of characters
     for (a, b), terms in p.products.items():
         ids = [a, b] + list(terms)
         missing = [x for x in ids if x not in p.index]
@@ -266,10 +292,7 @@ def validate_algebra(p: AlgebraPresentation) -> ValidationReport:
                 )
             continue
         da, db = degree[a], degree[b]
-        pair = character[a], character[b]
-        want_char = sums.get(pair)
-        if want_char is None:
-            want_char = sums[pair] = p.lattice.add(*pair)
+        want_char = p.lattice.add(character[a], character[b])
         for t in terms:
             if degree[t] != da + db:
                 v.append(
@@ -299,12 +322,7 @@ def validate_algebra(p: AlgebraPresentation) -> ValidationReport:
     if structural:
         return ValidationReport(tuple(v))
 
-    table, unit_id = p.table, p.unit_id
-    # compare L^2 (ab)c with L^2 a(bc) on the table scaled by L, in ints
-    L = lcm(*(c.denominator for row in table.values() for xy in row.values() for c in xy.values()))
-    if L > 1:
-        table = {x: {y: {t: c.numerator * (L // c.denominator) for t, c in xy.items()}
-                     for y, xy in row.items()} for x, row in table.items()}
+    table, unit_id = p.integral_table, p.unit_id
     positions: dict[str, list[int]] = {}
     for k, e in enumerate(p.basis):
         positions.setdefault(e.ident, []).append(k)

@@ -63,10 +63,7 @@ SlotKey = tuple[int, int, tuple[int, ...]]
 
 def model_generators(p: AlgebraPresentation) -> GeneratorSet:
     """One generator per positive-degree class, named after it."""
-    gens = tuple(
-        Generator(ident, p.element(ident).degree - 1, p.lattice.reduce(p.element(ident).character))
-        for ident in p.positive_ids()
-    )
+    gens = tuple(Generator(i, p.degree(i) - 1, p.element(i).character) for i in p.positive_ids())
     return GeneratorSet(gens, lattice=p.lattice)
 
 
@@ -315,7 +312,7 @@ def hurewicz_rank(model: FormalLieModel, m: int) -> tuple[int, SubspaceBasis]:
     if m < 2 or m > model.max_m:
         raise OutOfRangeError(f"m={m} outside [2, {model.max_m}]")
     p = model.presentation
-    ambient_ids = [i for i in p.positive_ids() if p.element(i).degree == m]
+    ambient_ids = p.ids_by_degree.get(m, [])
     ambient_index = {ident: k for k, ident in enumerate(ambient_ids)}
     vectors = []
     r = m - 1
@@ -360,7 +357,7 @@ def hurewicz_image(p: AlgebraPresentation, m: int) -> SubspaceBasis:
     The functionals on A^m, in the dual basis of the degree-m classes, that
     vanish on every product of two positive-degree classes.  p must be valid.
     """
-    ids = [i for i in p.positive_ids() if p.degree(i) == m]
+    ids = p.ids_by_degree.get(m, [])
     ambient = {ident: k for k, ident in enumerate(ids)}
     entries = {}
     row = 0

@@ -48,14 +48,10 @@ of F_(s-1) in degree t therefore lives on pairs a (x) g' with a in A+ and
 t_g' < t, so t_g' - (s - 1) <= t - s: generators inside the window of level
 s - 1.  A pair 1 (x) g with t_g = t is never needed.
 
-The arithmetic is integral.  The resolution reads only products of two
-positive classes, and for L the lcm of their denominators, x -> x / L is an
-isomorphism of augmented algebras from (A+, mu) onto (A+, L mu), since
-L mu(x / L, y / L) = mu(x, y) / L.  So Ext is that of the table L mu, which
-has integer entries: the a.dg columns are sums of int products, and the
-kernel and complement rows that become new dg are the coprime integer rows
-of a SubspaceBasis.  Every block matrix, image, kernel and d d check runs on
-ints, never on Fractions.  An integral table has L = 1 and is read as it is.
+The arithmetic is integral: the resolution reads ``integral_table``, whose
+Ext is that of the table (see its docstring).  The kernel and complement
+rows that become new dg are the coprime integer rows of a SubspaceBasis, so
+every block matrix, image, kernel and d d check runs on ints.
 
 The image I of each block is read only for its dimension and as the seed of
 the complement, and both depend on the span alone, so it is kept as the
@@ -63,8 +59,6 @@ unreduced echelon of its columns, never brought to canonical form.
 """
 
 from __future__ import annotations
-
-from math import lcm
 
 from .errors import DSquaredNonzeroError
 from .exactlin import RationalMatrix, SubspaceBasis, _Echelon, extend_to_complement, kernel_basis
@@ -84,16 +78,13 @@ def ext_dims(
     """
     # the positive classes of each degree, by character
     positive: dict[int, dict[tuple[int, ...], list[str]]] = {}
-    for e in p.basis:
-        if e.degree > 0:
-            positive.setdefault(e.degree, {}).setdefault(e.character, []).append(e.ident)
+    for m, ids in p.ids_by_degree.items():
+        if m > 0:
+            for x in ids:
+                positive.setdefault(m, {}).setdefault(p.element(x).character, []).append(x)
     low = min(positive, default=0)  # the lowest degree of A+
-    sums: dict = {}  # memo of the lattice sums of characters
-    left: dict[str, dict[int, list]] = {}  # b -> degree of a -> [(a, L ab)], ab nonzero
-    unit, table = p.unit_id, p.table
-    # L clears the denominators of A+ x A+; L = 1 keeps an integral table as it is
-    L = lcm(*(c.denominator for a, row in table.items() if a != unit
-              for b, ab in row.items() if b != unit for c in ab.values()))
+    left: dict[str, dict[int, list]] = {}  # b -> degree of a -> [(a, ab)], ab nonzero
+    unit, table, add = p.unit_id, p.integral_table, p.lattice.add
 
     def multipliers(b: str) -> dict[int, list]:
         out = left.get(b)
@@ -101,10 +92,7 @@ def ext_dims(
             out = left[b] = {}
             # a.b != 0 exactly when b.a != 0: row b names the a, in basis order
             for a in sorted(table[b].keys() - {unit}, key=p.index.__getitem__):
-                ab = table[a][b]
-                if L > 1:
-                    ab = {k: x.numerator * (L // x.denominator) for k, x in ab.items()}
-                out.setdefault(p.degree(a), []).append((a, ab))
+                out.setdefault(p.degree(a), []).append((a, table[a][b]))
         return out
 
     def pairs(gens, t) -> dict[tuple[int, ...], list[Pair]]:
@@ -114,10 +102,7 @@ def ext_dims(
             if tg >= t:
                 break
             for char, classes in positive.get(t - tg, {}).items():
-                key = sums.get((chi, char))
-                if key is None:
-                    key = sums[(chi, char)] = p.lattice.add(chi, char)
-                out.setdefault(key, []).extend((g, a) for a in classes)
+                out.setdefault(add(chi, char), []).extend((g, a) for a in classes)
         return out
 
     dims = {}

@@ -110,9 +110,6 @@ class _Truncation:
         self._d: dict[int, RationalMatrix] = {}
         self._comparison: dict[int, RationalMatrix] = {}
         self._cycles: dict[int, SubspaceBasis] = {}
-        self._ids_by_degree: dict[int, list[str]] = {}
-        for e in p.basis:
-            self._ids_by_degree.setdefault(e.degree, []).append(e.ident)
         self.extend(gens, top)
 
     def extend(self, added, top: int) -> None:
@@ -153,9 +150,6 @@ class _Truncation:
 
     def dim(self, n: int) -> int:
         return len(self.monomials.get(n, ()))
-
-    def target_ids(self, n: int) -> list[str]:
-        return self._ids_by_degree.get(n, [])
 
     def d_of_monomial(self, mono: Monomial) -> dict[Monomial, int | Fraction]:
         out: dict[Monomial, int | Fraction] = {}
@@ -209,7 +203,7 @@ class _Truncation:
         """Monomials of degree n mapped into the target degree-n basis."""
         got = self._comparison.get(n)
         if got is None:
-            ids = self.target_ids(n)
+            ids = self.p.ids_by_degree.get(n, [])
             pos = {ident: i for i, ident in enumerate(ids)}
             entries = {}
             for j, mono in enumerate(self.monomials[n]):
@@ -249,7 +243,7 @@ def minimal_model(p: AlgebraPresentation, cutoff: int) -> MinimalModel:
         # surject onto the target in degree n
         comparison = tr.comparison_matrix(n)
         images = [comparison.matvec(r) for r in tr.cohomology_reps(n)]
-        ids = tr.target_ids(n)
+        ids = p.ids_by_degree.get(n, [])
         hit = _Echelon(images)
         for vec in extend_to_complement(hit, SubspaceBasis.full(len(ids))):
             gens.append(

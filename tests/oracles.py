@@ -3,13 +3,15 @@
 Everything in here is deliberately naive and self-contained: dense Gaussian
 elimination, direct Moebius sums, and exhaustive enumeration of bracketings
 with a hand-rolled associative expansion.  Nothing imports the package's own
-linear algebra or Lie machinery, so agreement is meaningful.  The exceptions
-are earlier designs kept as references for the code that replaced them
-(``cosimplicial_identity_violations``, ``per_degree_minimal_model``): they
-run on the package's matrices, and what they pin is that the new design
-makes the same choices.  ``model_violations`` checks a minimal model against
-its defining invariants on the package's own truncation, and ``from_rows``
-builds a package matrix from dense rows for the tests.
+linear algebra or Lie machinery, so agreement is meaningful.  Some are
+earlier designs kept as references for the code that replaced them:
+``lyndon_words`` enumerates the Lyndon words that the basis now builds from
+factor pairs.  The exceptions (``cosimplicial_identity_violations``,
+``per_degree_minimal_model``) run on the package's matrices, and what they
+pin is that the new design makes the same choices.  ``model_violations``
+checks a minimal model against its defining invariants on the package's own
+truncation, and ``from_rows`` builds a package matrix from dense rows for
+the tests.
 """
 
 from fractions import Fraction
@@ -228,6 +230,42 @@ def lyndon_count_multidegree(alpha):
     for d in divisors(g):
         total += mobius(d) * multinomial(tuple(a // d for a in alpha))
     return total // n
+
+
+def lyndon_words(alphabet_size, max_len, degrees, max_degree):
+    """All Lyndon words of length <= max_len and degree <= max_degree, sorted.
+
+    A word's degree is the sum of its letters' degrees.  Branches whose
+    degree already exceeds the budget are pruned (degrees are >= 0, so no
+    extension can recover).  Words are grown as pre-necklaces a[1..t-1] of
+    period p; such a prefix is a Lyndon word exactly when it is aperiodic,
+    p == t-1.
+    """
+    if alphabet_size == 0 or max_len == 0:
+        return []
+    out = []
+    a = [0] * (max_len + 2)
+
+    def rec(t, p, deg):
+        if p == t - 1:
+            out.append(tuple(a[1:t]))
+        if t > max_len:
+            return
+        c0 = a[t - p]
+        for c in range(c0, alphabet_size):
+            nd = deg + degrees[c]
+            if nd > max_degree:
+                continue
+            a[t] = c
+            rec(t + 1, p if c == c0 else t, nd)
+
+    for c in range(alphabet_size):
+        if degrees[c] > max_degree:
+            continue
+        a[1] = c
+        rec(2, 1, degrees[c])
+    out.sort()
+    return out
 
 
 def gcd(a, b):
@@ -673,6 +711,6 @@ def model_violations(mm):
         rank = _Echelon(images).dim
         if rank != len(reps):
             bad.append(f"comparison map is not injective on H^{n}")
-        if n <= cutoff and rank != len(tr.target_ids(n)):
+        if n <= cutoff and rank != len(p.ids_by_degree.get(n, [])):
             bad.append(f"comparison map is not surjective onto degree {n}")
     return bad

@@ -283,8 +283,8 @@ def identity_check_inputs(corpus):
         c = random_cochain_complex(random.Random(seed), max_degree=3, max_dim=3)
         clean.append(denormalize(c, 2 + seed % 4))
     for name in ALL_CORPUS:
-        dims = corpus[name].dims_by_degree()
-        clean.append(denormalize(CochainComplex(tuple(dims.get(n, 0) for n in range(8))), 7))
+        ids = corpus[name].ids_by_degree
+        clean.append(denormalize(CochainComplex(tuple(len(ids.get(n, ())) for n in range(8))), 7))
     rng = random.Random(20)
     broken = [corrupted(v, rng) for v in clean for _ in range(2) if nonempty_maps(v)]
     return clean, broken

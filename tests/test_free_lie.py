@@ -9,8 +9,8 @@ from formalpi.free_lie import (
     FreeLieBasis,
     Generator,
     GeneratorSet,
+    _square_root,
     expand,
-    lyndon_words,
     slot_dims,
     standard_factorization,
 )
@@ -18,7 +18,7 @@ from formalpi.graded_core import CharacterLattice
 from formalpi.quillen_weight import model_generators
 
 from conftest import ALL_CORPUS
-from oracles import brute_lie_slot_rank, embed_bracketing, super_witt_slot_dims
+from oracles import brute_lie_slot_rank, embed_bracketing, lyndon_words, super_witt_slot_dims
 
 
 def gens_of(*degrees):
@@ -440,6 +440,8 @@ def test_slot_dims_refuse_the_cutoffs_the_basis_refuses(max_r, max_w, message):
 LATTICES = [
     CharacterLattice(free_rank=1, torsion=(2,)),
     CharacterLattice(free_rank=0, torsion=(3,)),
+    CharacterLattice(free_rank=2),
+    CharacterLattice(),
 ]
 
 
@@ -488,6 +490,27 @@ def test_stored_factors_and_parity_match_their_definitions(data):
             assert b.factors(w) == standard_factorization(w), w
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_the_basis_words_are_the_lyndon_words_and_their_odd_squares(data):
+    """The factor-pair construction makes exactly the Lyndon words within the
+    cutoffs, each born with its standard factorization."""
+    g = _random_alphabet(data)
+    degrees = [x.reduced_degree for x in g.gens]
+    max_r, max_w = data.draw(st.integers(0, 8)), data.draw(st.integers(1, 5))
+    b = FreeLieBasis(g, max_r, max_w)
+    built = [w for ws in b.slots.values() for w in ws]
+    lyndon = lyndon_words(len(g), max_w, degrees, max_r)
+    assert sorted(w for w in built if _square_root(w) is None) == lyndon
+    odd = [z for z in lyndon if sum(degrees[c] for c in z) % 2]
+    assert sorted(w for w in built if _square_root(w) is not None) == sorted(
+        z + z for z in odd if 2 * sum(degrees[c] for c in z) <= max_r and 2 * len(z) <= max_w
+    )
+    for w in lyndon:
+        if len(w) >= 2:
+            assert b._factors[w] == standard_factorization(w), w
+
+
 def test_slot_trees_are_the_standard_bracketings():
     b = FreeLieBasis(gens_of(0, 1), 2, 4)
     assert {k: [repr(t) for t in b.slot(*k)] for k in b.slot_keys()} == {
@@ -518,3 +541,10 @@ def test_slot_trees_match_their_words_on_random_alphabets(data):
         trees = b.slot(r, w, char)
         assert [repr(t) for t in trees] == [bracketing(x) for x in words]
         assert all((t.reduced_degree, t.weight, g.lattice.reduce(t.character)) == (r, w, char) for t in trees)
+
+
+def test_lattice_sums_take_tuples_and_generators_store_them():
+    lat = CharacterLattice(0, (2,))
+    g = GeneratorSet((Generator("x", 1, [1]), Generator("y", 1, (1,))), lat)
+    assert g.gens[0].character == (1,)
+    assert g.bracket(g.leaf("x"), g.leaf("y")).character == (0,)

@@ -97,6 +97,16 @@ def test_torsion_characters_reduce():
     assert lat.add((2,), (2,)) == (1,)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_memoized_sums_are_the_reduced_sums_on_torsion_lattices(data):
+    lat = data.draw(st.sampled_from([CharacterLattice(0, (3,)), CharacterLattice(1, (2, 4))]))
+    char = st.tuples(*[st.integers(-9, 9) for _ in range(lat.length)])
+    pairs = data.draw(st.lists(st.tuples(char, char), min_size=1, max_size=6))
+    for a, b in pairs + pairs:  # the second pass reads the memo
+        assert lat.add(a, b) == lat.reduce([x + y for x, y in zip(a, b)])
+
+
 def test_odd_square_must_vanish():
     p = make(
         "oddsq",
@@ -452,6 +462,26 @@ def test_table_matches_per_pair_reference(corpus):
     assert odd.product("f1", "e1") == {"t2": Fraction(-1, 2)}
     assert odd.product("e1", "e1") == {"t2": 3}
     assert cases["listed_unit_product"].product("e0", "x") == {"x": 1}
+
+
+def test_integral_table_scales_the_table_by_the_lcm_of_its_denominators(corpus):
+    scaled = []
+    for name, p in {**corpus, **generated()}.items():
+        table = p.table
+        L = lcm(*(c.denominator for row in table.values() for xy in row.values() for c in xy.values()))
+        if L == 1:
+            assert p.integral_table is table, name
+            continue
+        scaled.append(name)
+        entries = [c for row in p.integral_table.values() for xy in row.values() for c in xy.values()]
+        assert {type(c) for c in entries} == {int}, name
+        unit = p.unit_id
+        assert p.integral_table == {
+            x: {y: xy if unit in (x, y) else {t: L * c for t, c in xy.items()} for y, xy in row.items()}
+            for x, row in table.items()
+        }, name
+        assert all(p.integral_table[unit][x] == p.integral_table[x][unit] == {x: 1} for x in p.index), name
+    assert "rand_formal_1" in scaled and "s2^4~r1" in scaled and "s2^4" not in scaled
 
 
 def test_consumers_read_only_the_table(corpus, monkeypatch):

@@ -113,6 +113,14 @@ def test_equal_words_and_lattices_hash_equal():
     assert CharacterLattice() != CharacterLattice(1)
 
 
+def test_a_lattice_memo_is_not_part_of_its_value():
+    a, b = CharacterLattice(1, (2, 3)), CharacterLattice(1, (2, 3))
+    assert a.add((1, 1, 2), (-3, 1, 2)) == (-2, 0, 1)
+    assert a._sums and not b._sums
+    assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+    assert {a: 1}[b] == 1
+
+
 @pytest.mark.parametrize("case", ["RationalMatrix", "SubspaceBasis", "HomotopyTable"])
 def test_records_holding_dicts_are_unhashable(case):
     a, _ = next(v for k, v in EQUAL.items() if k.startswith(case))
