@@ -22,8 +22,10 @@ read off.  Triples containing the unit are left out: they hold by
 construction, since the table makes the unit the identity.  On (S^2)^6 each
 side sums 2,100 terms, against 262,144 triples of basis classes.
 
-The sums run on ``integral_table``.  A failure is reported once per
-position of each repeated id, in basis order.
+The sums run on ``integral_table``, whose every entry is scaled, the unit's
+row included, so a term through a unit that a corrupted table lists is
+scaled as every other.  A failure is reported once per position of each
+repeated id, in basis order.
 """
 
 from __future__ import annotations
@@ -186,23 +188,24 @@ class AlgebraPresentation:
 
     @cached_property
     def integral_table(self) -> dict[str, dict[str, dict[str, int]]]:
-        """``table`` with its products on A+ times L, the lcm of their
-        denominators; ``table`` itself when L = 1.
+        """``table`` with every product times L, the lcm of its denominators,
+        the unit's row and column included; ``table`` itself when L = 1.
 
-        The unit's row and column are kept as they are, so the table stays
-        unital: x -> x / L on A+, fixing the unit, is an isomorphism of
-        augmented algebras from (A, mu) onto (A, mu'), where mu' = L mu on
-        A+ (x) A+, since L mu(x / L, y / L) = mu(x, y) / L.  So Ext_A(Q, Q)
-        is read off the integral table as it is.  Each term of (ab)c or
-        a(bc) with a, b, c in A+ is a product of two entries, so the scaling
-        multiplies both sides by L^2 and keeps every equality and failure.
+        x -> x / L is an isomorphism of algebras from (A, mu) onto (A, L mu),
+        since L mu(x / L, y / L) = mu(x, y) / L; the unit of (A, L mu) is
+        e / L, and its row reads e . x = L x.  So Ext_A(Q, Q) is read off the
+        integral table as it is.  Every term of (ab)c and of a(bc) is a
+        product of two scaled entries, also where ab or bc lists the unit, so
+        the scaling multiplies both sides by L^2 and keeps every equality and
+        failure.  Both readers, ``validate_algebra`` and the resolution, skip
+        the unit as a factor.
         """
-        table, unit = self.table, self.unit_id
+        table = self.table
         L = lcm(*(c.denominator for row in table.values() for xy in row.values() for c in xy.values()))
         if L == 1:
             return table
-        return {x: {y: xy if unit in (x, y) else {t: c.numerator * (L // c.denominator) for t, c in xy.items()}
-                    for y, xy in row.items()} for x, row in table.items()}
+        return {x: {y: {t: c.numerator * (L // c.denominator) for t, c in xy.items()} for y, xy in row.items()}
+                for x, row in table.items()}
 
     @cached_property
     def ids_by_degree(self) -> dict[int, list[str]]:

@@ -26,7 +26,19 @@ with t - s <= max_r, in increasing t,
 dim K is the size of the block less the rank of d_(s-1) on it, which is
 dim I one level down, so K is built only where B_(s, t, chi) is not empty.
 d d = 0 on what is built so far says that I lies in K; it is checked on each
-block, as d_(s-1) d_s = 0, before the complement is taken.
+column a.dg, as d_(s-1)(a.dg) = 0 against the stored columns of d_(s-1),
+before the complement is taken.
+
+One coordinate system serves the whole resolution.  The pair a (x) g, for g
+the k-th generator of its level and a the class at position i of the basis,
+is the int k * len(basis) + i.  Columns a.dg, boundaries dg, images and
+kernels are sparse dicts over these keys, and each level keeps its nonzero
+columns in one dict keyed by pair.  Within a block the keys rise with g,
+then with the basis order of a: the order the rows of the block have, so
+every echelon is that of the block's own numbering.  A matrix is built only
+as the argument of ``kernel_basis``: d_(s-1) on one block, its columns the
+pairs of the block in key order, its rows left at their keys; the rows of
+the kernel are mapped back to keys.
 
 A boundary is built only where the window reads it.  dg of a generator g
 of B_s in degree t_g is read by the columns a.dg of the blocks of level s in
@@ -35,8 +47,8 @@ below the top level, where the next level reads d_s.  The next level reads
 only the degree and character of g, through its pairs.  So where A+ has no
 class of degree 1, ..., last - t, the new generators of the block are
 counted and given an empty boundary, and no kernel or complement is taken:
-no column that is built reads them, so every block matrix, image and d d
-check is the same as with the boundaries built.  Without degree-1 classes
+no column that is built reads them, so every column, image and d d check
+is the same as with the boundaries built.  Without degree-1 classes
 that is the top edge t - s = max_r of every level and the top two degrees
 of the top level.  When a level ends, only the degree and character of its
 generators are kept.
@@ -51,11 +63,12 @@ s - 1.  A pair 1 (x) g with t_g = t is never needed.
 The arithmetic is integral: the resolution reads ``integral_table``, whose
 Ext is that of the table (see its docstring).  The kernel and complement
 rows that become new dg are the coprime integer rows of a SubspaceBasis, so
-every block matrix, image, kernel and d d check runs on ints.
+every column, image, kernel and d d check runs on ints.
 
 The image I of each block is read only for its dimension and as the seed of
 the complement, and both depend on the span alone, so it is kept as the
-unreduced echelon of its columns, never brought to canonical form.
+unreduced echelon of its columns, never brought to canonical form.  The next
+level reads only its dimension, the rank of d_s there.
 """
 
 from __future__ import annotations
@@ -64,7 +77,6 @@ from .errors import DSquaredNonzeroError
 from .exactlin import RationalMatrix, SubspaceBasis, _Echelon, extend_to_complement, kernel_basis
 from .graded_core import AlgebraPresentation
 
-Pair = tuple[int, str]  # a (x) g: generator index in its level, basis id of a in A+
 _ZERO: dict = {}  # shared by every zero column and unread boundary; never modified
 
 
@@ -76,81 +88,85 @@ def ext_dims(
     ``p`` must be valid; validate it first.  Raises DSquaredNonzeroError with
     witness (s, t, chi) where d d = 0 fails.
     """
-    # the positive classes of each degree, by character
-    positive: dict[int, dict[tuple[int, ...], list[str]]] = {}
+    nb, index, unit, table, add = len(p.basis), p.index, p.unit_id, p.integral_table, p.lattice.add
+    # the basis positions of the positive classes of each degree, by character
+    positive: dict[int, dict[tuple[int, ...], list[int]]] = {}
     for m, ids in p.ids_by_degree.items():
         if m > 0:
             for x in ids:
-                positive.setdefault(m, {}).setdefault(p.element(x).character, []).append(x)
+                positive.setdefault(m, {}).setdefault(p.element(x).character, []).append(index[x])
     low = min(positive, default=0)  # the lowest degree of A+
-    left: dict[str, dict[int, list]] = {}  # b -> degree of a -> [(a, ab)], ab nonzero
-    unit, table, add = p.unit_id, p.integral_table, p.lattice.add
+    left: dict[int, dict[int, list]] = {}  # b -> degree of a -> [(a, ab)], ab nonzero, by position
 
-    def multipliers(b: str) -> dict[int, list]:
+    def multipliers(b: int) -> dict[int, list]:
         out = left.get(b)
         if out is None:
             out = left[b] = {}
+            y = p.basis[b].ident
             # a.b != 0 exactly when b.a != 0: row b names the a, in basis order
-            for a in sorted(table[b].keys() - {unit}, key=p.index.__getitem__):
-                out.setdefault(p.degree(a), []).append((a, table[a][b]))
+            for a in sorted(table[y].keys() - {unit}, key=index.__getitem__):
+                ab = {index[k]: x for k, x in table[a][y].items()}
+                out.setdefault(p.degree(a), []).append((index[a], ab))
         return out
 
-    def pairs(gens, t) -> dict[tuple[int, ...], list[Pair]]:
-        """The pairs a (x) g of A+ (x) B in degree t, by character, in a fixed order."""
-        out: dict[tuple[int, ...], list[Pair]] = {}
+    def pairs(gens, t) -> dict[tuple[int, ...], list[int]]:
+        """The keys of the pairs a (x) g of A+ (x) B in degree t, by character, ascending."""
+        out: dict[tuple[int, ...], list[int]] = {}
         for g, (tg, chi) in enumerate(gens):
             if tg >= t:
                 break
             for char, classes in positive.get(t - tg, {}).items():
-                out.setdefault(add(chi, char), []).extend((g, a) for a in classes)
+                out.setdefault(add(chi, char), []).extend([g * nb + a for a in classes])
         return out
 
     dims = {}
     lower = [(0, p.lattice.zero())]  # B_0 = Q, the unit in degree 0; a generator is (t, chi)
-    lower_blocks: dict[int, dict] = {}  # t -> the pairs of A+ (x) B_(s-1), by character
-    lower_d: dict = {}  # (t, chi) -> d_(s-1) on those pairs, and the echelon of its image
+    # d_(s-1): its nonzero columns by pair and its ranks by (t, chi); width = nb * dim B_(s-2)
+    # bounds the keys of the pairs of F_(s-2), the rows of d_(s-1)
+    lower_d, lower_ranks, width = {}, {}, 0
     for s in range(1, max_w + 1):
         top = max_r + s
         last = top + (s < max_w)  # one degree past the window when a next level reads d_s there
-        gens: list = []  # B_s, in increasing t
-        # dg of each generator, {b: {h: c}} for the boundary sum of c b (x) h
-        boundaries: list[dict[str, dict[int, int]]] = []
-        blocks, d = {}, {}
+        gens, boundaries = [], []  # B_s in increasing t, and the dg of each generator by pair
+        d, ranks = {}, {}  # d_s: its nonzero columns by pair, its ranks by (t, chi)
         for t in range(s, last + 1):
-            rows = lower_blocks.get(t) or pairs(lower, t)
-            index = {pair: i for block in rows.values() for i, pair in enumerate(block)}
             # a.dg, visiting only the nonzero products a.b of its terms b (x) h
-            columns: dict[Pair, dict[int, int]] = {}
+            columns: dict[int, dict[int, int]] = {}
             for g, ((tg, _), dg) in enumerate(zip(gens, boundaries)):
-                for b, terms in dg.items():
+                for key, c in dg.items():
+                    b = key % nb
+                    h = key - b  # the key of 1 (x) h
                     for a, ab in multipliers(b).get(t - tg, ()):
-                        col = columns.setdefault((g, a), {})
-                        for h, c in terms.items():
-                            for k, x in ab.items():
-                                i = index[(h, k)]
-                                col[i] = col.get(i, 0) + c * x
-            columns = {pair: {i: x for i, x in col.items() if x} for pair, col in columns.items()}
-            blocks[t] = pairs(gens, t)
-            for chi, block in blocks[t].items():
-                n = len(rows.get(chi, ()))
-                images = [columns.get(pair, _ZERO) for pair in block]
-                entries = {(i, j): x for j, col in enumerate(images) for i, x in col.items()}
-                matrix = RationalMatrix._canonical(n, len(block), entries)
-                d[(t, chi)] = matrix, _Echelon(filter(None, images))
-                # d d = 0 on A+ (x) B_s in degree t: the image lies in the cycles
-                before = lower_d.get((t, chi))
-                if before and not before[0].matmul(matrix).is_zero():
-                    raise DSquaredNonzeroError(
-                        f"d squared is nonzero on the resolution at (s={s}, t={t}, char={chi})",
-                        witness=(s, t, chi),
-                    )
+                        col = columns.setdefault(g * nb + a, {})
+                        for k, x in ab.items():
+                            col[h + k] = col.get(h + k, 0) + c * x
+            blocks: dict = {}  # the nonzero columns, by character, in the order of their keys
+            for key in sorted(columns):
+                col = {i: x for i, x in columns[key].items() if x}
+                if col:
+                    chi = add(gens[key // nb][1], p.basis[key % nb].character)
+                    blocks.setdefault(chi, {})[key] = col
+            images = {}
+            for chi, block in blocks.items():
+                # d d = 0 on A+ (x) B_s in degree t: each column lies in the cycles
+                for col in block.values():
+                    image: dict[int, int] = {}
+                    for k, x in col.items():
+                        for i, y in lower_d.get(k, _ZERO).items():
+                            image[i] = image.get(i, 0) + x * y
+                    if any(image.values()):
+                        raise DSquaredNonzeroError(
+                            f"d squared is nonzero on the resolution at (s={s}, t={t}, char={chi})",
+                            witness=(s, t, chi))
+                d.update(block)
+                images[chi] = _Echelon(block.values())
+                ranks[(t, chi)] = images[chi].dim
             if t > top:
                 continue
-            for chi, block in rows.items():
-                n = len(block)
-                hit = d[(t, chi)][1] if (t, chi) in d else _Echelon()
-                below = lower_d.get((t, chi))  # d_(s-1) and its image; none for s = 1
-                new = n - hit.dim - (below[1].dim if below else 0)
+            for chi, keys in pairs(lower, t).items():
+                hit = images.get(chi) or _Echelon()
+                below = lower_ranks.get((t, chi), 0)  # the rank of d_(s-1) there; 0 for s = 1
+                new = len(keys) - hit.dim - below
                 if not new:
                     continue
                 dims[(s, t, chi)] = new
@@ -158,20 +174,19 @@ def ext_dims(
                 if t + low > last:  # no a.dg of these generators lies in the window
                     boundaries.extend([_ZERO] * new)
                     continue
-                if below and below[0].entries:
-                    cycles = kernel_basis(below[0])
+                if below:
+                    # d_(s-1) on the block: column j is the pair keys[j], rows keep their keys
+                    cols = [lower_d.get(k, _ZERO) for k in keys]
+                    entries = {(i, j): x for j, col in enumerate(cols) for i, x in col.items()}
+                    kernel = kernel_basis(RationalMatrix._canonical(width, len(keys), entries)).rows
+                    rows = {keys[q]: {keys[j]: x for j, x in r.items()} for q, r in kernel.items()}
                 else:
-                    cycles = SubspaceBasis.full(n)
-                # the kept rows are monic forms of rows of cycles, found by their pivots
-                kept = [cycles.rows[min(row)] for row in extend_to_complement(hit, cycles)] \
-                    if hit.dim else cycles.rows.values()
-                for boundary in kept:
-                    dg: dict[str, dict[int, int]] = {}
-                    for j, x in boundary.items():
-                        h, b = block[j]
-                        dg.setdefault(b, {})[h] = x
-                    boundaries.append(dg)
+                    rows = {k: {k: 1} for k in keys}
+                cycles = SubspaceBasis(nb * len(lower), rows)
+                kept = extend_to_complement(hit, cycles) if hit.dim else rows.values()
+                # each kept row is a row of the cycles, found by its pivot: the complement is monic
+                boundaries.extend([rows[min(row)] for row in kept])
         if not gens:
             break
-        lower, lower_blocks, lower_d = gens, blocks, d
+        lower, lower_d, lower_ranks, width = gens, d, ranks, nb * len(lower)
     return dims

@@ -3,8 +3,16 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from formalpi.cli import load_presentation
+
+# Tier-1 draws the same examples on every run: derandomized, with no example
+# database, and each test's own max_examples.  The "wide" profile draws anew
+# from --hypothesis-seed, for the random search beside tier-1 (see README).
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.register_profile("wide", derandomize=False, database=None)
+settings.load_profile("tier1")
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
 

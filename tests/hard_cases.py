@@ -43,6 +43,10 @@ def rational_s2_7():
     return bench_gen.to_json(bench_gen.rationalize(p, random.Random("7:s2^7~r0")))
 
 
+def surface(genus):
+    return lambda: bench_gen.to_json(bench_gen.surface(genus))
+
+
 def k3():
     xs = [f"x{i}" for i in range(1, 23)]
     signs = [1] * 3 + [-1] * 19
@@ -120,6 +124,12 @@ CASES = [
     ("pi on the surface of genus 2 at degree 3 and weight 8", family("sigma2"),
      "pi {} --max-degree 3 --max-weight 8", 10,
      sha256("b2f479933f0672be16efbc78e6df343cea50b412a3adee7a0a03cda0a7eb0aab")),
+    ("supports on the surface of genus 2 with characters at degree 3 and weight 8", family("sigma2_chi"),
+     "supports {} --max-degree 3 --max-weight 8", 10,
+     sha256("a7edf0c5961cbec826cc62a7d3550a6a115cd97b1dc28cb03e210b7c06a592b0")),
+    ("pi on the surface of genus 3 at degree 3 and weight 6", surface(3),
+     "pi {} --max-degree 3 --max-weight 6", 10,
+     sha256("cbb9a68facbaf4c554b2c349cb7527e6c444a3087b95d841cb4f804be5ff2433")),
     ("pi on K3 at degree 5", k3, "pi {} --max-degree 5", 10,
      sha256("e0a7760320b965ffa7ddfb769423ed7ffd48d3358eef06c889ce5a07d86c3291")),
     ("pi on the wedge of S^2, S^2, S^3, S^3 at degree 13 and weight 12", family("wedge_2233"),

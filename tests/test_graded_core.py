@@ -289,6 +289,20 @@ def test_associativity_matches_naive_triple_loop(data):
     assert associativity_subjects(p) == naive_associativity(p)
 
 
+def test_associativity_compares_products_through_the_unit_on_a_rational_table():
+    # A draw of the property above, with a1 . a1b1 = 1/2 b1 and a1 . a1 = e0,
+    # so L = 2.  (a1 . a1) . b1 = b1 and a1 . (a1 . b1) = 1/2 b1 differ, but
+    # with the unit's row of the integral table left unscaled both sides read
+    # 2 b1 there, and none of the four failures is reported.
+    basis, prods = SMALL_ALGEBRAS["s2xs2"]()
+    assert [x for x, _ in basis] == ["e0", "b1", "a1", "a1b1"]
+    prods = {**prods, ("a1", "a1b1"): {"b1": Fraction(1, 2)}, ("a1", "a1"): {"e0": Fraction(1)}}
+    p = make("corrupt", basis, prods)
+    expected = [("b1", "a1", "a1"), ("a1", "a1", "b1"), ("a1", "a1", "a1b1"), ("a1b1", "a1", "a1")]
+    assert naive_associativity(p) == expected
+    assert associativity_subjects(p) == expected
+
+
 EVEN = [("e0", 0), ("a", 2), ("b", 2), ("c", 2), ("w", 4), ("x", 4), ("y", 4), ("z", 6)]
 
 # (products, a triple the check must report, or None for an associative table)
@@ -477,10 +491,9 @@ def test_integral_table_scales_the_table_by_the_lcm_of_its_denominators(corpus):
         assert {type(c) for c in entries} == {int}, name
         unit = p.unit_id
         assert p.integral_table == {
-            x: {y: xy if unit in (x, y) else {t: L * c for t, c in xy.items()} for y, xy in row.items()}
-            for x, row in table.items()
+            x: {y: {t: L * c for t, c in xy.items()} for y, xy in row.items()} for x, row in table.items()
         }, name
-        assert all(p.integral_table[unit][x] == p.integral_table[x][unit] == {x: 1} for x in p.index), name
+        assert all(p.integral_table[unit][x] == p.integral_table[x][unit] == {x: L} for x in p.index), name
     assert "rand_formal_1" in scaled and "s2^4~r1" in scaled and "s2^4" not in scaled
 
 

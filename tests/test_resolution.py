@@ -103,21 +103,23 @@ def test_ext_of_the_ground_field_is_empty():
 def test_no_kernel_is_taken_for_boundaries_that_no_block_reads(monkeypatch):
     # Ext of (S^2)^2 is diagonal, t = 2s.  At max_r = max_w = 3 its top block
     # (s, t) = (3, 6) lies on the top edge t - s = max_r of the top level, so
-    # no later block reads the boundaries of its generators: the kernel of the
-    # 2 x 6 block of d_2 there is never taken.  The 1 x 4 block of d_1 at
-    # (2, 4) is, since a.dg of its generators lies at t = 6.
+    # no later block reads the boundaries of its generators: the kernel of
+    # d_2 on the 6 pairs of that block is never taken.  The kernel of d_1 on
+    # the 4 pairs of (2, 4) is, since a.dg of its generators lies at t = 6.
+    # The rows of a kernel's matrix keep their pair keys, so only its columns
+    # count the pairs of the block.
     real = resolution.kernel_basis
-    shapes = []
+    widths = []
 
     def kernel_basis(m):
-        shapes.append((m.rows, m.cols))
+        widths.append(m.cols)
         return real(m)
 
     monkeypatch.setattr(resolution, "kernel_basis", kernel_basis)
     dims = ext_dims(sphere_power(2, 2), 3, 3)
     assert dims == {(1, 2, ()): 2, (2, 4, ()): 3, (3, 6, ()): 4}
     assert by_level(dims, 3) == polynomial_ext_dims(2, 3)
-    assert shapes == [(1, 4)]
+    assert widths == [4]
 
 
 def test_corrupted_boundary_fails_the_d_squared_check(monkeypatch):
