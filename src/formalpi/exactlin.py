@@ -17,16 +17,21 @@ left to right, only against the rows whose pivot column it touches, and
 either vanishes or becomes one more row.  A SubspaceBasis is the canonical
 form of such an echelon, reduced, with coprime integer rows and positive
 pivots, so equal spans give equal objects; it is built only from that
-form.  A span whose only readers are its dimension and extend_to_complement
-stays an _Echelon, unreduced: both depend on the span alone, not on its
-rows.  The resolution's block images and the minimal model's boundary and
-hit spans are kept that way.  Dense vectors appear only in the read-only
-view ``SubspaceBasis.vectors`` and in RationalMatrix.apply.
+form.  A span whose only readers are its dimension and a greedy complement
+(extend_to_complement, or insert on the echelon itself) stays an _Echelon,
+unreduced: both depend on the span alone, not on its rows.  The
+resolution's block images and the minimal model's boundary and hit spans
+are kept that way.  Dense vectors appear only in the read-only view
+``SubspaceBasis.vectors`` and in RationalMatrix.apply.
 
-Kernels, preimages and intersections all answer {x in W : m x in S} with
-one tagged echelon, _preimage: seeded with the rows of S, it takes (m x | x)
-for each basis row x of W, and its rows with pivot in the x half span the
-answer.
+Kernels, preimages and intersections all run through one tagged echelon,
+kernel_rows.  It takes labelled sparse columns {k: c_k} of Q^n and the
+rows of a span S, tags c_k with the unit vector at n + k, and reads the
+rows whose pivot lies from n on: the canonical basis of {x : sum of x_k c_k
+in S}, keyed by label.  _preimage, under kernel_basis, preimage_subspace
+and subspace_intersection, labels the columns of a matrix by position; the
+resolution labels the stored columns of a block by pair and builds no
+matrix.
 """
 
 from __future__ import annotations
@@ -284,8 +289,8 @@ class _Echelon:
 
     An echelon of its span, not the canonical one: the rows depend on the
     order of insertion.  A span that is only counted (dim) or extended
-    (extend_to_complement) stays in this form; rref() gives the canonical
-    form that a SubspaceBasis holds.
+    (insert, extend_to_complement) stays in this form; rref() gives the
+    canonical form that a SubspaceBasis holds.
     """
 
     __slots__ = ("rows",)
@@ -401,21 +406,32 @@ class SubspaceBasis(Frozen):
         return not _Echelon(rows=self.rows).insert(_sparse(vec, self.ambient_dim))
 
 
+def kernel_rows(columns: dict[int, dict], n: int, seed: Rows | None = None) -> Rows:
+    """The canonical rows of {x : sum of x_k columns[k] lies in span(seed)}, keyed by label.
+
+    The labels k are ints >= 0 and each columns[k] a sparse vector of Q^n;
+    seed is an echelon of Q^n, the zero space when None.  The column of k
+    takes the tag n + k, so the rows (0 | x) are those whose pivot lies from
+    n on.  The result is in SubspaceBasis form over the labels.
+    """
+    ech = _Echelon(({**col, n + k: 1} for k, col in columns.items()), rows=seed)
+    meet = {p - n: {j - n: v for j, v in row.items()} for p, row in ech.rows.items() if p >= n}
+    return _Echelon(rows=meet).rref()
+
+
 def _preimage(m: RationalMatrix, s: SubspaceBasis, within: SubspaceBasis | None) -> SubspaceBasis:
     """{x in within : m x in s}, within None for all of Q^cols (Zassenhaus).
 
-    The echelon starts from the rows of s; x is placed from column m.rows on,
-    so the rows (0 | x) are those whose pivot lies in that right half.
+    The kernel of x -> m x modulo s; inside W, that of x -> (m x | x)
+    modulo s + (0 | W), with W placed from row m.rows on.
     """
-    n = m.rows
-    if within is None:
-        columns = m._columns
-        tagged = ({**columns.get(j, {}), n + j: 1} for j in range(m.cols))
-    else:
-        tagged = (m.matvec(x) | {n + j: v for j, v in x.items()} for x in within.rows.values())
-    ech = _Echelon(tagged, rows=s.rows)
-    meet = {p - n: {j - n: v for j, v in row.items()} for p, row in ech.rows.items() if p >= n}
-    return SubspaceBasis(m.cols, _Echelon(rows=meet).rref())
+    n, seed, cols = m.rows, s.rows, m._columns
+    columns = {j: cols.get(j, {}) for j in range(m.cols)}
+    if within is not None:
+        columns = {j: {**col, n + j: 1} for j, col in columns.items()}
+        seed = {**seed, **{n + p: {n + j: v for j, v in row.items()} for p, row in within.rows.items()}}
+        n += m.cols
+    return SubspaceBasis(m.cols, kernel_rows(columns, n, seed))
 
 
 def kernel_basis(m: RationalMatrix) -> SubspaceBasis:

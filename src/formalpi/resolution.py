@@ -35,10 +35,9 @@ is the int k * len(basis) + i.  Columns a.dg, boundaries dg, images and
 kernels are sparse dicts over these keys, and each level keeps its nonzero
 columns in one dict keyed by pair.  Within a block the keys rise with g,
 then with the basis order of a: the order the rows of the block have, so
-every echelon is that of the block's own numbering.  A matrix is built only
-as the argument of ``kernel_basis``: d_(s-1) on one block, its columns the
-pairs of the block in key order, its rows left at their keys; the rows of
-the kernel are mapped back to keys.
+every echelon is that of the block's own numbering.  No matrix is built:
+``kernel_rows`` takes the stored columns of d_(s-1) on a block, labelled by
+their pairs, and gives back the canonical rows of its kernel keyed by pair.
 
 A boundary is built only where the window reads it.  dg of a generator g
 of B_s in degree t_g is read by the columns a.dg of the blocks of level s in
@@ -61,20 +60,24 @@ t_g' < t, so t_g' - (s - 1) <= t - s: generators inside the window of level
 s - 1.  A pair 1 (x) g with t_g = t is never needed.
 
 The arithmetic is integral: the resolution reads ``integral_table``, whose
-Ext is that of the table (see its docstring).  The kernel and complement
-rows that become new dg are the coprime integer rows of a SubspaceBasis, so
-every column, image, kernel and d d check runs on ints.
+Ext is that of the table (see its docstring).  The kernel rows that become
+new dg are coprime integer rows, so every column, image, kernel and d d
+check runs on ints.
 
-The image I of each block is read only for its dimension and as the seed of
-the complement, and both depend on the span alone, so it is kept as the
-unreduced echelon of its columns, never brought to canonical form.  The next
-level reads only its dimension, the rank of d_s there.
+The image I of each block is read only for its dimension and to pick the
+complement, and both depend on the span alone, so it is kept as the
+unreduced echelon of its columns, never brought to canonical form.  The
+complement is greedy: in pivot order, a row of K is a new dg exactly when
+I's own echelon, grown by the rows kept before it, takes it on insert; the
+rank of d_s is recorded first and nothing reads the echelon after.  Where I
+is zero every row of K is kept and none is inserted.  The next level reads
+only the dimension of I, the rank of d_s there.
 """
 
 from __future__ import annotations
 
 from .errors import DSquaredNonzeroError
-from .exactlin import RationalMatrix, SubspaceBasis, _Echelon, extend_to_complement, kernel_basis
+from .exactlin import _Echelon, kernel_rows
 from .graded_core import AlgebraPresentation
 
 _ZERO: dict = {}  # shared by every zero column and unread boundary; never modified
@@ -174,18 +177,13 @@ def ext_dims(
                 if t + low > last:  # no a.dg of these generators lies in the window
                     boundaries.extend([_ZERO] * new)
                     continue
-                if below:
-                    # d_(s-1) on the block: column j is the pair keys[j], rows keep their keys
-                    cols = [lower_d.get(k, _ZERO) for k in keys]
-                    entries = {(i, j): x for j, col in enumerate(cols) for i, x in col.items()}
-                    kernel = kernel_basis(RationalMatrix._canonical(width, len(keys), entries)).rows
-                    rows = {keys[q]: {keys[j]: x for j, x in r.items()} for q, r in kernel.items()}
+                if below:  # the kernel of d_(s-1) on the block, its columns labelled by pair
+                    cycles = kernel_rows({k: lower_d.get(k, _ZERO) for k in keys}, width)
                 else:
-                    rows = {k: {k: 1} for k in keys}
-                cycles = SubspaceBasis(nb * len(lower), rows)
-                kept = extend_to_complement(hit, cycles) if hit.dim else rows.values()
-                # each kept row is a row of the cycles, found by its pivot: the complement is monic
-                boundaries.extend([rows[min(row)] for row in kept])
+                    cycles = {k: {k: 1} for k in keys}
+                # a cycle row is new when hit, I grown by the rows kept so far, takes it
+                kept = [row for row in cycles.values() if hit.insert(row)] if hit.dim else cycles.values()
+                boundaries.extend(kept)
         if not gens:
             break
         lower, lower_d, lower_ranks, width = gens, d, ranks, nb * len(lower)

@@ -130,6 +130,9 @@ CASES = [
     ("pi on the surface of genus 3 at degree 3 and weight 6", surface(3),
      "pi {} --max-degree 3 --max-weight 6", 10,
      sha256("cbb9a68facbaf4c554b2c349cb7527e6c444a3087b95d841cb4f804be5ff2433")),
+    ("pi on the surface of genus 3 at degree 3 and weight 7", surface(3),
+     "pi {} --max-degree 3 --max-weight 7", 20,
+     sha256("3ca557b80f07f7e36ee74cd01aad2d913d5ed10cfc51267c627fa6397fe782a1")),
     ("pi on K3 at degree 5", k3, "pi {} --max-degree 5", 10,
      sha256("e0a7760320b965ffa7ddfb769423ed7ffd48d3358eef06c889ce5a07d86c3291")),
     ("pi on the wedge of S^2, S^2, S^3, S^3 at degree 13 and weight 12", family("wedge_2233"),

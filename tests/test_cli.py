@@ -14,7 +14,7 @@ from formalpi import cli, graded_core
 from formalpi.cli import parse_presentation, render_json, run
 from formalpi.sullivan_oracle import minimal_model
 
-from conftest import ALL_CORPUS, SIMPLY_CONNECTED, corpus_path
+from conftest import ALL_CORPUS, SIMPLY_CONNECTED, corpus_path, examples
 from oracles import model_violations, necklace_numbers, surface_group_ranks, torus_pi1_weights
 
 
@@ -692,7 +692,7 @@ def _tables(path, doc) -> tuple:
 
 
 @pytest.mark.parametrize("name", ALL_CORPUS + ["t3"])
-@settings(max_examples=10, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=examples(10), deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_tables_ignore_the_order_and_scale_of_the_basis(tmp_path, name, data):
     """pi, supports, hurewicz and minimal-model print the same bytes; the
@@ -849,7 +849,7 @@ _json_docs = st.fixed_dictionaries(
 )
 
 
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=examples(150), deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(doc=_json_docs | _json_values, cmd=st.sampled_from(sorted(cli._COMMANDS)))
 def test_random_json_never_escapes_as_a_traceback(tmp_path, capsys, doc, cmd):
     """Random JSON, now and then a valid algebra, at a small cutoff."""

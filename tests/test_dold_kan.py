@@ -35,7 +35,7 @@ from formalpi.errors import (
 )
 from formalpi.exactlin import RationalMatrix, combine
 
-from conftest import ALL_CORPUS
+from conftest import ALL_CORPUS, examples
 from oracles import cosimplicial_identity_violations, from_rows, reference_structure_matrix
 
 ONE = from_rows([[1]])
@@ -96,7 +96,7 @@ def test_rank_one_degree_one_gives_dim_n_at_level_n():
     st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=4),
     st.integers(min_value=0, max_value=5),
 )
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 def test_level_dims_are_binomial_weighted_sums(dims, m):
     c = CochainComplex(tuple(dims))
     v = denormalize(c, m)
@@ -131,7 +131,7 @@ monotone_maps = st.integers(min_value=0, max_value=5).flatmap(
     st.sampled_from([0, 2, -1, Fraction(1, 3)]),
     monotone_maps,
 )
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 def test_structure_matrix_matches_the_per_summand_reference(seed, factor, alpha_tgt):
     """Two complexes with equal dims and different d read the same cached plan."""
     alpha, tgt = alpha_tgt

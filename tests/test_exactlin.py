@@ -27,6 +27,7 @@ from formalpi.exactlin import (
     subspace_sum,
 )
 
+from conftest import examples
 from oracles import (
     dense_matmul,
     dense_null_space,
@@ -134,19 +135,19 @@ def matrices(draw, max_dim=6):
     return from_rows(rows)
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=examples(120), deadline=None)
 @given(matrices())
 def test_rank_equals_rank_of_transpose(m):
     assert rank(m) == rank(m.transpose())
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=examples(120), deadline=None)
 @given(matrices())
 def test_rank_nullity(m):
     assert rank(m) + kernel_basis(m).dim == m.cols
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=examples(120), deadline=None)
 @given(matrices())
 def test_kernel_vectors_are_killed(m):
     k = kernel_basis(m)
@@ -336,7 +337,7 @@ def vector_families(draw, max_dim=6):
     return n, draw(vectors(n))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(vector_families(), st.data())
 def test_contains_agrees_with_rank_of_stacked_vectors(family, data):
     n, vecs = family
@@ -346,7 +347,7 @@ def test_contains_agrees_with_rank_of_stacked_vectors(family, data):
         assert span.contains(v) == (gauss_rank(vecs + [v]) == gauss_rank(vecs))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(vector_families(), st.data())
 def test_extend_to_complement_is_the_greedy_first_in_order_choice(family, data):
     n, vecs = family
@@ -361,7 +362,7 @@ def test_extend_to_complement_is_the_greedy_first_in_order_choice(family, data):
     assert [_dense(r, n) for r in extend_to_complement(sub, space)] == chosen
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(vector_families(), st.data())
 def test_from_vectors_is_the_canonical_rref(family, data):
     n, vecs = family
@@ -375,7 +376,7 @@ def test_from_vectors_is_the_canonical_rref(family, data):
         assert SubspaceBasis.from_vectors([_sparse(v) for v in gens], n) == span
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(vector_families())
 def test_kernel_is_annihilated_and_canonical(family):
     n, rows = family
@@ -412,7 +413,7 @@ def preimage_problems(draw):
     return m, s, None if whole else draw(vectors(cols, max_count=5)), case
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=examples(200), deadline=None)
 @given(preimage_problems())
 def test_preimage_subspace_matches_dense_oracle(problem):
     """_preimage, the echelon under preimage_subspace, kernel_basis and
@@ -467,7 +468,7 @@ def _in_normal_form(m):
     )
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 @given(st.data())
 def test_matmul_and_combine_match_dense_oracle_in_normal_form(data):
     n, k, m = (data.draw(st.integers(min_value=1, max_value=5)) for _ in range(3))
@@ -502,7 +503,7 @@ def test_matmul_returns_normal_form_from_the_raw_product():
         half._product(RationalMatrix.zero(3, 1))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(st.data())
 def test_columns_are_built_once_and_match_entries(data):
     rows, cols = (data.draw(st.integers(min_value=1, max_value=5)) for _ in range(2))
@@ -518,7 +519,7 @@ def test_columns_are_built_once_and_match_entries(data):
     assert m._columns is columns
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(vector_families(), st.data())
 def test_subspace_operations_leave_their_arguments_rows_unchanged(family, data):
     n, vecs = family
@@ -572,7 +573,7 @@ def _entries_as(kind, vecs):
 KINDS = ("int", "fraction", "mixed")
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(int_vector_families())
 def test_int_fraction_and_mixed_entries_give_the_same_canonical_rows(family):
     n, vecs = family
@@ -586,7 +587,7 @@ def test_int_fraction_and_mixed_entries_give_the_same_canonical_rows(family):
             assert span.contains(_sparse(v))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(int_vector_families(), st.data())
 def test_kernel_of_int_rows_equals_kernel_of_rescaled_rows(family, data):
     n, rows = family
@@ -601,7 +602,7 @@ def test_kernel_of_int_rows_equals_kernel_of_rescaled_rows(family, data):
         assert list(kernel_basis(RationalMatrix(len(gens), n, entries)).vectors) == expected
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(int_vector_families(), st.data())
 def test_greedy_complement_is_the_same_for_every_entry_type(family, data):
     n, vecs = family
@@ -639,7 +640,7 @@ def _assert_canonical(s):
         assert not any(q in row for q in s.rows if q != p)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(st.one_of(vector_families(), int_vector_families()), st.data())
 def test_an_unreduced_echelon_seeds_the_same_complement(family, data):
     n, vecs = family
@@ -655,7 +656,7 @@ def test_an_unreduced_echelon_seeds_the_same_complement(family, data):
     assert ech.rows == seeded
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=examples(150), deadline=None)
 @given(st.one_of(vector_families(), int_vector_families()), st.data())
 def test_every_subspace_exactlin_returns_is_canonical(family, data):
     n, vecs = family

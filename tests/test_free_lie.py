@@ -17,7 +17,7 @@ from formalpi.free_lie import (
 from formalpi.graded_core import CharacterLattice
 from formalpi.quillen_weight import model_generators
 
-from conftest import ALL_CORPUS
+from conftest import ALL_CORPUS, examples
 from oracles import brute_lie_slot_rank, embed_bracketing, lyndon_words, super_witt_slot_dims
 
 
@@ -239,7 +239,7 @@ def test_expand_linear():
     assert combo == tuple(3 * a - Fraction(1, 2) * c for a, c in zip(cu, cv))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(st.data())
 def test_expand_graded_jacobi(data):
     g = gens_of(1, 2)
@@ -288,7 +288,7 @@ def _add_scaled(acc, vec, c):
         acc[word] = acc.get(word, 0) + c * coeff
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(st.data())
 def test_expand_reconstructs_rational_combinations(data):
     # g0 is odd and g1 even, so (r, w) fixes how many of each letter a word has
@@ -463,7 +463,7 @@ def _random_alphabet(data):
     )
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(st.data())
 def test_slot_dims_match_the_built_basis_on_random_alphabets(data):
     g = _random_alphabet(data)
@@ -472,7 +472,7 @@ def test_slot_dims_match_the_built_basis_on_random_alphabets(data):
     assert slot_dims(g, max_r, max_w) == built_dims(g, max_r, max_w)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(st.data())
 def test_stored_factors_and_parity_match_their_definitions(data):
     g = _random_alphabet(data)
@@ -490,7 +490,7 @@ def test_stored_factors_and_parity_match_their_definitions(data):
             assert b.factors(w) == standard_factorization(w), w
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(st.data())
 def test_the_basis_words_are_the_lyndon_words_and_their_odd_squares(data):
     """The factor-pair construction makes exactly the Lyndon words within the
@@ -525,7 +525,7 @@ def test_slot_trees_are_the_standard_bracketings():
     }
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=examples(40), deadline=None)
 @given(st.data())
 def test_slot_trees_match_their_words_on_random_alphabets(data):
     g = _random_alphabet(data)

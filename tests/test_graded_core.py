@@ -24,6 +24,7 @@ from formalpi.graded_core import (
 )
 from formalpi.resolution import ext_dims
 
+from conftest import examples
 from oracles import naive_associativity, reference_table
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -97,7 +98,7 @@ def test_torsion_characters_reduce():
     assert lat.add((2,), (2,)) == (1,)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(st.data())
 def test_memoized_sums_are_the_reduced_sums_on_torsion_lattices(data):
     lat = data.draw(st.sampled_from([CharacterLattice(0, (3,)), CharacterLattice(1, (2, 4))]))
@@ -269,7 +270,7 @@ def associativity_subjects(p):
     return [v.subjects for v in validate_algebra(p).violations if v.code == "ASSOCIATIVITY"]
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=examples(60), deadline=None)
 @given(st.data())
 def test_associativity_matches_naive_triple_loop(data):
     basis, prods = SMALL_ALGEBRAS[data.draw(st.sampled_from(sorted(SMALL_ALGEBRAS)))]()

@@ -18,7 +18,7 @@ from formalpi.errors import (
     InvalidInputError,
     NegativeDimensionError,
 )
-from formalpi.exactlin import SubspaceBasis
+from formalpi.exactlin import _Echelon
 from formalpi.free_lie import pbw_invert
 from formalpi.graded_core import AlgebraPresentation, CharacterLattice, validate_algebra
 from formalpi.quillen_weight import (
@@ -106,42 +106,72 @@ def test_no_kernel_is_taken_for_boundaries_that_no_block_reads(monkeypatch):
     # no later block reads the boundaries of its generators: the kernel of
     # d_2 on the 6 pairs of that block is never taken.  The kernel of d_1 on
     # the 4 pairs of (2, 4) is, since a.dg of its generators lies at t = 6.
-    # The rows of a kernel's matrix keep their pair keys, so only its columns
-    # count the pairs of the block.
-    real = resolution.kernel_basis
+    # A kernel's columns are labelled by the pairs of the block.
+    real = resolution.kernel_rows
     widths = []
 
-    def kernel_basis(m):
-        widths.append(m.cols)
-        return real(m)
+    def kernel_rows(columns, n, seed=None):
+        widths.append(len(columns))
+        return real(columns, n, seed)
 
-    monkeypatch.setattr(resolution, "kernel_basis", kernel_basis)
+    monkeypatch.setattr(resolution, "kernel_rows", kernel_rows)
     dims = ext_dims(sphere_power(2, 2), 3, 3)
     assert dims == {(1, 2, ()): 2, (2, 4, ()): 3, (3, 6, ()): 4}
     assert by_level(dims, 3) == polynomial_ext_dims(2, 3)
     assert widths == [4]
 
 
-def test_corrupted_boundary_fails_the_d_squared_check(monkeypatch):
-    real = resolution.kernel_basis
+def corrupt_first_kernel(monkeypatch, last=False):
+    """Patches resolution.kernel_rows to add a non-cycle to one row of the
+    first kernel that is neither zero nor all of its block.
+
+    The first row gets the first pair after its pivot that is not a cycle;
+    the last row gets the last pair of the block that is not a cycle, since
+    its pivot is often the block's last pair.  Returns the list that records
+    the position in the block of the pair added.
+    """
+    real = resolution.kernel_rows
     corrupted = []
 
-    def kernel_basis(m):
-        # add a non-cycle to the first kernel row that a generator is made from
-        k = real(m)
-        if corrupted or not k.dim or k.dim == k.ambient_dim:
-            return k
-        pivot, row = next(iter(k.rows.items()))
-        j = next(j for j in range(pivot + 1, m.cols) if not k.contains({j: 1}))
+    def kernel_rows(columns, n, seed=None):
+        rows = real(columns, n, seed)
+        labels = list(columns)
+        if corrupted or not rows or len(rows) == len(labels):
+            return rows
+        pivot, row = list(rows.items())[-1 if last else 0]
+        positions = reversed(range(len(labels))) if last else range(labels.index(pivot) + 1, len(labels))
+        j = next(j for j in positions if _Echelon(rows=rows).insert({labels[j]: 1}))
         corrupted.append(j)
-        return SubspaceBasis(k.ambient_dim, {**k.rows, pivot: {**row, j: row.get(j, 0) + 1}})
+        return {**rows, pivot: {**row, labels[j]: row.get(labels[j], 0) + 1}}
 
-    monkeypatch.setattr(resolution, "kernel_basis", kernel_basis)
+    monkeypatch.setattr(resolution, "kernel_rows", kernel_rows)
+    return corrupted
+
+
+def test_corrupted_boundary_fails_the_d_squared_check(monkeypatch):
+    # the first kernel row that a generator is made from: its first column
+    # a.dg leads its block, the others are read after it
+    corrupted = corrupt_first_kernel(monkeypatch)
     with pytest.raises(DSquaredNonzeroError) as err:
         ext_dims(sphere_power(1, 3), 3, 3)
     assert corrupted
     assert err.value.witness == (2, 3, ())
     assert str(err.value) == "d squared is nonzero on the resolution at (s=2, t=3, char=())"
+
+
+def test_corrupted_last_boundary_fails_the_d_squared_check(monkeypatch):
+    # On CP^2 x CP^2 the first kernel taken has one row, the dg of the one
+    # generator g of (s, t) = (2, 4), and the last pair of its block that is
+    # not a cycle is ha_1 (x) g', for g' of level 1.  Of the columns a.dg of g
+    # at t = 6, only a = hb_1 reads that pair, since ha_1^3 = 0, and that
+    # column leads its block: a check that skips each block's first column
+    # misses it.
+    corrupted = corrupt_first_kernel(monkeypatch, last=True)
+    with pytest.raises(DSquaredNonzeroError) as err:
+        ext_dims(generated("cp2xcp2"), 4, 4)
+    assert corrupted == [3]
+    assert err.value.witness == (2, 6, ())
+    assert str(err.value) == "d squared is nonzero on the resolution at (s=2, t=6, char=())"
 
 
 def test_corrupted_boundary_fails_the_d_squared_check_on_a_rational_table(monkeypatch):
@@ -156,19 +186,7 @@ def test_corrupted_boundary_fails_the_d_squared_check_on_a_rational_table(monkey
     p = parsed(t3)
     assert any(type(c) is Fraction for terms in p.products.values() for c in terms.values())
 
-    real = resolution.kernel_basis
-    corrupted = []
-
-    def kernel_basis(m):
-        k = real(m)
-        if corrupted or not k.dim or k.dim == k.ambient_dim:
-            return k
-        pivot, row = next(iter(k.rows.items()))
-        j = next(j for j in range(pivot + 1, m.cols) if not k.contains({j: 1}))
-        corrupted.append(j)
-        return SubspaceBasis(k.ambient_dim, {**k.rows, pivot: {**row, j: row.get(j, 0) + 1}})
-
-    monkeypatch.setattr(resolution, "kernel_basis", kernel_basis)
+    corrupted = corrupt_first_kernel(monkeypatch)
     with pytest.raises(DSquaredNonzeroError) as err:
         ext_dims(p, 3, 3)
     assert corrupted == [1]

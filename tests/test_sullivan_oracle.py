@@ -14,7 +14,7 @@ from formalpi.graded_core import AlgebraPresentation, is_simply_connected_type
 from formalpi.quillen_weight import build_model, homotopy_table
 from formalpi.sullivan_oracle import MinimalModel, ModelGenerator, minimal_model
 
-from conftest import SIMPLY_CONNECTED
+from conftest import SIMPLY_CONNECTED, examples
 from oracles import koszul_sort, model_violations, per_degree_minimal_model
 from test_resolution import GENERATED, generated
 
@@ -185,7 +185,7 @@ def test_one_truncation_each_d_and_image_once_each_cycle_space_once(corpus, monk
         assert model_violations(mm) == []
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 @given(
     st.lists(st.integers(0, 5), max_size=8),
     st.lists(st.integers(0, 1), min_size=6, max_size=6),
