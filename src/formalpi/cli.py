@@ -47,7 +47,7 @@ from .errors import (
     NotCompleteError,
     OutOfRangeError,
 )
-from .exactlin import Record
+from .exactlin import Record, exact
 from .graded_core import (
     AlgebraPresentation,
     CharacterLattice,
@@ -72,11 +72,12 @@ def _is_int(x) -> bool:
 
 
 def parse_coeff(s) -> int | Fraction:
+    """A JSON coefficient, an int or a string 'n' or 'p/q', in the normal form of ``exact``."""
     if _is_int(s):
         return s
     if isinstance(s, str) and _COEFF_RE.match(s):
         with suppress(ValueError):  # a numeral past the interpreter's digit limit
-            return Fraction(s)
+            return exact(s)
     _fail(f"coefficient {s!r} is not of the form 'p/q' or 'n'")
 
 
@@ -125,7 +126,7 @@ def parse_presentation(doc: dict, name_hint: str = "input") -> AlgebraPresentati
     raw_products = doc.get("products", [])
     if not isinstance(raw_products, list):
         _fail("'products' must be a list")
-    products: dict[tuple[str, str], dict[str, Fraction]] = {}
+    products: dict[tuple[str, str], dict[str, int | Fraction]] = {}
     for row in raw_products:
         if not isinstance(row, dict) or not {"left", "right", "result"} <= set(row):
             _fail(f"product entry {row!r} needs 'left', 'right', 'result'")

@@ -16,9 +16,14 @@ The sign is forced by requiring normalize(denormalize(c)) = c on the nose.
 normalize recovers the complex as the joint kernel of the codegeneracies
 with the alternating sum of cofaces as differential.  Every call first
 checks all the cosimplicial identities on the stored levels, none skipped
-and none trusted to denormalize: each side is one raw sparse product of
-the stored matrices (the kernel of RationalMatrix.matmul, without its
-normal form), and the two sides are compared by value.
+and none trusted to denormalize: each identity lhs = rhs is one sparse sum
+lhs - rhs, accumulated by exactlin's product kernel add_product, that must
+vanish.  Level n's kernel is one tagged echelon (kernel_rows) of the
+codegeneracies' columns, and the differential is read off at the pivots of
+the next level's canonical kernel rows (SubspaceBasis.coordinates), which
+refuses an image outside that kernel.  This module has no product loop of
+its own; structure_matrix writes each matrix's column index with its
+entries.
 
 For a commutative differential graded algebra the levelwise product is the
 transpose of the Eilenberg-Zilber coproduct on the dual simplicial side:
@@ -46,9 +51,9 @@ from .exactlin import (
     RationalMatrix,
     Record,
     SubspaceBasis,
+    add_product,
     combine,
-    coordinates_in_span,
-    kernel_basis,
+    kernel_rows,
 )
 
 
@@ -68,7 +73,7 @@ class CochainComplex(Frozen):
             if (m.rows, m.cols) != (self.dim(i + 1), self.dim(i)):
                 raise InvalidInputError(f"differential {i} has the wrong shape")
         for i in range(len(differentials) - 1):
-            if not differentials[i + 1].matmul(differentials[i]).is_zero():
+            if any(add_product({}, 1, differentials[i + 1], differentials[i]).values()):
                 raise DSquaredNonzeroError(
                     f"d squared is nonzero out of degree {i}", witness=i
                 )
@@ -168,14 +173,16 @@ def structure_matrix(
     if alpha and not (0 <= alpha[0] and alpha[-1] <= tgt_level):
         raise ValueError("alpha is out of range")
     src_dim, tgt_dim, identity, diff = _plan(c.dims, alpha, src_level, tgt_level)
-    entries = {}
+    entries, columns = {}, {}
     for row_off, col_off, size in identity:
         for t in range(size):
-            entries[(row_off + t, col_off + t)] = 1
+            i, j = row_off + t, col_off + t
+            entries[(i, j)] = columns.setdefault(j, {})[i] = 1
     for row_off, col_off, k, sign in diff:
         for (i, j), val in c.d(k).entries.items():
-            entries[(row_off + i, col_off + j)] = sign * val
-    return RationalMatrix._canonical(tgt_dim, src_dim, entries)
+            i, j = row_off + i, col_off + j
+            entries[(i, j)] = columns.setdefault(j, {})[i] = sign * val
+    return RationalMatrix._canonical(tgt_dim, src_dim, entries, columns)
 
 
 def _delta(i: int, n: int) -> tuple[int, ...]:
@@ -246,39 +253,48 @@ def denormalize(c: CochainComplex, m: int) -> CosimplicialVS:
 def check_cosimplicial_identities(v: CosimplicialVS) -> list[str]:
     """All violated identities on the stored levels, empty when consistent.
 
-    Each side is one sparse product, compared by value and shape to the
-    other side; no matrix object is built.
+    Each identity lhs = rhs is one sparse sum lhs - rhs, accumulated by
+    add_product (lhs - 1 on the diagonal when rhs = id), and fails when the
+    shapes of its sides differ or the sum has a nonzero entry.
     """
     bad = []
     m = v.level_count
     d, s = v.cofaces, v.codegeneracies
 
-    def product(a: RationalMatrix, b: RationalMatrix):
-        return a.rows, b.cols, a._product(b)
+    def differ(a: RationalMatrix, b: RationalMatrix, c: RationalMatrix, e: RationalMatrix) -> bool:
+        """a @ b != c @ e."""
+        acc = add_product(add_product({}, 1, a, b), -1, c, e)
+        return (a.rows, b.cols) != (c.rows, e.cols) or any(acc.values())
+
+    def not_identity(a: RationalMatrix, b: RationalMatrix, size: int) -> bool:
+        """a @ b != the identity of Q^size."""
+        acc = add_product({}, 1, a, b)
+        for key in range(0, size * size, size + 1):
+            acc[key] = acc.get(key, 0) - 1
+        return (a.rows, b.cols) != (size, size) or any(acc.values())
 
     for n in range(m - 1):
         for i in range(n + 2):
             for j in range(i + 1, n + 3):
-                if product(d[n + 1, j], d[n, i]) != product(d[n + 1, i], d[n, j - 1]):
+                if differ(d[n + 1, j], d[n, i], d[n + 1, i], d[n, j - 1]):
                     bad.append(f"d^{j} d^{i} != d^{i} d^{j-1} at level {n}")
     for n in range(2, m + 1):
         for i in range(n - 1):
             for j in range(i, n - 1):
-                if product(s[n - 1, j], s[n, i]) != product(s[n - 1, i], s[n, j + 1]):
+                if differ(s[n - 1, j], s[n, i], s[n - 1, i], s[n, j + 1]):
                     bad.append(f"s^{j} s^{i} != s^{i} s^{j+1} at level {n}")
     for n in range(m):
         size = v.dim(n)
-        identity = (size, size, {(t, t): 1 for t in range(size)})
         for j in range(n + 1):
             for i in range(n + 2):
-                lhs = product(s[n + 1, j], d[n, i])
+                lhs = s[n + 1, j], d[n, i]
                 if i < j:
-                    if lhs != product(d[n - 1, i], s[n, j - 1]):
+                    if differ(*lhs, d[n - 1, i], s[n, j - 1]):
                         bad.append(f"s^{j} d^{i} != d^{i} s^{j-1} at level {n}")
                 elif i in (j, j + 1):
-                    if lhs != identity:
+                    if not_identity(*lhs, size):
                         bad.append(f"s^{j} d^{i} != id at level {n}")
-                elif lhs != product(d[n - 1, i - 1], s[n, j]):
+                elif differ(*lhs, d[n - 1, i - 1], s[n, j]):
                     bad.append(f"s^{j} d^{i} != d^{i-1} s^{j} at level {n}")
     return bad
 
@@ -287,34 +303,30 @@ def normalize(v: CosimplicialVS) -> CochainComplex:
     """Joint kernel of codegeneracies with the alternating coface sum.
 
     Raises SimplicialIdentityError naming the first violated identity when
-    the input is not cosimplicial.
+    the input is not cosimplicial.  Level n's kernel is one tagged echelon
+    of the codegeneracies' columns, stacked; the differential's coordinates
+    are read at the pivots of the next level's kernel.
     """
     bad = check_cosimplicial_identities(v)
     if bad:
         raise SimplicialIdentityError(bad[0])
     m = v.level_count
-    bases: list[SubspaceBasis] = []
-    for n in range(m + 1):
-        if n == 0:
-            bases.append(SubspaceBasis.full(v.dim(0)))
-            continue
-        stacked = {}
-        row_at = 0
+    bases = [SubspaceBasis.full(v.dim(0))]
+    for n in range(1, m + 1):
+        below = v.dim(n - 1)  # the rows of each s^i, stacked i * below on
+        stacked: dict[int, dict] = {j: {} for j in range(v.dim(n))}
         for i in range(n):
-            s = v.codegeneracy(n, i)
-            for (r, cidx), val in s.entries.items():
-                stacked[(row_at + r, cidx)] = val
-            row_at += s.rows
-        bases.append(kernel_basis(RationalMatrix._canonical(row_at, v.dim(n), stacked)))
+            for j, col in v.codegeneracy(n, i)._columns.items():
+                stacked[j].update({i * below + r: x for r, x in col.items()})
+        bases.append(SubspaceBasis(v.dim(n), kernel_rows(stacked, n * below)))
     dims = tuple(b.dim for b in bases)
     diffs = []
     for n in range(m):
         cols = {}
         total = combine(v.dim(n + 1), v.dim(n), [((-1) ** i, v.coface(n, i)) for i in range(n + 2)])
-        span = bases[n + 1].monic_rows()
-        images = [total.matvec(vec) for vec in bases[n].monic_rows()]
-        for j, coords in enumerate(coordinates_in_span(span, images)):
-            for i, val in coords.items():
+        span = bases[n + 1]
+        for j, vec in enumerate(bases[n].monic_rows()):
+            for i, val in span.coordinates(total.matvec(vec)).items():
                 cols[(i, j)] = val
         diffs.append(RationalMatrix(dims[n + 1], dims[n], cols))
     return CochainComplex(dims, tuple(diffs))

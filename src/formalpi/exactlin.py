@@ -6,9 +6,11 @@ of matrices with exact rational entries.  Floating point is never used.
 
 Exact values have one normal form, owned by ``exact``: an int when the value
 is integral and a Fraction otherwise.  Every stored matrix entry is in that
-form, so integral work (unit coefficients, Koszul signs, identity blocks)
-runs on machine-friendly ints and never builds a Fraction.  Equality stays by
-value: ``1 == Fraction(1)`` and their hashes agree.
+form, and so is every value the module returns (monic rows, coordinates,
+the dense views), so integral work (unit coefficients, Koszul signs,
+identity blocks) runs on machine-friendly ints and never builds a
+Fraction.  Equality stays by value: ``1 == Fraction(1)`` and their hashes
+agree.
 
 Vectors are sparse dicts from column to a nonzero int or Fraction.  Every
 elimination runs through one incremental echelon, _Echelon: primitive
@@ -31,7 +33,15 @@ rows whose pivot lies from n on: the canonical basis of {x : sum of x_k c_k
 in S}, keyed by label.  _preimage, under kernel_basis, preimage_subspace
 and subspace_intersection, labels the columns of a matrix by position; the
 resolution labels the stored columns of a block by pair and builds no
-matrix.
+matrix.  SubspaceBasis.coordinates reads the coordinates of a vector in the
+canonical basis at its pivots, with no elimination, and checks that nothing
+is left over.
+
+Products run through one accumulating kernel, add_product: it adds
+sign * a @ b into a dict keyed i * cols + j.  matmul reads that dict back
+in normal form; an identity a b = c e, or a composite d d = 0, is checked
+by accumulating both sides into one dict and asking whether any entry is
+nonzero.
 """
 
 from __future__ import annotations
@@ -43,9 +53,6 @@ from .errors import CompositionNonzeroError
 
 Entry = tuple[int, int]
 Rows = dict[int, dict[int, int]]
-
-
-ZERO = Fraction(0)
 
 
 def exact(x) -> int | Fraction:
@@ -125,18 +132,23 @@ class RationalMatrix(Frozen):
         return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
 
     @classmethod
-    def _canonical(cls, rows: int, cols: int, entries: dict[Entry, int | Fraction]) -> "RationalMatrix":
+    def _canonical(
+        cls, rows: int, cols: int, entries: dict[Entry, int | Fraction], columns: dict | None = None
+    ) -> "RationalMatrix":
         """A matrix whose entries are already in range, normal and nonzero.
 
         Skips the bounds check and normalization of ``__init__``; only
         for entries canonical by construction: results of ``matmul``,
         ``transpose`` and ``combine``, identities, the Dold-Kan structure
-        matrices and the Lie-model slot matrices.
+        matrices and the Lie-model slot matrices.  columns, when given, is
+        ``_columns`` written alongside the entries, in their order.
         """
         m = object.__new__(cls)
         object.__setattr__(m, "rows", rows)
         object.__setattr__(m, "cols", cols)
         object.__setattr__(m, "entries", entries)
+        if columns is not None:
+            m.__dict__["_column_index"] = columns
         return m
 
     @classmethod
@@ -152,46 +164,22 @@ class RationalMatrix(Frozen):
             self.cols, self.rows, {(j, i): v for (i, j), v in self.entries.items()}
         )
 
-    def _product(self, other: "RationalMatrix") -> dict[Entry, int | Fraction]:
-        """The nonzero entries of self @ other, equal by value to those of matmul.
-
-        A new dict, not in normal form: an integral sum of Fraction terms
-        stays a Fraction.  Comparing two such dicts compares the products by
-        value.
-        """
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        columns = self._columns
-        acc: dict[Entry, int | Fraction] = {}
-        for (k, j), y in other.entries.items():
-            column = columns.get(k)
-            if column:
-                for i, x in column.items():
-                    key = (i, j)
-                    if key in acc:
-                        acc[key] += x * y
-                    else:
-                        acc[key] = x * y
-        for key in [key for key, v in acc.items() if not v]:
-            del acc[key]
-        return acc
-
     def matmul(self, other: "RationalMatrix") -> "RationalMatrix":
-        entries = self._product(other)
-        for key, v in entries.items():
-            if type(v) is not int:
-                entries[key] = exact(v)
-        return RationalMatrix._canonical(self.rows, other.cols, entries)
+        cols, entries = other.cols, {}
+        for key, v in add_product({}, 1, self, other).items():
+            if v:
+                entries[divmod(key, cols)] = v if type(v) is int else exact(v)
+        return RationalMatrix._canonical(self.rows, cols, entries)
 
-    def apply(self, vec: tuple) -> tuple[Fraction, ...]:
-        """Matrix times a dense column vector."""
+    def apply(self, vec: tuple) -> tuple[int | Fraction, ...]:
+        """Matrix times a dense column vector, in normal form."""
         if len(vec) != self.cols:
             raise ValueError("vector length mismatch")
-        out = [Fraction(0)] * self.rows
+        out = [0] * self.rows
         for (i, j), v in self.entries.items():
             if vec[j]:
                 out[i] += v * exact(vec[j])
-        return tuple(out)
+        return tuple(map(exact, out))
 
     @property
     def _columns(self) -> dict[int, dict[int, int | Fraction]]:
@@ -227,6 +215,31 @@ class RationalMatrix(Frozen):
         return out
 
 
+def add_product(acc: dict[int, int | Fraction], sign: int, a: RationalMatrix, b: RationalMatrix) -> dict:
+    """acc with sign * a @ b added in, entry (i, j) keyed i * b.cols + j.
+
+    The module's only product loop.  acc is updated in place and returned;
+    its values are not in normal form (an integral sum of Fraction terms
+    stays a Fraction) and a cancelled entry stays as a zero, so a reader
+    normalizes the nonzero values it keeps, or asks whether any is nonzero.
+    """
+    if a.cols != b.rows:
+        raise ValueError(f"shape mismatch {a.rows}x{a.cols} @ {b.rows}x{b.cols}")
+    columns, cols = a._columns, b.cols
+    for (k, j), y in b.entries.items():
+        column = columns.get(k)
+        if column:
+            if sign != 1:
+                y = sign * y
+            for i, x in column.items():
+                key = i * cols + j
+                if key in acc:
+                    acc[key] += x * y
+                else:
+                    acc[key] = x * y
+    return acc
+
+
 def combine(rows: int, cols: int, terms) -> RationalMatrix:
     """The rows x cols matrix sum of c * m over (c, m) in terms; shapes must agree."""
     acc: dict[Entry, int | Fraction] = {}
@@ -255,9 +268,10 @@ def _divide_content(vec: dict[int, int]) -> dict[int, int]:
     return {j: x // g for j, x in vec.items()} if g > 1 else vec
 
 
-def _monic(p: int, row: dict[int, int]) -> dict[int, Fraction]:
-    """row scaled to entry 1 in its pivot column p."""
-    return {j: Fraction(x, row[p]) for j, x in row.items()}
+def _monic(p: int, row: dict[int, int]) -> dict[int, int | Fraction]:
+    """row scaled to entry 1 in its pivot column p, in normal form."""
+    a = row[p]
+    return dict(row) if a == 1 else {j: exact(Fraction(x, a)) for j, x in row.items()}
 
 
 def _eliminate(vec: dict[int, int], row: dict[int, int], col: int) -> dict[int, int]:
@@ -391,15 +405,34 @@ class SubspaceBasis(Frozen):
     def dim(self) -> int:
         return len(self.rows)
 
-    def monic_rows(self) -> list[dict[int, Fraction]]:
+    def monic_rows(self) -> list[dict[int, int | Fraction]]:
         """The canonical basis as sparse rows with pivot entry 1."""
         return [_monic(p, r) for p, r in self.rows.items()]
 
     @property
-    def vectors(self) -> tuple[tuple[Fraction, ...], ...]:
+    def vectors(self) -> tuple[tuple[int | Fraction, ...], ...]:
         """Dense view of monic_rows, for printing and tests."""
         n = self.ambient_dim
-        return tuple(tuple(r.get(j, ZERO) for j in range(n)) for r in self.monic_rows())
+        return tuple(tuple(r.get(j, 0) for j in range(n)) for r in self.monic_rows())
+
+    def coordinates(self, vec: dict) -> dict[int, int | Fraction]:
+        """The nonzero c_i, in normal form, with vec = sum of c_i monic_rows()[i].
+
+        The rows are reduced, so c_i is the entry of vec at the i-th pivot.
+        What that read leaves over is checked to be zero: a ValueError
+        "vector not in span" otherwise.
+        """
+        rest, coords = dict(vec), {}
+        for i, (p, row) in enumerate(self.rows.items()):
+            c = rest.get(p)
+            if c:
+                coords[i] = exact(c)
+                f = c if row[p] == 1 else Fraction(c, row[p])
+                for j, x in row.items():
+                    rest[j] = rest.get(j, 0) - f * x
+        if any(rest.values()):
+            raise ValueError("vector not in span")
+        return coords
 
     def contains(self, vec) -> bool:
         """Membership of vec, a sparse dict or a dense sequence."""
@@ -448,7 +481,7 @@ def homology_dim(d_in: RationalMatrix, d_out: RationalMatrix) -> int:
         raise ValueError(
             f"middle dimension mismatch: d_out has {d_out.cols} cols, d_in has {d_in.rows} rows"
         )
-    if not d_out.matmul(d_in).is_zero():
+    if any(add_product({}, 1, d_out, d_in).values()):
         raise CompositionNonzeroError("d_out @ d_in is not zero")
     return (d_out.cols - rank(d_out)) - rank(d_in)
 
@@ -486,7 +519,7 @@ def preimage_subspace(m: RationalMatrix, s: SubspaceBasis) -> SubspaceBasis:
     return _preimage(m, s, None)
 
 
-def coordinates_in_span(rows: list[dict], vectors: list[dict]) -> list[dict[int, Fraction]]:
+def coordinates_in_span(rows: list[dict], vectors: list[dict]) -> list[dict[int, int | Fraction]]:
     """For each v in vectors, the nonzero c_i with v = sum c_i rows[i].
 
     One RREF of [rows^T | v_1 ... v_m]: the rows alone fix its pivots left of
@@ -503,12 +536,12 @@ def coordinates_in_span(rows: list[dict], vectors: list[dict]) -> list[dict[int,
     if max(solved, default=-1) >= k:
         raise ValueError("vector not in span")
     columns = range(k, k + len(vectors))
-    return [{p: Fraction(r[i], r[p]) for p, r in solved.items() if i in r} for i in columns]
+    return [{p: exact(Fraction(r[i], r[p])) for p, r in solved.items() if i in r} for i in columns]
 
 
 def extend_to_complement(
     sub: SubspaceBasis | _Echelon, space: SubspaceBasis
-) -> list[dict[int, Fraction]]:
+) -> list[dict[int, int | Fraction]]:
     """Monic basis rows of space extending sub to span space (greedy, stable).
 
     Each basis row of space is kept exactly when it is independent of sub

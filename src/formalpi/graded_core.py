@@ -135,7 +135,7 @@ class AlgebraPresentation:
         name: str,
         basis: list[tuple],
         unit_id: str,
-        products: dict[tuple[str, str], dict[str, Fraction]],
+        products: dict[tuple[str, str], dict[str, int | Fraction]],
         lattice: CharacterLattice | None = None,
     ):
         self.name = name

@@ -51,8 +51,8 @@ class ModelGenerator(Frozen):
         # decomposable polynomial in earlier generators, {} for closed generators;
         # coefficients in exact normal form (an int when integral)
         differential: tuple[tuple[Monomial, int | Fraction], ...],
-        # image in the target algebra as (basis id, coeff) pairs
-        image: tuple[tuple[str, Fraction], ...],
+        # image in the target algebra as (basis id, coeff) pairs, coefficients in normal form
+        image: tuple[tuple[str, int | Fraction], ...],
     ):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "degree", degree)
@@ -106,7 +106,7 @@ class _Truncation:
         self.monomials: dict[int, tuple[Monomial, ...]] = {0: ((),)}
         self.index: dict[int, dict[Monomial, int]] = {0: {(): 0}}
         self._d_of: dict[Monomial, dict[Monomial, int | Fraction]] = {}
-        self._image_of: dict[Monomial, dict[str, Fraction]] = {(): {p.unit_id: Fraction(1)}}
+        self._image_of: dict[Monomial, dict[str, int | Fraction]] = {(): {p.unit_id: 1}}
         self._d: dict[int, RationalMatrix] = {}
         self._comparison: dict[int, RationalMatrix] = {}
         self._cycles: dict[int, SubspaceBasis] = {}
@@ -188,12 +188,12 @@ class _Truncation:
             got = self._d[n] = RationalMatrix._canonical(self.dim(n + 1), self.dim(n), entries)
         return got
 
-    def image_of_monomial(self, mono: Monomial) -> dict[str, Fraction]:
+    def image_of_monomial(self, mono: Monomial) -> dict[str, int | Fraction]:
         """The image of mono's prefix times the image of its last generator."""
         acc = self._image(mono[:-1])
         return self.p.multiply_vectors(acc, dict(self.gens[mono[-1]].image)) if acc else {}
 
-    def _image(self, mono: Monomial) -> dict[str, Fraction]:
+    def _image(self, mono: Monomial) -> dict[str, int | Fraction]:
         got = self._image_of.get(mono)
         if got is None:
             got = self._image_of[mono] = self.image_of_monomial(mono)
@@ -219,7 +219,7 @@ class _Truncation:
             got = self._cycles[n] = kernel_basis(self.d_matrix(n))
         return got
 
-    def cohomology_reps(self, n: int) -> list[dict[int, Fraction]]:
+    def cohomology_reps(self, n: int) -> list[dict[int, int | Fraction]]:
         """Monic echelon rows representing H^n (n >= 1), first-in-basis-order choices."""
         boundaries = _Echelon(self.d_matrix(n - 1)._columns.values())
         return extend_to_complement(boundaries, self.cycles(n))

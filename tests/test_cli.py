@@ -817,6 +817,24 @@ def test_malformed_input_is_refused_cleanly(tmp_path, capsys, name):
             assert_refused([cmd, str(path), *flags], capsys)
 
 
+@pytest.mark.parametrize(
+    "text, want",
+    [("-0", 0), ("007", 7), ("4/2", 2), ("3/6", Fraction(1, 2)), ("-12", -12), ("-9/6", Fraction(-3, 2)), (5, 5)],
+)
+def test_parse_coeff_returns_the_normal_form(text, want):
+    """An int when the numeral is integral, a reduced Fraction otherwise."""
+    got = cli.parse_coeff(text)
+    assert got == want and type(got) is type(want)
+
+
+def test_a_coefficient_past_the_digit_limit_is_a_schema_error(tmp_path, capsys):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(MALFORMED["coeff_long"]))
+    status, out = invoke(["validate", str(path)])
+    assert (status, out) == (2, "")
+    assert capsys.readouterr().err.startswith("schema error: coefficient '1000")
+
+
 @pytest.mark.parametrize("name", _BAD_PRODUCTS)
 def test_malformed_product_entries_are_schema_errors_naming_the_entry(tmp_path, capsys, name):
     rows, message = _BAD_PRODUCTS[name]

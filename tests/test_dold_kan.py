@@ -241,6 +241,22 @@ def test_normalize_reports_failing_identity_by_name():
     assert str(exc.value) == "d^1 d^0 != d^0 d^0 at level 0"
 
 
+def test_normalize_refuses_a_differential_that_leaves_the_normalized_part(monkeypatch):
+    """With the identity check switched off, the residual check of the
+    coordinate read still refuses an alternating coface sum out of N."""
+    import formalpi.dold_kan as dold_kan
+
+    monkeypatch.setattr(dold_kan, "check_cosimplicial_identities", lambda v: [])
+    # N^1 = ker s^0 = span(e_1), but d^0 - d^1 sends e_0 to e_0 + e_1 / 2
+    v = CosimplicialVS(
+        (1, 2),
+        {(0, 0): from_rows([[1], [Fraction(1, 2)]]), (0, 1): RationalMatrix.zero(2, 1)},
+        {(1, 0): from_rows([[1, 0]])},
+    )
+    with pytest.raises(ValueError, match="vector not in span"):
+        normalize(v)
+
+
 def nonempty_maps(v):
     """(family, key) for each coface and codegeneracy of v with at least one entry slot."""
     return [

@@ -15,6 +15,7 @@ from formalpi.exactlin import (
     SubspaceBasis,
     _Echelon,
     _preimage,
+    add_product,
     combine,
     coordinates_in_span,
     extend_to_complement,
@@ -362,6 +363,35 @@ def test_extend_to_complement_is_the_greedy_first_in_order_choice(family, data):
     assert [_dense(r, n) for r in extend_to_complement(sub, space)] == chosen
 
 
+def _normal(values):
+    return all(type(x) is int or (type(x) is Fraction and x.denominator != 1) for x in values)
+
+
+@settings(max_examples=examples(150), deadline=None)
+@given(vector_families(), st.data())
+def test_subspace_reads_return_values_in_normal_form(family, data):
+    """monic_rows, extend_to_complement, coordinates_in_span and the pivot read
+    never return a Fraction with denominator 1; the pivot read agrees with
+    coordinates_in_span and refuses a vector outside the span."""
+    n, vecs = family
+    space = SubspaceBasis.from_vectors(vecs, n)
+    sub_vecs = data.draw(st.lists(st.sampled_from(vecs), max_size=3)) if vecs else []
+    sub = SubspaceBasis.from_vectors(sub_vecs, n)
+    monic = space.monic_rows()
+    drawn = [_sparse(v) for v in data.draw(vectors(n, base=vecs, max_count=4)) + vecs]
+    members = [v for v in drawn if space.contains(v)]
+    coords = coordinates_in_span(monic, members)
+    reads = [space.coordinates(v) for v in members]
+    assert reads == coords
+    for row in monic + extend_to_complement(sub, space) + coords + reads:
+        assert _normal(row.values())
+    assert all(_normal(v) for v in space.vectors)
+    for v in drawn:
+        if v not in members:
+            with pytest.raises(ValueError, match="vector not in span"):
+                space.coordinates(v)
+
+
 @settings(max_examples=examples(150), deadline=None)
 @given(vector_families(), st.data())
 def test_from_vectors_is_the_canonical_rref(family, data):
@@ -489,18 +519,36 @@ def test_matmul_and_combine_match_dense_oracle_in_normal_form(data):
 def test_matmul_returns_normal_form_from_the_raw_product():
     half = from_rows([[Fraction(1, 2), Fraction(1, 3)], [1, -1]])
     b = from_rows([[2, Fraction(2, 3)], [3, Fraction(2, 3)]])
-    raw = half._product(b)
-    # 1/2*2 + 1/3*3 = 2 and 1/2*2/3 + 1/3*2/3 = 5/9; 1*2 - 1*3 = -1 and 2/3 - 2/3 = 0
-    assert raw == {(0, 0): 2, (0, 1): Fraction(5, 9), (1, 0): -1}
+    raw = add_product({}, 1, half, b)
+    # 1/2*2 + 1/3*3 = 2 and 1/2*2/3 + 1/3*2/3 = 5/9; 1*2 - 1*3 = -1 and 2/3 - 2/3 = 0,
+    # entry (i, j) keyed i * 2 + j; the cancelled entry stays, as a zero
+    assert raw == {0: 2, 1: Fraction(5, 9), 2: -1, 3: 0}
     prod = half.matmul(b)
-    assert prod.entries == raw
+    assert prod.entries == {divmod(key, 2): v for key, v in raw.items() if v}
     assert type(prod.entries[0, 0]) is int and type(prod.entries[1, 0]) is int
     assert _in_normal_form(prod)
     halves = from_rows([[Fraction(1, 2)], [Fraction(-1, 2)]])
     cancel = from_rows([[1, 1]]).matmul(halves)
     assert cancel.entries == {} and cancel == RationalMatrix.zero(1, 1)
     with pytest.raises(ValueError, match="shape mismatch"):
-        half._product(RationalMatrix.zero(3, 1))
+        add_product({}, 1, half, RationalMatrix.zero(3, 1))
+
+
+@settings(max_examples=examples(60), deadline=None)
+@given(st.data())
+def test_add_product_accumulates_signed_products_by_value(data):
+    """a @ b + sign * c @ e, accumulated into one dict keyed i * cols + j, equals
+    the dense Fraction sum on every shape; a product minus itself leaves only zeros."""
+    n, k, l, m = (data.draw(st.integers(min_value=1, max_value=5)) for _ in range(4))
+    a, b, c, e = (_dense_matrix(data.draw, r, t) for r, t in ((n, k), (k, m), (n, l), (l, m)))
+    sign = data.draw(st.sampled_from([1, -1, 3]))
+    ma, mb, mc, me = map(from_rows, (a, b, c, e))
+    acc = add_product(add_product({}, 1, ma, mb), sign, mc, me)
+    assert all(0 <= key < n * m for key in acc)
+    got = [[acc.get(i * m + j, 0) for j in range(m)] for i in range(n)]
+    ab, ce = dense_matmul(a, b), dense_matmul(c, e)
+    assert got == [[x + sign * y for x, y in zip(r, t)] for r, t in zip(ab, ce)]
+    assert not any(add_product(add_product({}, 1, ma, mb), -1, ma, mb).values())
 
 
 @settings(max_examples=examples(60), deadline=None)
