@@ -55,7 +55,7 @@ from .graded_core import (
     require_valid,
 )
 
-_COEFF_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_COEFF_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")  # ASCII digits, the whole string
 
 
 class SchemaError(Exception):
@@ -75,9 +75,11 @@ def parse_coeff(s) -> int | Fraction:
     """A JSON coefficient, an int or a string 'n' or 'p/q', in the normal form of ``exact``."""
     if _is_int(s):
         return s
-    if isinstance(s, str) and _COEFF_RE.match(s):
+    numeral = _COEFF_RE.fullmatch(s) if isinstance(s, str) else None
+    if numeral:
+        p, q = numeral.groups()
         with suppress(ValueError):  # a numeral past the interpreter's digit limit
-            return exact(s)
+            return int(p) if q is None else exact(Fraction(int(p), int(q)))
     _fail(f"coefficient {s!r} is not of the form 'p/q' or 'n'")
 
 

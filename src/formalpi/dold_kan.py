@@ -21,9 +21,18 @@ lhs - rhs, accumulated by exactlin's product kernel add_product, that must
 vanish.  Level n's kernel is one tagged echelon (kernel_rows) of the
 codegeneracies' columns, and the differential is read off at the pivots of
 the next level's canonical kernel rows (SubspaceBasis.coordinates), which
-refuses an image outside that kernel.  This module has no product loop of
-its own; structure_matrix writes each matrix's column index with its
-entries.
+refuses an image outside that kernel.  The image of a kernel row is summed
+face by face, sum of (-1)^i d^i.matvec(row), with no alternating-sum matrix.
+
+On the complex side (denormalize, normalize, random_cochain_complex)
+intermediate values are sparse dict rows combined by lincomb; a
+RationalMatrix is made only for a map that a CochainComplex or a
+CosimplicialVS stores.  random_cochain_complex conjugates its matching by
+the basis changes row by row, its draws in the normal form of exact, so
+an integral entry is an int.  _plan, cached per (dims, alpha, levels),
+checks alpha and places the identity and d blocks; structure_matrix fills
+them, writing each matrix's column index with its entries.  This module
+has no product loop of its own.
 
 For a commutative differential graded algebra the levelwise product is the
 transpose of the Eilenberg-Zilber coproduct on the dual simplicial side:
@@ -53,8 +62,10 @@ from .exactlin import (
     SubspaceBasis,
     add_product,
     combine,
+    exact,
     kernel_rows,
 )
+from .graded_core import lincomb
 
 
 class CochainComplex(Frozen):
@@ -145,8 +156,16 @@ def _plan(dims: tuple[int, ...], alpha: tuple[int, ...], src_level: int, tgt_lev
 
     Returns (src_dim, tgt_dim, identity, diff): identity holds
     (row_off, col_off, size) for each identity block and diff holds
-    (row_off, col_off, k, sign) for each block sign * d^k.
+    (row_off, col_off, k, sign) for each block sign * d^k.  Raises
+    ValueError unless alpha is a monotone map [src_level] -> [tgt_level];
+    a raise is not cached, so a bad alpha is refused on every call.
     """
+    if len(alpha) != src_level + 1:
+        raise ValueError("alpha has the wrong arity")
+    if any(alpha[i] > alpha[i + 1] for i in range(src_level)):
+        raise ValueError("alpha is not order-preserving")
+    if alpha and not (0 <= alpha[0] and alpha[-1] <= tgt_level):
+        raise ValueError("alpha is out of range")
     src_dim, _, src_lookup = _layout(dims, src_level)
     tgt_dim, tgt_entries, _ = _layout(dims, tgt_level)
     identity, diff = [], []
@@ -166,12 +185,6 @@ def structure_matrix(
     c: CochainComplex, alpha: tuple[int, ...], src_level: int, tgt_level: int
 ) -> RationalMatrix:
     """Matrix of D(alpha): D(c)^src -> D(c)^tgt for monotone alpha: [src] -> [tgt]."""
-    if len(alpha) != src_level + 1:
-        raise ValueError("alpha has the wrong arity")
-    if any(alpha[i] > alpha[i + 1] for i in range(src_level)):
-        raise ValueError("alpha is not order-preserving")
-    if alpha and not (0 <= alpha[0] and alpha[-1] <= tgt_level):
-        raise ValueError("alpha is out of range")
     src_dim, tgt_dim, identity, diff = _plan(c.dims, alpha, src_level, tgt_level)
     entries, columns = {}, {}
     for row_off, col_off, size in identity:
@@ -323,10 +336,11 @@ def normalize(v: CosimplicialVS) -> CochainComplex:
     diffs = []
     for n in range(m):
         cols = {}
-        total = combine(v.dim(n + 1), v.dim(n), [((-1) ** i, v.coface(n, i)) for i in range(n + 2)])
+        faces = [((-1) ** i, v.coface(n, i)) for i in range(n + 2)]
         span = bases[n + 1]
         for j, vec in enumerate(bases[n].monic_rows()):
-            for i, val in span.coordinates(total.matvec(vec)).items():
+            image = lincomb((sign, face.matvec(vec)) for sign, face in faces)
+            for i, val in span.coordinates(image).items():
                 cols[(i, j)] = val
         diffs.append(RationalMatrix(dims[n + 1], dims[n], cols))
     return CochainComplex(dims, tuple(diffs))
@@ -633,7 +647,7 @@ def random_cochain_complex(rng, max_degree: int = 4, max_dim: int = 4) -> Cochai
     """A random valid complex: a matching differential conjugated generically."""
     n_deg = rng.randint(1, max_degree + 1)
     dims = [rng.randint(0, max_dim) for _ in range(n_deg)]
-    matching: dict[int, dict] = {i: {} for i in range(n_deg - 1)}
+    matching = [[{} for _ in range(dims[i + 1])] for i in range(n_deg - 1)]  # rows of each M
     used_src: dict[int, set] = {i: set() for i in range(n_deg)}
     used_tgt: dict[int, set] = {i: set() for i in range(n_deg)}
     for i in range(n_deg - 1):
@@ -646,33 +660,32 @@ def random_cochain_complex(rng, max_degree: int = 4, max_dim: int = 4) -> Cochai
             t = rng.choice(free)
             used_src[i].add(s)
             used_tgt[i + 1].add(t)
-            matching[i][(t, s)] = Fraction(rng.choice([1, -1, 2, -2, 3]), rng.choice([1, 2]))
+            matching[i][t][s] = exact(Fraction(rng.choice([1, -1, 2, -2, 3]), rng.choice([1, 2])))
 
     def unipotent(k):
-        entries = {(a, a): Fraction(1) for a in range(k)}
+        """The rows of a random upper unitriangular k x k matrix."""
+        rows = []
         for a in range(k):
+            rows.append({a: 1})
             for b in range(a + 1, k):
                 if rng.random() < 0.4:
-                    entries[(a, b)] = Fraction(rng.choice([1, -1, 2]), rng.choice([1, 2]))
-        return RationalMatrix(k, k, entries)
+                    rows[a][b] = exact(Fraction(rng.choice([1, -1, 2]), rng.choice([1, 2])))
+        return rows
 
-    def inverse(p: RationalMatrix) -> RationalMatrix:
+    def inverse(rows: list[dict]) -> list[dict]:
         # back substitution: row a of P^-1 is e_a - sum over b > a of P[a, b] (row b of P^-1)
-        k, rows = p.rows, p.row_dicts()
-        inv: list[dict] = [{}] * k
-        for a in reversed(range(k)):
-            out = {a: 1}
-            for b, x in rows[a].items():
-                if b != a:
-                    for t, y in inv[b].items():
-                        out[t] = out.get(t, 0) - x * y
-            inv[a] = out
-        entries = {(a, t): y for a, out in enumerate(inv) for t, y in out.items()}
-        return RationalMatrix(k, k, entries)
+        inv: list[dict] = [{}] * len(rows)
+        for a in reversed(range(len(rows))):
+            inv[a] = lincomb([(1, {a: 1}), *((-x, inv[b]) for b, x in rows[a].items() if b != a)])
+        return inv
 
     basis_change = [unipotent(k) for k in dims]
     diffs = []
     for i in range(n_deg - 1):
-        d = RationalMatrix(dims[i + 1], dims[i], matching[i])
-        diffs.append(basis_change[i + 1].matmul(d).matmul(inverse(basis_change[i])))
+        # d = P_(i+1) M P_i^-1, row by row: each row of a product is a combination of rows
+        inv = inverse(basis_change[i])
+        right = [lincomb((x, inv[s]) for s, x in row.items()) for row in matching[i]]
+        rows = [lincomb((x, right[b]) for b, x in row.items()) for row in basis_change[i + 1]]
+        entries = {(a, j): y for a, row in enumerate(rows) for j, y in row.items()}
+        diffs.append(RationalMatrix(dims[i + 1], dims[i], entries))
     return CochainComplex(tuple(dims), tuple(diffs))

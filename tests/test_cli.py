@@ -564,6 +564,40 @@ def test_doldkan_refuses_a_negative_fuzz_count_before_any_work(monkeypatch):
     assert invoke(argv + ["--json"]) == (1, "fuzz count must be >= 0\n")
 
 
+def test_doldkan_counts_only_the_fuzz_round_trips_that_hold(monkeypatch):
+    """Of five fuzz complexes, the second gets a zero coface d^0, which
+    normalize refuses with SimplicialIdentityError, and the fourth normalizes
+    to another complex: 3 of 5 hold, and the command exits 1."""
+    import formalpi.dold_kan as dold_kan
+    from formalpi.exactlin import RationalMatrix
+
+    argv = ["doldkan", str(corpus_path("s2")), "--level", "2", "--fuzz", "5"]
+    status, text = invoke(argv)
+    assert status == 0 and "fuzz: 5/5 round-trips OK\n" in text
+    real_denormalize, real_normalize = dold_kan.denormalize, dold_kan.normalize
+    built = []  # the complexes denormalized so far, the command's own first
+
+    def denormalize(c, m):
+        v = real_denormalize(c, m)
+        built.append(c)
+        if len(built) == 3:
+            n = min(n for n in range(m) if v.dim(n))
+            v.cofaces[n, 0] = RationalMatrix.zero(v.dim(n + 1), v.dim(n))
+        return v
+
+    def normalize(v):
+        out = real_normalize(v)
+        return dold_kan.CochainComplex((out.dim(0) + 1,)) if len(built) == 5 else out
+
+    monkeypatch.setattr(dold_kan, "denormalize", denormalize)
+    monkeypatch.setattr(dold_kan, "normalize", normalize)
+    status, text = invoke(argv)
+    assert (status, text.splitlines()[-1], len(built)) == (1, "fuzz: 3/5 round-trips OK", 6)
+    built.clear()
+    status, out = invoke(argv + ["--json"])
+    assert status == 1 and json.loads(out)["fuzz"] == {"seed": 0, "total": 5, "ok": 3}
+
+
 def test_doldkan_reports_invalid_input_ahead_of_a_negative_fuzz_count(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(INVALID_DEGREE_TWO))
@@ -768,6 +802,9 @@ MALFORMED = {
     "coeff_decimal": _square("0.5"),
     "coeff_zero_denominator": _square("1/0"),
     "coeff_long": _square("1" + "0" * 5000),
+    "coeff_trailing_newline": _square("1\n"),
+    "coeff_arabic_indic_digit": _square("\u0661"),
+    "coeff_fullwidth_digit": _square("\uff11/2"),
     "unknown_target": _square("1", target="z"),
     "degree_mismatch": _square("1"),
 }
@@ -833,6 +870,16 @@ def test_a_coefficient_past_the_digit_limit_is_a_schema_error(tmp_path, capsys):
     status, out = invoke(["validate", str(path)])
     assert (status, out) == (2, "")
     assert capsys.readouterr().err.startswith("schema error: coefficient '1000")
+
+
+@pytest.mark.parametrize("name", ["coeff_trailing_newline", "coeff_arabic_indic_digit", "coeff_fullwidth_digit"])
+def test_a_coefficient_is_ascii_digits_to_the_end_of_the_string(tmp_path, capsys, name):
+    """A trailing newline or a non-ASCII digit is a schema error, not a number."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(MALFORMED[name]))
+    coeff = MALFORMED[name]["products"][0]["result"][0]["coeff"]
+    assert invoke(["validate", str(path)]) == (2, "")
+    assert capsys.readouterr().err == f"schema error: coefficient {coeff!r} is not of the form 'p/q' or 'n'\n"
 
 
 @pytest.mark.parametrize("name", _BAD_PRODUCTS)

@@ -173,6 +173,22 @@ def test_structure_matrix_rejects_maps_that_are_not_monotone_into_range():
         structure_matrix(c, (-1, 0), 1, 2)
 
 
+def test_structure_matrix_refuses_a_bad_alpha_on_every_call():
+    """The check runs where the plan is made, and a refusal is never cached:
+    each bad alpha raises again after valid calls have cached the plans of
+    the same dims and levels, on a second complex with those dims too."""
+    c = three_term()
+    other = CochainComplex(c.dims, tuple(combine(m.rows, m.cols, [(2, m)]) for m in c.differentials))
+    valid = {(2, 2): (0, 1, 2), (1, 1): (0, 1), (1, 2): (0, 2)}
+    bad = [((0, 1), 2, 2, "arity"), ((1, 0), 1, 1, "order-preserving")]
+    bad += [((0, 3), 1, 2, "out of range"), ((-1, 0), 1, 2, "out of range")]
+    for alpha, src, tgt, message in bad:
+        for cx in (c, other, c):
+            with pytest.raises(ValueError, match=message):
+                structure_matrix(cx, alpha, src, tgt)
+            structure_matrix(cx, valid[src, tgt], src, tgt)
+
+
 # ---------------------------------------------------------------------------
 # normalize: exact round trips
 
@@ -226,6 +242,18 @@ def test_random_complexes_are_pinned(max_degree, max_dim, want):
         diffs = [sorted((k, Fraction(v)) for k, v in m.entries.items()) for m in c.differentials]
         h.update(repr((c.dims, diffs)).encode())
     assert h.hexdigest() == want
+
+
+def test_the_complexes_doldkan_fuzz_draws_are_pinned():
+    """The 1,000 complexes that one random.Random(3) draws in sequence at
+    max_degree=3, max_dim=3, as `doldkan --fuzz 1000 --seed 3` draws them,
+    hashed as in test_random_complexes_are_pinned."""
+    rng, h = random.Random(3), hashlib.sha256()
+    for _ in range(1000):
+        c = random_cochain_complex(rng, max_degree=3, max_dim=3)
+        diffs = [sorted((k, Fraction(v)) for k, v in m.entries.items()) for m in c.differentials]
+        h.update(repr((c.dims, diffs)).encode())
+    assert h.hexdigest() == "8bc94598499744bbead7aed48c88d042dc3342524f39ac6d7e4c2bd4a2284cca"
 
 
 def test_normalize_reports_failing_identity_by_name():
