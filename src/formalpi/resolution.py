@@ -32,25 +32,26 @@ before the complement is taken.
 One coordinate system serves the whole resolution.  The pair a (x) g, for g
 the k-th generator of its level and a the class at position i of the basis,
 is the int k * len(basis) + i.  Columns a.dg, boundaries dg, images and
-kernels are sparse dicts over these keys, and each level keeps its nonzero
-columns in one dict keyed by pair.  Within a block the keys rise with g,
-then with the basis order of a: the order the rows of the block have, so
-every echelon is that of the block's own numbering.  No matrix is built:
-``kernel_rows`` takes the stored columns of d_(s-1) on a block, labelled by
-their pairs, and gives back the canonical rows of its kernel keyed by pair.
+kernels are sparse dicts over these keys, and each level keeps its columns
+in one dict keyed by pair.  A level is kept as runs (t, chi, first, count)
+of consecutive generators, and the pairs of a block as products of a run
+and a list of classes: a block's size costs one step per run, and its keys
+are listed only where its kernel is taken.  No matrix is built: ``kernel_rows`` takes the stored columns of d_(s-1) on a block,
+labelled by its pairs in ascending order, and gives back the canonical
+rows of its kernel keyed by pair.
 
-A boundary is built only where the window reads it.  dg of a generator g
-of B_s in degree t_g is read by the columns a.dg of the blocks of level s in
-degree t = t_g + |a|, up to the level's last degree: max_r + s, or one more
-below the top level, where the next level reads d_s.  The next level reads
-only the degree and character of g, through its pairs.  So where A+ has no
-class of degree 1, ..., last - t, the new generators of the block are
-counted and given an empty boundary, and no kernel or complement is taken:
-no column that is built reads them, so every column, image and d d check
-is the same as with the boundaries built.  Without degree-1 classes
-that is the top edge t - s = max_r of every level and the top two degrees
-of the top level.  When a level ends, only the degree and character of its
-generators are kept.
+Each column a.dg is built once.  It is read only in degree t_g + |a| of its
+own level, up to the level's last degree: max_r + s, or one more below the
+top level, where the next level reads d_s.  So as soon as the new dg of a
+block are kept, each a.dg in the window is added into the pending block of
+its degree and character chi_g + chi_a, and dg is dropped; a column is
+rebuilt only when a product cancelled one of its entries.  a.dg is zero
+unless a multiplies some class of A+ to a nonzero product.  So where no
+such a has degree 1, ..., last - t, no a.dg of the new generators lies in
+the window: they are only counted, and no kernel or complement is taken.
+Without degree-1 classes that is the top edge t - s = max_r of every level
+and the top two degrees of the top level; on a ring with trivial products,
+a wedge, it is every block.
 
 The window needs no generator outside it.  Minimality gives ker d inside
 A+.F: the new boundaries in degree t are independent modulo I, which holds
@@ -66,12 +67,13 @@ check runs on ints.
 
 The image I of each block is read only for its dimension and to pick the
 complement, and both depend on the span alone, so it is kept as the
-unreduced echelon of its columns, never brought to canonical form.  The
-complement is greedy: in pivot order, a row of K is a new dg exactly when
-I's own echelon, grown by the rows kept before it, takes it on insert; the
-rank of d_s is recorded first and nothing reads the echelon after.  Where I
-is zero every row of K is kept and none is inserted.  The next level reads
-only the dimension of I, the rank of d_s there.
+unreduced echelon of its columns, inserted in the order they were built,
+never brought to canonical form.  The complement is greedy: in pivot order,
+a row of K is a new dg exactly when I's own echelon, grown by the rows kept
+before it, takes it on insert; the rank of d_s is recorded first and
+nothing reads the echelon after.  Where I is zero every row of K is kept
+and none is inserted.  The next level reads only the dimension of I, the
+rank of d_s there.
 """
 
 from __future__ import annotations
@@ -80,7 +82,7 @@ from .errors import DSquaredNonzeroError
 from .exactlin import _Echelon, kernel_rows
 from .graded_core import AlgebraPresentation
 
-_ZERO: dict = {}  # shared by every zero column and unread boundary; never modified
+_ZERO: dict = {}  # the column of a pair that d sends to zero; never modified
 
 
 def ext_dims(
@@ -98,61 +100,51 @@ def ext_dims(
         if m > 0:
             for x in ids:
                 positive.setdefault(m, {}).setdefault(p.element(x).character, []).append(index[x])
-    low = min(positive, default=0)  # the lowest degree of A+
-    left: dict[int, dict[int, list]] = {}  # b -> degree of a -> [(a, ab)], ab nonzero, by position
+    # the lowest degree of a class of A+ whose product with some class of A+ is
+    # nonzero; a.dg is zero for every a below it, and for every a when there is none
+    low = min(
+        (p.degree(a) for a, row in table.items() if a != unit and row.keys() - {unit}), default=float("inf"))
+    left: dict[int, list] = {}  # b -> [(|a|, a, ab)], ab nonzero, by degree then position
 
-    def multipliers(b: int) -> dict[int, list]:
+    def multipliers(b: int) -> list:
         out = left.get(b)
         if out is None:
-            out = left[b] = {}
             y = p.basis[b].ident
-            # a.b != 0 exactly when b.a != 0: row b names the a, in basis order
-            for a in sorted(table[y].keys() - {unit}, key=index.__getitem__):
-                ab = {index[k]: x for k, x in table[a][y].items()}
-                out.setdefault(p.degree(a), []).append((index[a], ab))
+            # a.b != 0 exactly when b.a != 0: row b names the a
+            out = left[b] = sorted(
+                (p.degree(a), index[a], {index[k]: x for k, x in table[a][y].items()})
+                for a in table[y].keys() - {unit})
         return out
 
-    def pairs(gens, t) -> dict[tuple[int, ...], list[int]]:
-        """The keys of the pairs a (x) g of A+ (x) B in degree t, by character, ascending."""
-        out: dict[tuple[int, ...], list[int]] = {}
-        for g, (tg, chi) in enumerate(gens):
+    def pairs(runs, t) -> dict[tuple[int, ...], list[tuple]]:
+        """The pairs a (x) g of A+ (x) B in degree t, by character, as (first, n, classes):
+        a over classes and g over the n generators from first on, in ascending key order."""
+        out: dict[tuple[int, ...], list[tuple]] = {}
+        for tg, chi, first, n in runs:
             if tg >= t:
                 break
             for char, classes in positive.get(t - tg, {}).items():
-                out.setdefault(add(chi, char), []).extend([g * nb + a for a in classes])
+                out.setdefault(add(chi, char), []).append((first, n, classes))
         return out
 
     dims = {}
-    lower = [(0, p.lattice.zero())]  # B_0 = Q, the unit in degree 0; a generator is (t, chi)
-    # d_(s-1): its nonzero columns by pair and its ranks by (t, chi); width = nb * dim B_(s-2)
+    lower = [(0, p.lattice.zero(), 0, 1)]  # B_0 = Q, the unit in degree 0, as one run
+    # d_(s-1): its columns by pair and its ranks by (t, chi); width = nb * dim B_(s-2)
     # bounds the keys of the pairs of F_(s-2), the rows of d_(s-1)
     lower_d, lower_ranks, width = {}, {}, 0
     for s in range(1, max_w + 1):
         top = max_r + s
         last = top + (s < max_w)  # one degree past the window when a next level reads d_s there
-        gens, boundaries = [], []  # B_s in increasing t, and the dg of each generator by pair
-        d, ranks = {}, {}  # d_s: its nonzero columns by pair, its ranks by (t, chi)
+        runs, count = [], 0  # B_s as runs (t, chi, first, count) in increasing t, and dim B_s
+        pending: dict[int, dict] = {}  # t -> chi -> the columns a.dg of that block, by pair
+        d, ranks = {}, {}  # d_s: its columns by pair, its ranks by (t, chi)
         for t in range(s, last + 1):
-            # a.dg, visiting only the nonzero products a.b of its terms b (x) h
-            columns: dict[int, dict[int, int]] = {}
-            for g, ((tg, _), dg) in enumerate(zip(gens, boundaries)):
-                for key, c in dg.items():
-                    b = key % nb
-                    h = key - b  # the key of 1 (x) h
-                    for a, ab in multipliers(b).get(t - tg, ()):
-                        col = columns.setdefault(g * nb + a, {})
-                        for k, x in ab.items():
-                            col[h + k] = col.get(h + k, 0) + c * x
-            blocks: dict = {}  # the nonzero columns, by character, in the order of their keys
-            for key in sorted(columns):
-                col = {i: x for i, x in columns[key].items() if x}
-                if col:
-                    chi = add(gens[key // nb][1], p.basis[key % nb].character)
-                    blocks.setdefault(chi, {})[key] = col
             images = {}
-            for chi, block in blocks.items():
-                # d d = 0 on A+ (x) B_s in degree t: each column lies in the cycles
-                for col in block.values():
+            for chi, block in pending.pop(t, {}).items():
+                for key, col in block.items():
+                    if not all(col.values()):  # a cancelled entry
+                        block[key] = col = {i: x for i, x in col.items() if x}
+                    # d d = 0 on A+ (x) B_s in degree t: each column lies in the cycles
                     image: dict[int, int] = {}
                     for k, x in col.items():
                         for i, y in lower_d.get(k, _ZERO).items():
@@ -166,25 +158,43 @@ def ext_dims(
                 ranks[(t, chi)] = images[chi].dim
             if t > top:
                 continue
-            for chi, keys in pairs(lower, t).items():
+            for chi, pieces in pairs(lower, t).items():
                 hit = images.get(chi) or _Echelon()
                 below = lower_ranks.get((t, chi), 0)  # the rank of d_(s-1) there; 0 for s = 1
-                new = len(keys) - hit.dim - below
+                new = sum(n * len(classes) for _, n, classes in pieces) - hit.dim - below
                 if not new:
                     continue
                 dims[(s, t, chi)] = new
-                gens.extend([(t, chi)] * new)
+                runs.append((t, chi, count, new))
+                count += new
                 if t + low > last:  # no a.dg of these generators lies in the window
-                    boundaries.extend([_ZERO] * new)
                     continue
+                keys = [g + a for first, n, classes in pieces
+                        for g in range(first * nb, (first + n) * nb, nb) for a in classes]
                 if below:  # the kernel of d_(s-1) on the block, its columns labelled by pair
                     cycles = kernel_rows({k: lower_d.get(k, _ZERO) for k in keys}, width)
                 else:
                     cycles = {k: {k: 1} for k in keys}
                 # a cycle row is new when hit, I grown by the rows kept so far, takes it
                 kept = [row for row in cycles.values() if hit.insert(row)] if hit.dim else cycles.values()
-                boundaries.extend(kept)
-        if not gens:
+                # each a.dg, visiting only the nonzero products a.b of its terms b (x) h, goes to
+                # the pending block of degree t + |a| and character chi + chi_a, found once per a
+                targets: dict[int, dict] = {}
+                for g, dg in zip(range((count - new) * nb, count * nb, nb), kept):  # g: key of 1 (x) g
+                    for key, c in dg.items():
+                        b = key % nb
+                        h = key - b  # the key of 1 (x) h
+                        for m, a, ab in multipliers(b):
+                            if t + m > last:
+                                break
+                            block = targets.get(a)
+                            if block is None:
+                                char = add(chi, p.basis[a].character)
+                                block = targets[a] = pending.setdefault(t + m, {}).setdefault(char, {})
+                            col = block.setdefault(g + a, {})
+                            for k, x in ab.items():
+                                col[h + k] = col.get(h + k, 0) + c * x
+        if not runs:
             break
-        lower, lower_d, lower_ranks, width = gens, d, ranks, nb * len(lower)
+        lower, lower_d, lower_ranks, width = runs, d, ranks, nb * sum(n for *_, n in lower)
     return dims

@@ -6,8 +6,10 @@ file):
 
     python3 tests/hard_cases.py
 
-Each case writes its input, runs ``python3 -m formalpi.cli`` on it with
-``src`` on PYTHONPATH, and prints its wall time and verdict.  A case fails
+The inputs are written first, then each case runs ``python3 -m
+formalpi.cli`` on its input with ``src`` on PYTHONPATH and prints its wall
+time, the command's peak RSS (from its own rusage, read by ``os.wait4``)
+and its verdict.  A case fails
 on a nonzero exit, on its timeout, or when stdout's sha256 differs from the
 pinned digest, or no line of stdout is the pinned line.  The exit status is
 1 when any case fails.
@@ -19,11 +21,12 @@ import hashlib
 import json
 import os
 import random
-import subprocess
+import signal
 import sys
 import tempfile
+import traceback
 from pathlib import Path
-from time import perf_counter
+from time import perf_counter, sleep
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "perfbench"))
@@ -138,6 +141,9 @@ CASES = [
     ("pi on the wedge of S^2, S^2, S^3, S^3 at degree 13 and weight 12", family("wedge_2233"),
      "pi {} --max-degree 13 --max-weight 12", 10,
      sha256("93beeec0a27e8a922736da969dd10d84eddff52821cce498f550de1a2c7a4e33")),
+    ("pi on the wedge of S^2, S^2, S^3, S^3 at degree 15 and weight 14", family("wedge_2233"),
+     "pi {} --max-degree 15 --max-weight 14", 10,
+     sha256("45b23c94d0413ca92864aaa1a6b9fc7830500ee8bb44b38161d29912f667af82")),
     ("doldkan on cp3 at level 7 with 1000 fuzz complexes", CP3,
      "doldkan {} --level 7 --fuzz 1000 --seed 3", 10, line("fuzz: 1000/1000 round-trips OK")),
     ("doldkan JSON on cp3 at level 7 with 1000 fuzz complexes", CP3,
@@ -148,37 +154,80 @@ CASES = [
 ]
 
 
-def run(source, args, timeout, pin, workdir) -> tuple[float, str | None]:
-    """Runs one case: the command's wall time, and None or why it failed."""
-    if callable(source):
-        path = Path(workdir) / "input.json"
-        path.write_text(source())
-    else:
-        path = source  # relative to the root, the working directory
+def write_inputs(workdir) -> list:
+    """The input of each case: a path under the root, or the file in workdir
+    that its maker writes.  The makers run in a forked child, so that the
+    memory they take is not counted in the peak RSS of any case (see run).
+    """
+    paths = [Path(workdir) / f"input{i}.json" if callable(case[1]) else case[1] for i, case in enumerate(CASES)]
+    pid = os.fork()
+    if not pid:
+        try:
+            for path, (_, source, *_) in zip(paths, CASES):
+                if callable(source):
+                    path.write_text(source())
+            os._exit(0)
+        except Exception:
+            traceback.print_exc()
+        finally:
+            os._exit(1)
+    if os.waitpid(pid, 0)[1]:
+        raise SystemExit("the inputs could not be made")
+    return paths
+
+
+def run(path, args, timeout, pin) -> tuple[float, float, str | None]:
+    """Runs one case: the command's wall time, its peak RSS in MB, and None or why it failed.
+
+    The command runs in a forked child, not a vfork'd one as subprocess
+    starts it.  On Linux a child's peak RSS counts the memory it was started
+    from: all of this process's under vfork, only the anonymous pages it
+    copies under fork.  The inputs are made in a child of their own, so this
+    process's heap, and with it that floor, stays below any command's peak.
+    """
     argv = [sys.executable, "-m", "formalpi.cli", *(str(path) if a == "{}" else a for a in args.split())]
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    start = perf_counter()
-    try:
-        done = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, timeout=timeout)
-    except subprocess.TimeoutExpired:
-        return perf_counter() - start, f"no answer within {timeout} s"
-    wall = perf_counter() - start
-    if done.returncode:
-        return wall, f"exit {done.returncode}: {done.stderr.decode(errors='replace').strip()}"
+    with tempfile.TemporaryFile() as stdout, tempfile.TemporaryFile() as stderr:
+        start = perf_counter()
+        pid = os.fork()
+        if not pid:
+            try:
+                os.dup2(stdout.fileno(), 1)
+                os.dup2(stderr.fileno(), 2)
+                os.chdir(ROOT)
+                os.execve(sys.executable, argv, env)
+            finally:
+                os._exit(127)
+        while not (done := os.wait4(pid, os.WNOHANG))[0]:
+            if perf_counter() - start > timeout:
+                os.kill(pid, signal.SIGKILL)
+                done = os.wait4(pid, 0)
+                break
+            sleep(0.001)
+        wall = perf_counter() - start
+        _, status, usage = done  # the child's own rusage
+        stdout.seek(0)
+        stderr.seek(0)
+        out, err = stdout.read(), stderr.read()
+    rss = usage.ru_maxrss / 1024  # in KB on Linux
+    if wall > timeout:
+        return wall, rss, f"no answer within {timeout} s"
+    if code := os.waitstatus_to_exitcode(status):
+        return wall, rss, f"exit {code}: {err.decode(errors='replace').strip()}"
     kind, want = pin
     if kind == "sha256":
-        got = hashlib.sha256(done.stdout).hexdigest()
-        return wall, None if got == want else f"stdout sha256 {got}, pinned {want}"
-    out = done.stdout.decode()
-    return wall, None if want in out.splitlines() else f"no line {want!r} in stdout:\n{out}"
+        got = hashlib.sha256(out).hexdigest()
+        return wall, rss, None if got == want else f"stdout sha256 {got}, pinned {want}"
+    text = out.decode()
+    return wall, rss, None if want in text.splitlines() else f"no line {want!r} in stdout:\n{text}"
 
 
 def main() -> int:
     failed = 0
     with tempfile.TemporaryDirectory() as workdir:
-        for name, source, args, timeout, pin in CASES:
-            wall, why = run(source, args, timeout, pin, workdir)
-            print(f"{wall:7.2f} s  {'FAIL' if why else 'ok  '}  {name}", flush=True)
+        for path, (name, _, args, timeout, pin) in zip(write_inputs(workdir), CASES):
+            wall, rss, why = run(path, args, timeout, pin)
+            print(f"{wall:7.2f} s  {rss:5.0f} MB  {'FAIL' if why else 'ok  '}  {name}", flush=True)
             if why:
                 print(f"    {why}", flush=True)
                 failed += 1

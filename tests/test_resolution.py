@@ -53,6 +53,18 @@ def surface(genus, characters=False):
     return parsed(bench_gen.surface(genus, characters))
 
 
+def torus_with_characters(characters):
+    """T^3 in a free rank-1 lattice: x_i gets characters[i], and a product of
+    classes the sum of theirs."""
+    t3 = bench_gen.power(lambda i: bench_gen.sphere(1, i), 3)
+    t3["free_rank"] = 1
+    t3["basis"] = [
+        (ident, d, (sum(characters[int(x[1:])] for x in ident.split(".")) if d else 0,))
+        for ident, d, _ in t3["basis"]
+    ]
+    return parsed(t3)
+
+
 def four_manifold(signs):
     """The ring of a simply connected 4-manifold with intersection form
     diag(signs): e0, then x_1 ... x_b in degree 2, then w in degree 4, with
@@ -94,6 +106,53 @@ def test_surface_ext_matches_its_hilbert_series(genus, characters):
     dims = ext_dims(surface(genus, characters), 2, 4)
     assert {t - s for s, t, _ in dims} == {0}
     assert by_level(dims, 4) == surface_ext_dims(genus, 4)
+
+
+def word_counts(p, max_r, max_w):
+    """{(s, t, chi): the number of words of length s in the classes of A+
+    whose degrees sum to t and whose characters sum to chi}, for s <= max_w
+    and t - s <= max_r, zeros omitted.  No letter has degree 0, so t - s
+    never falls as a word grows."""
+    letters = [(e.degree, e.character) for e in p.basis if e.degree]
+    words, out = {(0, p.lattice.zero()): 1}, {}
+    for s in range(1, max_w + 1):
+        longer: dict = {}
+        for (t, chi), n in words.items():
+            for m, psi in letters:
+                if t + m - s <= max_r:
+                    key = (t + m, p.lattice.add(chi, psi))
+                    longer[key] = longer.get(key, 0) + n
+        words = longer
+        out.update({(s, t, chi): n for (t, chi), n in words.items()})
+    return out
+
+
+def wedge_with_characters():
+    """S^1 v S^2 v S^2 v S^3 with characters: the degree-1 class and one
+    class of degree 2 have character 0, the other two +-1."""
+    basis = [("e", 0, (0,)), ("x", 1, (0,)), ("y", 2, (0,)), ("u", 2, (1,)), ("v", 3, (-1,))]
+    return AlgebraPresentation("wedge_with_characters", basis, "e", {}, CharacterLattice(1))
+
+
+@pytest.mark.parametrize("make,max_r,max_w", [
+    (lambda corpus: corpus["wedge_s2_s2"], 7, 7),
+    (lambda corpus: generated("wedge_2233"), 12, 12),
+    (lambda corpus: wedge_with_characters(), 4, 6),
+], ids=["wedge_s2_s2", "wedge_2233", "wedge_with_characters"])
+def test_ext_of_a_ring_with_trivial_products_counts_words(corpus, monkeypatch, make, max_r, max_w):
+    # A+ . A+ = 0 makes Ext the tensor coalgebra on the classes of A+, each of
+    # homological degree 1, so dim B_(s, t, chi) counts words.  Every a.dg is
+    # zero there, d has rank 0 on every block, and no kernel is taken.
+    p = make(corpus)
+    assert all(p.unit_id in pair for pair in p.products)
+
+    def kernel_rows(columns, n, seed=None):
+        raise AssertionError("a kernel is taken on a ring with trivial products")
+
+    monkeypatch.setattr(resolution, "kernel_rows", kernel_rows)
+    dims = ext_dims(p, max_r, max_w)
+    assert dims == word_counts(p, max_r, max_w)
+    assert by_level(dims, max_w)[-1]
 
 
 def test_ext_of_the_ground_field_is_empty():
@@ -149,8 +208,7 @@ def corrupt_first_kernel(monkeypatch, last=False):
 
 
 def test_corrupted_boundary_fails_the_d_squared_check(monkeypatch):
-    # the first kernel row that a generator is made from: its first column
-    # a.dg leads its block, the others are read after it
+    # the first kernel row that a generator is made from
     corrupted = corrupt_first_kernel(monkeypatch)
     with pytest.raises(DSquaredNonzeroError) as err:
         ext_dims(sphere_power(1, 3), 3, 3)
@@ -163,9 +221,9 @@ def test_corrupted_last_boundary_fails_the_d_squared_check(monkeypatch):
     # On CP^2 x CP^2 the first kernel taken has one row, the dg of the one
     # generator g of (s, t) = (2, 4), and the last pair of its block that is
     # not a cycle is ha_1 (x) g', for g' of level 1.  Of the columns a.dg of g
-    # at t = 6, only a = hb_1 reads that pair, since ha_1^3 = 0, and that
-    # column leads its block: a check that skips each block's first column
-    # misses it.
+    # at t = 6, only a = hb_1 reads that pair, since ha_1^3 = 0: that is the
+    # one column of its block that fails, wherever the block holds it, so a
+    # check that skips any column a.dg can miss it.
     corrupted = corrupt_first_kernel(monkeypatch, last=True)
     with pytest.raises(DSquaredNonzeroError) as err:
         ext_dims(generated("cp2xcp2"), 4, 4)
@@ -192,6 +250,19 @@ def test_corrupted_boundary_fails_the_d_squared_check_on_a_rational_table(monkey
     assert corrupted == [1]
     assert err.value.witness == (2, 3, ())
     assert str(err.value) == "d squared is nonzero on the resolution at (s=2, t=3, char=())"
+
+
+def test_corrupted_boundary_fails_the_d_squared_check_with_characters(monkeypatch):
+    # the corruption of the first test, on T^3 with characters x_0 -> 1 and
+    # x_1, x_2 -> 0: the one column that fails lies in a block of nonzero
+    # character, and the witness names it
+    p = torus_with_characters((1, 0, 0))
+    corrupted = corrupt_first_kernel(monkeypatch)
+    with pytest.raises(DSquaredNonzeroError) as err:
+        ext_dims(p, 3, 3)
+    assert corrupted == [1]
+    assert err.value.witness == (2, 3, (1,))
+    assert str(err.value) == "d squared is nonzero on the resolution at (s=2, t=3, char=(1,))"
 
 
 # ---------------------------------------------------------------------------
